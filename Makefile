@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race check demo bench bench-json bench-cf bench-cf-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet lint lint-json test race check loc demo bench bench-json bench-cf bench-cf-smoke bench-batch-smoke restart examples-smoke
 
 all: check
 
@@ -43,6 +43,15 @@ race:
 
 check: build vet lint test race
 
+# Non-test Go lines per top-level package (testdata excluded). The
+# ROADMAP wants the tree to end each round smaller; this makes "smaller"
+# a number in every PR's log.
+loc:
+	@count() { find "$$@" -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l; }; \
+	printf '%7d  .\n' $$(count . -maxdepth 1); \
+	for d in cmd/* examples/* internal/*; do printf '%7d  %s\n' $$(count $$d) $$d; done; \
+	printf '%7d  total\n' $$(count .)
+
 demo:
 	$(GO) run ./cmd/sysplexdemo
 
@@ -62,9 +71,12 @@ bench-cf:
 	$(GO) run ./cmd/sysplexbench -exp cfscale,ctxpath,transport -json BENCH_cf.json
 
 # One short iteration of the parallel benchmarks so CI catches rot
-# without paying for a full measurement run.
+# without paying for a full measurement run. -benchmem at one and two
+# CPUs keeps allocs/op of the duplexed commands (the command pipeline's
+# no-heap-allocation promise, also held by TestDuplexedCommandAllocs)
+# visible in every CI log.
 bench-cf-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkFig2_' -benchtime 100x -cpu 4 .
+	$(GO) test -run '^$$' -bench '^BenchmarkFig2_' -benchtime 100x -benchmem -cpu 1,2 .
 
 # EXP-BATCH end to end over real unix-socket cflink servers: exercises
 # async dispatch, batch framing, and the bulk-release exploit path in

@@ -1618,23 +1618,12 @@ func batchBench() error {
 		}
 		return nil
 	}
-	relCmds := func(base, off, n int) []cf.BatchCmd {
-		cmds := make([]cf.BatchCmd, n)
+	relCmds := func(base, off, n int) []cf.Cmd {
+		cmds := make([]cf.Cmd, n)
 		for i := 0; i < n; i++ {
-			cmds[i] = cf.BatchLockRelease((base+off+i)%entries, "SYS1", cf.Exclusive)
+			cmds[i] = cf.Cmd{Kind: cf.CmdLockRelease, Idx: (base + off + i) % entries, Conn: "SYS1", Mode: cf.Exclusive}
 		}
 		return cmds
-	}
-	checkErrs := func(errs []error, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
 	}
 	async := d.NewAsync("bench", 16)
 	defer async.Close()
@@ -1654,7 +1643,7 @@ func batchBench() error {
 		}},
 		{"batch1", func(base int) error {
 			for i := 0; i < block; i++ {
-				if err := checkErrs(ls.Batch(ctx, relCmds(base, i, 1))); err != nil {
+				if err := cf.FirstErr(ls.Batch(ctx, relCmds(base, i, 1))); err != nil {
 					return err
 				}
 			}
@@ -1662,7 +1651,7 @@ func batchBench() error {
 		}},
 		{"batch8", func(base int) error {
 			for off := 0; off < block; off += 8 {
-				if err := checkErrs(ls.Batch(ctx, relCmds(base, off, 8))); err != nil {
+				if err := cf.FirstErr(ls.Batch(ctx, relCmds(base, off, 8))); err != nil {
 					return err
 				}
 			}
@@ -1670,7 +1659,7 @@ func batchBench() error {
 		}},
 		{"batch32", func(base int) error {
 			for off := 0; off < block; off += 32 {
-				if err := checkErrs(ls.Batch(ctx, relCmds(base, off, 32))); err != nil {
+				if err := cf.FirstErr(ls.Batch(ctx, relCmds(base, off, 32))); err != nil {
 					return err
 				}
 			}

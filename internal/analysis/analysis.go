@@ -44,9 +44,10 @@
 //   - goroleak: every goroutine spawned under internal/ has a provable
 //     shutdown path — a loop that can exit (ctx/done select, bounded
 //     range, error return) or a `// lintgo: <reason>` escape.
-//   - wireproto: the cflink opcode and status-byte tables and
-//     `// lintwire: enum` types are collision-free and exhaustively
-//     handled on client, server, and codec.
+//   - wireproto: the cflink opcode and status-byte tables are
+//     collision-free, and the status-to-sentinel index covers every
+//     status (which commands exist and what they carry is the cf
+//     command table, shared by both ends by construction).
 //   - durability: raw *os.File writes in the DASD tree reach
 //     (*os.File).Sync on some path, so no acknowledged bytes can sit
 //     forever in the page cache; a deliberate group-commit deferral is

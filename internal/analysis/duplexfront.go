@@ -145,7 +145,7 @@ func runDuplexFront(pass *Pass) error {
 
 // concreteCFType returns the bare name of the concrete cf named type
 // behind t ("" when t is not one of the guarded types; the
-// cf.Front/Lock/Cache/List interfaces and the Duplexed* fronts resolve
+// cf.Front/Lock/Cache/List interfaces and the typed fronts resolve
 // to "" and stay legal).
 func concreteCFType(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {

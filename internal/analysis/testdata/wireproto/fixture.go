@@ -1,18 +1,13 @@
 // Package fixture exercises the wireproto analyzer: lintwire tables
-// must be collision-free with every byte live on both sides of the
-// link, lintwire enums must be switched exhaustively, and index tables
-// must cover every non-catch-all code.
+// must be collision-free, and index tables must cover every
+// non-catch-all code.
 package fixture
 
-// lintwire: table opcodes dispatch
+// lintwire: table opcodes
 const (
 	opRead  uint8 = 1
-	opWrite uint8 = 2 // want `wire table opcodes constant opWrite \(byte 2\) is never produced`
-	opPing  uint8 = 3 // want `wire table opcodes constant opPing \(byte 3\) is never dispatched`
-	opNop   uint8 = 4 // want `wire table opcodes constant opNop \(byte 4\) is never used anywhere`
-	// Go rejects a duplicate constant in a case clause, so the colliding
-	// byte can never be dispatched — both findings land here.
-	opDup uint8 = 2 // want `wire table opcodes collision: opWrite and opDup share byte value 2` // want `wire table opcodes constant opDup \(byte 2\) is never dispatched`
+	opWrite uint8 = 2
+	opDup   uint8 = 2 // want `wire table opcodes collision: opWrite and opDup share byte value 2`
 )
 
 // lintwire: table statuses
@@ -26,60 +21,13 @@ const (
 // lintwire: index-of statuses
 var stNames = [...]string{"ok", "bad"} // want `index table stNames has 2 entries but wire table statuses constant stGone = 2 is out of range`
 
-func dispatch(op uint8) string {
-	switch op {
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
-	}
-	return "?"
-}
+// lintwire: index-of nosuch
+var orphan = [...]string{"x"} // want `lintwire index-of names unknown wire table "nosuch"`
 
-func produce() []uint8 {
-	// opRead and opDup are produced and dispatched; opPing is produced
-	// but nothing consumes it. The statuses table is not `dispatch`, so
-	// plain uses keep its constants live.
-	_ = []uint8{stOK, stBad, stGone, stOther}
-	_ = stNames
-	return []uint8{opRead, opPing, opDup}
-}
-
-// lintwire: enum
-type Cmd uint8
-
+// An unannotated block is not a wire table: values may repeat.
 const (
-	CmdA Cmd = 1
-	CmdB Cmd = 2
-	CmdC Cmd = 3
+	plainA uint8 = 1
+	plainB uint8 = 1
 )
 
-func kind(c Cmd) string {
-	switch c { // want `switch over wire enum Cmd is missing case CmdC`
-	case CmdA:
-		return "a"
-	case CmdB:
-		return "b"
-	default:
-		return "?"
-	}
-}
-
-// kindFull names every constant — exhaustive, no finding.
-func kindFull(c Cmd) string {
-	switch c {
-	case CmdA, CmdB, CmdC:
-		return "known"
-	}
-	return "?"
-}
-
-// kindPartial documents its narrowness.
-func kindPartial(c Cmd) bool {
-	// lintwire: partial only the transfer op matters here
-	switch c {
-	case CmdA:
-		return true
-	}
-	return false
-}
+var _ = []any{opRead, opWrite, opDup, stOK, stBad, stGone, stOther, stNames, orphan, plainA, plainB}

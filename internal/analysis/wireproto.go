@@ -6,39 +6,21 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// WireProto keeps the cflink wire protocol's parallel tables honest.
-// The protocol is defined three times over — the codec's opcode and
-// status-byte constants, the client methods that produce each opcode,
-// and the server dispatch switches that consume them — and the
-// historical failure mode is adding a command to two of the three. The
-// analyzer is annotation-driven:
+// WireProto checks the two properties of the cflink wire protocol's
+// byte tables that the code does not make true by construction.
+// (Which commands exist, what each carries, and that both ends agree
+// on it is one table in internal/cf that client and server both walk;
+// there is nothing left to cross-check there.) The analyzer is
+// annotation-driven:
 //
-//	// lintwire: table opcodes dispatch
-//	const ( opPing uint8 = 1; ... )
+//	// lintwire: table statuses
+//	const ( codeOK uint8 = 0; ... )
 //
-// declares a wire table. Every table is checked collision-free (two
-// constants sharing a byte value corrupt the stream). A table marked
-// `dispatch` is additionally held to the produce/consume contract:
-// each constant must appear in at least one switch case (someone
-// decodes it) and at least one non-case use (someone encodes it) —
-// anywhere in the module. A plain table (the status bytes, whose
-// constants work positionally through an index table) carries no use
-// requirement.
-//
-//	// lintwire: enum
-//	type BatchOp uint8
-//
-// declares an exhaustive enum: every switch over the type, anywhere in
-// the module, must name every constant of the type — a default clause
-// does not satisfy exhaustiveness, because the default arm is exactly
-// where a newly added op silently falls through. A deliberately
-// partial switch is annotated `// lintwire: partial` on the line
-// above.
+// declares a wire table, checked collision-free: two constants sharing
+// a byte value corrupt the stream.
 //
 //	// lintwire: index-of statuses
 //	var codeSentinels = [...]error{ ... }
@@ -48,52 +30,32 @@ import (
 // without extending the sentinel table is caught at lint time.
 var WireProto = &Analyzer{
 	Name:   "wireproto",
-	Doc:    "check wire-protocol opcode/status tables for collisions, dead codes, and non-exhaustive switches",
+	Doc:    "check wire-protocol byte tables for collisions and uncovered index tables",
 	Run:    runWireProto,
 	Finish: finishWireProto,
 }
 
 var (
-	lintwireTableRE = regexp.MustCompile(`^//[ \t]*lintwire:[ \t]*table[ \t]+(\w+)([ \t]+dispatch)?`)
-	lintwireEnumRE  = regexp.MustCompile(`^//[ \t]*lintwire:[ \t]*enum\b`)
+	lintwireTableRE = regexp.MustCompile(`^//[ \t]*lintwire:[ \t]*table[ \t]+(\w+)`)
 	lintwireIndexRE = regexp.MustCompile(`^//[ \t]*lintwire:[ \t]*index-of[ \t]+(\w+)`)
-	lintwirePartRE  = regexp.MustCompile(`^//[ \t]*lintwire:[ \t]*partial\b`)
 )
 
 // wireCatchAll is the conventional "other/unknown" byte; a constant
 // with this value is exempt from index-of coverage.
 const wireCatchAll = 255
 
-// wireMember is the fact exported per table constant so use sites in
-// downstream packages can be credited to the table.
-type wireMember struct {
-	table string
-}
-
-// wireEnum is the fact exported on an enum type's *types.TypeName.
-type wireEnum struct {
-	consts []string // sorted constant names
-}
-
-// wireState is the module-wide accumulation: declared tables, index
-// declarations, and per-constant use counts, settled in Finish.
+// wireState is the module-wide accumulation: declared tables and index
+// declarations, settled in Finish (an index may live in another
+// package than its table).
 type wireState struct {
 	mu      sync.Mutex
-	tables  map[string]*wireTable
+	tables  map[string][]wireTableConst
 	indexes []wireIndex
-	uses    map[string]map[string]*wireUse
-}
-
-type wireTable struct {
-	name     string
-	dispatch bool
-	consts   []wireTableConst
 }
 
 type wireTableConst struct {
 	name string
 	val  uint64
-	pos  token.Pos
 }
 
 type wireIndex struct {
@@ -103,104 +65,43 @@ type wireIndex struct {
 	name  string
 }
 
-type wireUse struct {
-	caseUses, otherUses int
-}
-
 func newWireState() any {
-	return &wireState{
-		tables: make(map[string]*wireTable),
-		uses:   make(map[string]map[string]*wireUse),
-	}
+	return &wireState{tables: make(map[string][]wireTableConst)}
 }
 
-func (ws *wireState) use(table, constName string, inCase bool) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	byName := ws.uses[table]
-	if byName == nil {
-		byName = make(map[string]*wireUse)
-		ws.uses[table] = byName
-	}
-	u := byName[constName]
-	if u == nil {
-		u = &wireUse{}
-		byName[constName] = u
-	}
-	if inCase {
-		u.caseUses++
-	} else {
-		u.otherUses++
-	}
-}
-
+// runWireProto registers the package's lintwire annotations: tables
+// (with the collision check) and index-of vars.
 func runWireProto(pass *Pass) error {
 	ws := pass.ModuleState(newWireState).(*wireState)
-	w := &wirePass{
-		pass:    pass,
-		ws:      ws,
-		members: make(map[types.Object]string),
-		enums:   make(map[*types.TypeName][]string),
-	}
 	for _, file := range pass.Files {
-		w.collectDecls(file)
-	}
-	for _, file := range pass.Files {
-		w.checkFile(file)
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			switch gd.Tok {
+			case token.CONST:
+				if name, ok := wireAnn(lintwireTableRE, gd.Doc); ok {
+					collectWireTable(pass, ws, gd, name)
+				}
+			case token.VAR:
+				for _, spec := range gd.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					if table, ok := wireAnn(lintwireIndexRE, gd.Doc, vs.Doc); ok {
+						collectWireIndex(pass, ws, vs, table)
+					}
+				}
+			}
+		}
 	}
 	return nil
 }
 
-type wirePass struct {
-	pass *Pass
-	ws   *wireState
-	// members maps local table-constant objects to their table name.
-	members map[types.Object]string
-	// enums maps local enum types to their constant names.
-	enums map[*types.TypeName][]string
-}
-
-// collectDecls registers this package's lintwire annotations: tables
-// (with a local collision check), enums, and index-of vars.
-func (w *wirePass) collectDecls(file *ast.File) {
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		switch gd.Tok {
-		case token.CONST:
-			name, dispatch, ok := tableAnn(gd.Doc)
-			if !ok {
-				continue
-			}
-			w.collectTable(gd, name, dispatch)
-		case token.TYPE:
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !hasAnn(lintwireEnumRE, gd.Doc, ts.Doc) {
-					continue
-				}
-				w.collectEnum(ts)
-			}
-		case token.VAR:
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				table, ok := indexAnn(gd.Doc, vs.Doc)
-				if !ok {
-					continue
-				}
-				w.collectIndex(vs, table)
-			}
-		}
-	}
-}
-
-func (w *wirePass) collectTable(gd *ast.GenDecl, name string, dispatch bool) {
-	tab := &wireTable{name: name, dispatch: dispatch}
+func collectWireTable(pass *Pass, ws *wireState, gd *ast.GenDecl, name string) {
+	var consts []wireTableConst
 	byVal := make(map[uint64]string)
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
@@ -208,234 +109,63 @@ func (w *wirePass) collectTable(gd *ast.GenDecl, name string, dispatch bool) {
 			continue
 		}
 		for _, id := range vs.Names {
-			cn, ok := w.pass.Info.Defs[id].(*types.Const)
+			cn, ok := pass.Info.Defs[id].(*types.Const)
 			if !ok {
 				continue
 			}
 			val, ok := constant.Uint64Val(cn.Val())
 			if !ok {
-				w.pass.Reportf(id.Pos(), "wire table %s constant %s is not an unsigned integer", name, id.Name)
+				pass.Reportf(id.Pos(), "wire table %s constant %s is not an unsigned integer", name, id.Name)
 				continue
 			}
 			if prev, dup := byVal[val]; dup {
-				w.pass.Reportf(id.Pos(),
+				pass.Reportf(id.Pos(),
 					"wire table %s collision: %s and %s share byte value %d; wire bytes must be unique",
 					name, prev, id.Name, val)
 			}
 			byVal[val] = id.Name
-			tab.consts = append(tab.consts, wireTableConst{name: id.Name, val: val, pos: id.Pos()})
-			w.members[cn] = name
-			w.pass.ExportFact(cn, wireMember{table: name})
+			consts = append(consts, wireTableConst{name: id.Name, val: val})
 		}
 	}
-	w.ws.mu.Lock()
-	w.ws.tables[name] = tab
-	w.ws.mu.Unlock()
+	ws.mu.Lock()
+	ws.tables[name] = consts
+	ws.mu.Unlock()
 }
 
-func (w *wirePass) collectEnum(ts *ast.TypeSpec) {
-	tn, ok := w.pass.Info.Defs[ts.Name].(*types.TypeName)
-	if !ok {
-		return
-	}
-	var consts []string
-	scope := w.pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		if cn, ok := scope.Lookup(name).(*types.Const); ok && types.Identical(cn.Type(), tn.Type()) {
-			consts = append(consts, name)
-		}
-	}
-	sort.Strings(consts)
-	w.enums[tn] = consts
-	w.pass.ExportFact(tn, wireEnum{consts: consts})
-}
-
-func (w *wirePass) collectIndex(vs *ast.ValueSpec, table string) {
+func collectWireIndex(pass *Pass, ws *wireState, vs *ast.ValueSpec, table string) {
 	if len(vs.Values) != 1 {
-		w.pass.Reportf(vs.Pos(), "lintwire index-of %s must initialize with a single composite literal", table)
+		pass.Reportf(vs.Pos(), "lintwire index-of %s must initialize with a single composite literal", table)
 		return
 	}
 	lit, ok := ast.Unparen(vs.Values[0]).(*ast.CompositeLit)
 	if !ok {
-		w.pass.Reportf(vs.Pos(), "lintwire index-of %s must initialize with a composite literal", table)
+		pass.Reportf(vs.Pos(), "lintwire index-of %s must initialize with a composite literal", table)
 		return
 	}
-	w.ws.mu.Lock()
-	w.ws.indexes = append(w.ws.indexes, wireIndex{
+	ws.mu.Lock()
+	ws.indexes = append(ws.indexes, wireIndex{
 		table: table,
 		size:  uint64(len(lit.Elts)),
 		pos:   vs.Pos(),
 		name:  vs.Names[0].Name,
 	})
-	w.ws.mu.Unlock()
+	ws.mu.Unlock()
 }
 
-// checkFile counts table-constant uses (case vs non-case) and checks
-// enum switches for exhaustiveness.
-func (w *wirePass) checkFile(file *ast.File) {
-	partials := annLines(file, w.pass.Fset, lintwirePartRE)
-	caseIdents := make(map[*ast.Ident]bool)
-	ast.Inspect(file, func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		for _, e := range cc.List {
-			ast.Inspect(e, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					caseIdents[id] = true
-				}
-				return true
-			})
-		}
-		return true
-	})
-	for id, obj := range w.pass.Info.Uses {
-		if w.pass.Fset.File(id.Pos()) != w.pass.Fset.File(file.Pos()) {
-			continue
-		}
-		table := w.memberTable(obj)
-		if table == "" {
-			continue
-		}
-		w.ws.use(table, obj.Name(), caseIdents[id])
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		sw, ok := n.(*ast.SwitchStmt)
-		if !ok || sw.Tag == nil {
-			return true
-		}
-		line := w.pass.Fset.Position(sw.Pos()).Line
-		if partials[line] || partials[line-1] {
-			return true
-		}
-		w.checkEnumSwitch(sw)
-		return true
-	})
-}
-
-func (w *wirePass) memberTable(obj types.Object) string {
-	if t, ok := w.members[obj]; ok {
-		return t
-	}
-	if f := w.pass.ImportFact(obj); f != nil {
-		if m, ok := f.(wireMember); ok {
-			return m.table
-		}
-	}
-	return ""
-}
-
-// enumConsts resolves the constant set of a lintwire enum type, local
-// or imported; nil when the type is not an annotated enum.
-func (w *wirePass) enumConsts(t types.Type) ([]string, *types.TypeName) {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	tn := named.Obj()
-	if consts, ok := w.enums[tn]; ok {
-		return consts, tn
-	}
-	if f := w.pass.ImportFact(tn); f != nil {
-		if e, ok := f.(wireEnum); ok {
-			return e.consts, tn
-		}
-	}
-	return nil, nil
-}
-
-func (w *wirePass) checkEnumSwitch(sw *ast.SwitchStmt) {
-	tagType := w.pass.Info.TypeOf(sw.Tag)
-	if tagType == nil {
-		return
-	}
-	consts, tn := w.enumConsts(tagType)
-	if tn == nil {
-		return
-	}
-	named := make(map[string]bool)
-	for _, stmt := range sw.Body.List {
-		cc, ok := stmt.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			var id *ast.Ident
-			switch e := ast.Unparen(e).(type) {
-			case *ast.Ident:
-				id = e
-			case *ast.SelectorExpr:
-				id = e.Sel
-			default:
-				continue
-			}
-			if obj := w.pass.Info.Uses[id]; obj != nil {
-				if _, ok := obj.(*types.Const); ok {
-					named[obj.Name()] = true
-				}
-			}
-		}
-	}
-	var missing []string
-	for _, c := range consts {
-		if !named[c] {
-			missing = append(missing, c)
-		}
-	}
-	if len(missing) > 0 {
-		w.pass.Reportf(sw.Pos(),
-			"switch over wire enum %s is missing case %s; a default clause does not make a wire switch exhaustive (mark `// lintwire: partial` if deliberate)",
-			tn.Name(), strings.Join(missing, ", "))
-	}
-}
-
-// finishWireProto settles the module-wide checks: dead or undecoded
-// table constants and index-of coverage.
+// finishWireProto settles index-of coverage once every package's
+// tables are known.
 func finishWireProto(mp *ModulePass) error {
 	ws := mp.ModuleState(newWireState).(*wireState)
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	var names []string
-	for name := range ws.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tab := ws.tables[name]
-		if !tab.dispatch {
-			continue // plain tables: collision and index checks only
-		}
-		uses := ws.uses[name]
-		for _, c := range tab.consts {
-			u := uses[c.name]
-			switch {
-			case u == nil:
-				mp.Reportf(c.pos,
-					"wire table %s constant %s (byte %d) is never used anywhere in the module; dead wire bytes hide protocol drift",
-					name, c.name, c.val)
-			case u.caseUses == 0:
-				mp.Reportf(c.pos,
-					"wire table %s constant %s (byte %d) is never dispatched: no switch case consumes it, so the peer that sends it gets an unknown-op error",
-					name, c.name, c.val)
-			case u.otherUses == 0:
-				mp.Reportf(c.pos,
-					"wire table %s constant %s (byte %d) is never produced: it only appears in switch cases, so the arm is dead protocol",
-					name, c.name, c.val)
-			}
-		}
-	}
 	for _, idx := range ws.indexes {
-		tab, ok := ws.tables[idx.table]
+		consts, ok := ws.tables[idx.table]
 		if !ok {
 			mp.Reportf(idx.pos, "lintwire index-of names unknown wire table %q", idx.table)
 			continue
 		}
-		for _, c := range tab.consts {
-			if c.val == wireCatchAll {
-				continue
-			}
-			if c.val >= idx.size {
+		for _, c := range consts {
+			if c.val != wireCatchAll && c.val >= idx.size {
 				mp.Reportf(idx.pos,
 					"index table %s has %d entries but wire table %s constant %s = %d is out of range; extend the table when adding a code",
 					idx.name, idx.size, idx.table, c.name, c.val)
@@ -445,55 +175,18 @@ func finishWireProto(mp *ModulePass) error {
 	return nil
 }
 
-func tableAnn(doc *ast.CommentGroup) (name string, dispatch, ok bool) {
-	if doc == nil {
-		return "", false, false
-	}
-	for _, c := range doc.List {
-		if m := lintwireTableRE.FindStringSubmatch(c.Text); m != nil {
-			return m[1], m[2] != "", true
-		}
-	}
-	return "", false, false
-}
-
-func indexAnn(groups ...*ast.CommentGroup) (string, bool) {
+// wireAnn finds a lintwire annotation matching re in the comment
+// groups and returns its table name.
+func wireAnn(re *regexp.Regexp, groups ...*ast.CommentGroup) (string, bool) {
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			if m := lintwireIndexRE.FindStringSubmatch(c.Text); m != nil {
+			if m := re.FindStringSubmatch(c.Text); m != nil {
 				return m[1], true
 			}
 		}
 	}
 	return "", false
-}
-
-func hasAnn(re *regexp.Regexp, groups ...*ast.CommentGroup) bool {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if re.MatchString(c.Text) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// annLines maps file lines bearing comments matching re.
-func annLines(file *ast.File, fset *token.FileSet, re *regexp.Regexp) map[int]bool {
-	lines := make(map[int]bool)
-	for _, g := range file.Comments {
-		for _, c := range g.List {
-			if re.MatchString(c.Text) {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
 }

@@ -275,7 +275,7 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 	for start := 0; start < len(names); start += 1 {
 		// Build the next chunk bounded by both op count and bytes.
 		var (
-			cmds  []cf.BatchCmd
+			cmds  []cf.Cmd
 			bytes int
 			end   = start
 		)
@@ -284,11 +284,11 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 			if len(cmds) > 0 && bytes+len(data) > batchWriteBytes {
 				break
 			}
-			cmds = append(cmds, cf.BatchCacheWrite(p.sys, names[end], data, true, true, idxs[names[end]]))
+			cmds = append(cmds, cf.Cmd{Kind: cf.CmdCacheWrite, Conn: p.sys, Name: names[end], Data: data, Cache: true, Changed: true, VecIdx: idxs[names[end]]})
 			bytes += len(data)
 			end++
 		}
-		errs, err := cs.Batch(ctx, cmds)
+		reply, err := cs.Batch(ctx, cmds)
 		if err != nil {
 			// Batch-level failure: none of the chunk's writes took
 			// effect; drop every frame the chunk covered.
@@ -301,7 +301,7 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 				firstErr = err
 			}
 		} else {
-			for i, serr := range errs {
+			for i, serr := range reply.Errs {
 				if serr == nil {
 					continue
 				}

@@ -34,19 +34,19 @@ var (
 	ErrNoCopies      = errors.New("cds: all copies failed")
 	ErrDirOverflow   = errors.New("cds: directory overflow")
 	ErrChecksum      = errors.New("cds: record checksum mismatch (torn write)")
+	ErrBadMagic      = errors.New("cds: directory magic not recognised")
 )
 
 const (
 	dirBlocks = 4 // blocks reserved for the directory at the front
 	maxValue  = dasd.BlockSize - 8
 	dirSpace  = dirBlocks * dasd.BlockSize
-	// magicValue is the legacy (V1) directory magic: entries carry no
-	// checksums. Still decoded so pre-upgrade datasets read cleanly.
-	magicValue = 0xC0DB1996
-	// magicV2 marks the checksummed directory layout: every entry
+	// magicV2 marks the directory layout, the only one: every entry
 	// carries a CRC32 of its value and the directory itself is
 	// CRC-trailered, so a torn write to either is detected on read and
-	// falls back to the alternate copy.
+	// falls back to the alternate copy. (0xC0DB1996 was an unchecksummed
+	// layout no writer produces any more; it is rejected like any other
+	// unknown magic.)
 	magicV2 = 0xC0DB1997
 )
 
@@ -126,10 +126,10 @@ type directory struct {
 type dirEntry struct {
 	block  uint32
 	length uint32
-	sum    uint32 // CRC32 of the value; 0 on legacy V1 entries = unchecked
+	sum    uint32 // CRC32 of the value
 }
 
-// encode lays the directory out in the V2 checksummed format:
+// encode lays the directory out in its checksummed format:
 // magic | count | {klen block length sum key}... | CRC32(everything before).
 func (d *directory) encode() ([]byte, error) {
 	keys := make([]string, 0, len(d.entries))
@@ -164,14 +164,14 @@ func decodeDirectory(raw []byte) (*directory, error) {
 	if len(raw) < 8 {
 		return d, nil
 	}
-	magic := binary.BigEndian.Uint32(raw[0:4])
-	if magic != magicValue && magic != magicV2 {
-		return d, nil // unformatted: empty store
+	switch magic := binary.BigEndian.Uint32(raw[0:4]); magic {
+	case magicV2:
+	case 0:
+		return d, nil // never formatted: empty store
+	default:
+		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, magic)
 	}
-	recSize := 10
-	if magic == magicV2 {
-		recSize = 14
-	}
+	const recSize = 14
 	n := binary.BigEndian.Uint32(raw[4:8])
 	off := 8
 	for i := uint32(0); i < n; i++ {
@@ -181,10 +181,7 @@ func decodeDirectory(raw []byte) (*directory, error) {
 		klen := int(binary.BigEndian.Uint16(raw[off : off+2]))
 		blk := binary.BigEndian.Uint32(raw[off+2 : off+6])
 		vlen := binary.BigEndian.Uint32(raw[off+6 : off+10])
-		var sum uint32
-		if magic == magicV2 {
-			sum = binary.BigEndian.Uint32(raw[off+10 : off+14])
-		}
+		sum := binary.BigEndian.Uint32(raw[off+10 : off+14])
 		off += recSize
 		if off+klen > len(raw) {
 			return nil, errors.New("cds: truncated directory key")
@@ -196,14 +193,12 @@ func decodeDirectory(raw []byte) (*directory, error) {
 		off += klen
 		d.entries[key] = dirEntry{block: blk, length: vlen, sum: sum}
 	}
-	if magic == magicV2 {
-		if off+4 > len(raw) {
-			return nil, errors.New("cds: directory trailer missing")
-		}
-		want := binary.BigEndian.Uint32(raw[off : off+4])
-		if crc32.ChecksumIEEE(raw[:off]) != want {
-			return nil, fmt.Errorf("%w: directory", ErrChecksum)
-		}
+	if off+4 > len(raw) {
+		return nil, errors.New("cds: directory trailer missing")
+	}
+	want := binary.BigEndian.Uint32(raw[off : off+4])
+	if crc32.ChecksumIEEE(raw[:off]) != want {
+		return nil, fmt.Errorf("%w: directory", ErrChecksum)
 	}
 	return d, nil
 }
@@ -407,7 +402,7 @@ func readVerified(ds *dasd.Dataset, sys string, e dirEntry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.sum != 0 && crc32.ChecksumIEEE(raw[:e.length]) != e.sum {
+	if crc32.ChecksumIEEE(raw[:e.length]) != e.sum {
 		return nil, fmt.Errorf("%w: block %d of %s", ErrChecksum, e.block, ds.Name())
 	}
 	return raw, nil

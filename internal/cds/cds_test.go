@@ -375,3 +375,33 @@ func TestStoreMatchesMapOracleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestV1DirectoryRejected: the unchecksummed 0xC0DB1996 layout has no
+// writer, so a dataset carrying it is not a couple data set this code
+// can read — the store must say so rather than decode it unchecked or
+// mistake it for a never-formatted dataset and overwrite it.
+func TestV1DirectoryRejected(t *testing.T) {
+	// magic | count=1 | klen=2 block=1 length=3 | "hi"
+	v1 := []byte{0xC0, 0xDB, 0x19, 0x96, 0, 0, 0, 1, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 'h', 'i'}
+	if _, err := decodeDirectory(v1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("decodeDirectory(V1 image) = %v, want ErrBadMagic", err)
+	}
+	f := dasd.NewFarm(vclock.Real())
+	if _, err := f.AddVolume("CDS001", 64, 2); err != nil {
+		t.Fatal(err)
+	}
+	pri, err := f.Allocate("CDS001", "SYSPLEX.CDS.PRI", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pri.Write("SYS1", 0, v1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := New("SYSPLEX", vclock.Real(), pri, nil, Options{})
+	if err == nil {
+		_, _, err = st.Read("SYS1", "hi")
+	}
+	if !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("store over a V1 image: %v, want ErrBadMagic", err)
+	}
+}

@@ -13,9 +13,10 @@
 // concurrency is bounded by the slot count, like real subchannels.
 //
 // Completions carry the same error sentinels as synchronous dispatch,
-// and the underlying execution is runBatch, so the no-partial-effect
+// and the underlying execution is the pair's pipeline (Exec of one
+// envelope), so every command is async-capable and the no-partial-effect
 // cancellation guarantee and failover retry hold unchanged. A
-// Completion must be retrieved (Wait, Err, or Errs) — an abandoned
+// Completion must be retrieved (Wait, Err, or Reply) — an abandoned
 // handle both leaks its slot and drops a possible CF error, which the
 // cferr analyzer flags.
 package cf
@@ -50,9 +51,8 @@ const defaultAsyncSlots = 64
 type asyncSlot struct {
 	ctx   context.Context
 	name  string
-	model Model
-	cmds  []BatchCmd
-	errs  []error
+	cmd   Cmd   // the envelope
+	reply Reply // its outcome
 	err   error
 	seq   uint64 // issue sequence, guards against stale handles
 }
@@ -132,15 +132,13 @@ func (a *AsyncCtx) InFlight() int {
 // — the pipeline gate included — runs on a dispatcher, and ctx is the
 // context the command gates on when it reaches the front. Run blocks
 // while every slot is in flight.
-func (a *AsyncCtx) Run(ctx context.Context, structure string, cmds ...BatchCmd) (*Completion, error) {
+func (a *AsyncCtx) Run(ctx context.Context, structure string, cmds ...Cmd) (*Completion, error) {
 	if len(cmds) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadArgument)
 	}
-	_, model, ok := cmds[0].Op.kind()
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown batch op %d", ErrBadArgument, int(cmds[0].Op))
-	}
-	if err := ValidateBatch(model, cmds); err != nil {
+	// The envelope's model is its first subcommand's; the pipeline
+	// checks it against the structure when the command reaches it.
+	if err := ValidateBatch(cmds[0].Kind.Model(), cmds); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -154,7 +152,7 @@ func (a *AsyncCtx) Run(ctx context.Context, structure string, cmds ...BatchCmd) 
 	idx := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	a.seq++
-	a.slots[idx] = asyncSlot{ctx: ctx, name: structure, model: model, cmds: cmds, seq: a.seq}
+	a.slots[idx] = asyncSlot{ctx: ctx, name: structure, cmd: Cmd{Kind: CmdBatch, Sub: cmds}, seq: a.seq}
 	a.vec.Clear(idx)
 	a.gInFlight.Add(1)
 	a.gTotal.Add(1)
@@ -172,10 +170,10 @@ func (a *AsyncCtx) worker() {
 	for idx := range a.queue {
 		s := &a.slots[idx]
 		// The slot is owned by this worker between dequeue and the bit
-		// flip; ctx/name/model/cmds are immutable for that window.
-		errs, err := a.d.runBatch(s.ctx, s.name, s.model, s.cmds)
+		// flip; ctx/name/cmd are immutable for that window.
+		reply, err := a.d.Exec(s.ctx, s.name, s.cmd)
 		a.mu.Lock()
-		s.errs, s.err = errs, err
+		s.reply, s.err = reply, err
 		a.gInFlight.Add(-1)
 		a.gTotal.Add(-1)
 		a.vec.Set(idx) // completion: the no-interrupt bit flip
@@ -200,16 +198,16 @@ func (a *AsyncCtx) Close() {
 
 // Completion is the handle of one asynchronously issued envelope. It
 // is bound to a completion-vector bit: Done tests it, Wait parks until
-// it flips. Retrieving the outcome (Wait, Err, or Errs) releases the
+// it flips. Retrieving the outcome (Wait, Err, or Reply) releases the
 // slot for reuse; an unretrieved handle pins its slot.
 type Completion struct {
 	a   *AsyncCtx
 	idx int
 	seq uint64
 
-	done bool // outcome retrieved into err/errs, slot released
-	err  error
-	errs []error
+	done  bool // outcome retrieved into err/reply, slot released
+	err   error
+	reply Reply
 }
 
 // Bit reports the handle's completion-vector bit index.
@@ -230,7 +228,7 @@ func (c *Completion) retrieveLocked() {
 		return
 	}
 	s := &c.a.slots[c.idx]
-	c.err, c.errs = s.err, s.errs
+	c.err, c.reply = s.err, s.reply
 	c.done = true
 	*s = asyncSlot{}
 	c.a.vec.Clear(c.idx)
@@ -238,24 +236,10 @@ func (c *Completion) retrieveLocked() {
 	c.a.cond.Broadcast()
 }
 
-// flatten folds the retrieved outcome to one error: the batch-level
-// error when there is one, else the first failing subcommand's error
-// (nil when every subcommand succeeded).
-func (c *Completion) flatten() error {
-	if c.err != nil {
-		return c.err
-	}
-	for _, e := range c.errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
 // Wait parks until the command completes, retrieves the outcome, and
 // returns it flattened to one error (batch-level first, else the first
-// failing subcommand). Use Errs for per-subcommand outcomes.
+// failing subcommand; see FirstErr). Use Reply for per-subcommand
+// results and outcomes.
 func (c *Completion) Wait() error {
 	c.a.mu.Lock()
 	defer c.a.mu.Unlock()
@@ -263,7 +247,7 @@ func (c *Completion) Wait() error {
 		c.a.cond.Wait()
 	}
 	c.retrieveLocked()
-	return c.flatten()
+	return FirstErr(c.reply, c.err)
 }
 
 // Err is the non-blocking Wait: ErrAsyncPending while in flight,
@@ -275,19 +259,19 @@ func (c *Completion) Err() error {
 		return ErrAsyncPending
 	}
 	c.retrieveLocked()
-	return c.flatten()
+	return FirstErr(c.reply, c.err)
 }
 
-// Errs parks until completion and returns the per-subcommand outcomes
+// Reply parks until completion and returns the envelope's reply
 // alongside the batch-level error (Lock.Batch's contract).
-func (c *Completion) Errs() ([]error, error) {
+func (c *Completion) Reply() (Reply, error) {
 	c.a.mu.Lock()
 	defer c.a.mu.Unlock()
 	for !c.done && !(c.a.slots[c.idx].seq == c.seq && c.a.vec.Test(c.idx)) {
 		c.a.cond.Wait()
 	}
 	c.retrieveLocked()
-	return c.errs, c.err
+	return c.reply, c.err
 }
 
 // RunAsync issues one envelope asynchronously through the front's
@@ -295,7 +279,7 @@ func (c *Completion) Errs() ([]error, error) {
 // Subsystems with their own connector identity should hold a
 // per-connector AsyncCtx from NewAsync instead, so RMF's in-flight
 // gauges attribute depth to the right system.
-func (d *Duplexed) RunAsync(ctx context.Context, structure string, cmds ...BatchCmd) (*Completion, error) {
+func (d *Duplexed) RunAsync(ctx context.Context, structure string, cmds ...Cmd) (*Completion, error) {
 	return d.defaultAsync().Run(ctx, structure, cmds...)
 }
 

@@ -24,15 +24,15 @@ func TestBatchMirrorsToBothReplicas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	errs, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchLockSetRecord("SYS1", "ACCT/k1", Exclusive),
-		BatchLockRelease(3, "SYS1", Exclusive),
-		BatchLockRelease(9, "SYS1", Exclusive),
+	errs, err := ls.Batch(context.Background(), []Cmd{
+		{Kind: CmdLockSetRecord, Conn: "SYS1", Name: "ACCT/k1", Mode: Exclusive},
+		{Kind: CmdLockRelease, Idx: 3, Conn: "SYS1", Mode: Exclusive},
+		{Kind: CmdLockRelease, Idx: 9, Conn: "SYS1", Mode: Exclusive},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
-	for i, e := range errs {
+	for i, e := range errs.Errs {
 		if e != nil {
 			t.Fatalf("sub %d: %v", i, e)
 		}
@@ -83,19 +83,19 @@ func TestBatchPerSubErrorsDoNotAbortEnvelope(t *testing.T) {
 	}
 	// Middle subcommand fails logically; the rest of the envelope must
 	// still run — that's the per-subcommand status byte contract.
-	errs, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchListDelete("SYS1", "e1", Cond{}),
-		BatchListDelete("SYS1", "missing", Cond{}),
-		BatchListDelete("SYS1", "e2", Cond{}),
+	errs, err := ls.Batch(context.Background(), []Cmd{
+		{Kind: CmdListDelete, Conn: "SYS1", Name: "e1"},
+		{Kind: CmdListDelete, Conn: "SYS1", Name: "missing"},
+		{Kind: CmdListDelete, Conn: "SYS1", Name: "e2"},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("good subs failed: %v, %v", errs[0], errs[2])
+	if errs.Errs[0] != nil || errs.Errs[2] != nil {
+		t.Fatalf("good subs failed: %v, %v", errs.Errs[0], errs.Errs[2])
 	}
-	if !errors.Is(errs[1], ErrEntryNotFound) {
-		t.Fatalf("sub 1 = %v, want ErrEntryNotFound", errs[1])
+	if !errors.Is(errs.Errs[1], ErrEntryNotFound) {
+		t.Fatalf("sub 1 = %v, want ErrEntryNotFound", errs.Errs[1])
 	}
 	for _, f := range []*Facility{pri, sec} {
 		raw := f.structureByName("WORKQ").(*ListStructure)
@@ -118,14 +118,14 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatalf("empty batch: %v, want ErrBadArgument", err)
 	}
 	// A subcommand from the wrong model must be rejected up front.
-	if _, err := ls.Batch(context.Background(), []BatchCmd{
-		BatchListDelete("SYS1", "e1", Cond{}),
+	if _, err := ls.Batch(context.Background(), []Cmd{
+		{Kind: CmdListDelete, Conn: "SYS1", Name: "e1"},
 	}); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("cross-model batch: %v, want ErrBadArgument", err)
 	}
-	over := make([]BatchCmd, MaxBatchOps+1)
+	over := make([]Cmd, MaxBatchOps+1)
 	for i := range over {
-		over[i] = BatchLockRelease(0, "SYS1", Share)
+		over[i] = Cmd{Kind: CmdLockRelease, Conn: "SYS1", Mode: Share}
 	}
 	if _, err := ls.Batch(context.Background(), over); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("oversized batch: %v, want ErrBadArgument", err)
@@ -157,7 +157,7 @@ func TestAsyncCompletionVector(t *testing.T) {
 			comps = comps[1:]
 		}
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", i%4, "id"+strconv.Itoa(i), "", []byte("d"), FIFO, Cond{}))
+			Cmd{Kind: CmdListWrite, Conn: "SYS1", Idx: i % 4, Name: "id" + strconv.Itoa(i), Data: []byte("d")})
 		if err != nil {
 			t.Fatalf("Run %d: %v", i, err)
 		}
@@ -193,7 +193,7 @@ func TestAsyncCarriesPerSubErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := d.RunAsync(context.Background(), "WORKQ",
-		BatchListDelete("SYS1", "nope", Cond{}))
+		Cmd{Kind: CmdListDelete, Conn: "SYS1", Name: "nope"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAsyncClosedRejectsNewWork(t *testing.T) {
 	a := d.NewAsync("SYS1", 4)
 	a.Close()
 	if _, err := a.Run(context.Background(), "WORKQ",
-		BatchListDelete("SYS1", "x", Cond{})); !errors.Is(err, ErrAsyncClosed) {
+		Cmd{Kind: CmdListDelete, Conn: "SYS1", Name: "x"}); !errors.Is(err, ErrAsyncClosed) {
 		t.Fatalf("Run after Close = %v, want ErrAsyncClosed", err)
 	}
 }
@@ -255,10 +255,10 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for b := 0; b < batches; b++ {
-						cmds := make([]BatchCmd, perB)
+						cmds := make([]Cmd, perB)
 						for k := 0; k < perB; k++ {
 							id := fmt.Sprintf("w%d-b%d-k%d", w, b, k)
-							cmds[k] = BatchListWrite("SYS1", (w+k)%8, id, "", []byte("p"), FIFO, Cond{})
+							cmds[k] = Cmd{Kind: CmdListWrite, Conn: "SYS1", Idx: (w + k) % 8, Name: id, Data: []byte("p")}
 						}
 						ctx := context.Background()
 						var cancel context.CancelFunc
@@ -276,13 +276,7 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 								err = c.Wait()
 							}
 						} else {
-							var errs []error
-							errs, err = ls.Batch(ctx, cmds)
-							for _, e := range errs {
-								if err == nil && e != nil {
-									err = e
-								}
-							}
+							err = FirstErr(ls.Batch(ctx, cmds))
 						}
 						outcome[w][b] = err
 						if cancel != nil {
@@ -365,7 +359,7 @@ func TestAsyncBackpressureBlocksAtSlotLimit(t *testing.T) {
 	var comps [2]*Completion
 	for i := range comps {
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", 0, "id"+strconv.Itoa(i), "", nil, FIFO, Cond{}))
+			Cmd{Kind: CmdListWrite, Conn: "SYS1", Name: "id" + strconv.Itoa(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +370,7 @@ func TestAsyncBackpressureBlocksAtSlotLimit(t *testing.T) {
 	go func() {
 		close(started)
 		c, err := a.Run(context.Background(), "WORKQ",
-			BatchListWrite("SYS1", 0, "id2", "", nil, FIFO, Cond{}))
+			Cmd{Kind: CmdListWrite, Conn: "SYS1", Name: "id2"})
 		if err != nil {
 			t.Error(err)
 		}

@@ -154,9 +154,8 @@ func (f *Facility) CacheStructure(name string) (Cache, error) {
 	return s.(*CacheStructure), nil
 }
 
-func (s *CacheStructure) model() Model          { return CacheModel }
-func (s *CacheStructure) structureName() string { return s.name }
-func (s *CacheStructure) fac() *Facility        { return s.facility }
+func (s *CacheStructure) model() Model   { return CacheModel }
+func (s *CacheStructure) fac() *Facility { return s.facility }
 
 // cloneInto re-allocates the cache structure in dst with a deep copy of
 // the directory. Connector bit vectors are shared with the source: both

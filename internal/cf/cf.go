@@ -50,9 +50,10 @@ var (
 )
 
 // Lock is the command set of a lock-model structure (§3.3.1). It is
-// satisfied by both a plain *LockStructure and the *DuplexedLock front,
-// so exploiters are indifferent to whether the structure is simplex or
-// duplexed across two facilities.
+// satisfied by both a plain *LockStructure and the typed front over a
+// duplexed pair or a transport handle (handle.go), so exploiters are
+// indifferent to whether the structure is simplex, duplexed across two
+// facilities, or in another process.
 //
 // Command methods take a context.Context first: a cancelled context or
 // an expired vclock deadline fails the command with the context's error
@@ -73,17 +74,16 @@ type Lock interface {
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
 	AdoptRetained(conn string, recs []LockRecord)
 	RetainedConnectors() []string
-	// Batch executes an envelope of lock-model subcommands in one
-	// pipeline traversal (one link crossing on a transport handle).
-	// The returned slice holds one outcome per subcommand; the error is
-	// batch-level (validation, cancellation, or facility failure — in
-	// which case no outcome slice exists). See DESIGN §13.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
+	// Batch executes an envelope of lock-model commands in one pipeline
+	// traversal (one link crossing on a transport handle). The reply's
+	// Errs holds one outcome per subcommand and its Sub their replies;
+	// the error is batch-level (validation, cancellation, or facility
+	// failure — in which case the reply is empty). See DESIGN §13.
+	Batch(ctx context.Context, cmds []Cmd) (Reply, error)
 }
 
-// Cache is the command set of a cache-model structure (§3.3.2),
-// satisfied by *CacheStructure and *DuplexedCache. Context semantics
-// are those of Lock.
+// Cache is the command set of a cache-model structure (§3.3.2).
+// Implementations and context semantics are those of Lock.
 type Cache interface {
 	Name() string
 	Connect(ctx context.Context, conn string, vector *BitVector) error
@@ -95,14 +95,13 @@ type Cache interface {
 	ChangedBlocks() []string
 	Registered(name string) []string
 	Version(name string) uint64
-	// Batch executes an envelope of cache-model subcommands; semantics
-	// as Lock.Batch.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
+	// Batch executes an envelope of cache-model commands; semantics as
+	// Lock.Batch.
+	Batch(ctx context.Context, cmds []Cmd) (Reply, error)
 }
 
-// List is the command set of a list-model structure (§3.3.3),
-// satisfied by *ListStructure and *DuplexedList. Context semantics are
-// those of Lock.
+// List is the command set of a list-model structure (§3.3.3).
+// Implementations and context semantics are those of Lock.
 type List interface {
 	Name() string
 	Lists() int
@@ -122,9 +121,9 @@ type List interface {
 	TotalEntries() int
 	Monitor(ctx context.Context, conn string, list int, vecIdx int) error
 	Unmonitor(conn string, list int)
-	// Batch executes an envelope of list-model subcommands; semantics
-	// as Lock.Batch.
-	Batch(ctx context.Context, cmds []BatchCmd) ([]error, error)
+	// Batch executes an envelope of list-model commands; semantics as
+	// Lock.Batch.
+	Batch(ctx context.Context, cmds []Cmd) (Reply, error)
 }
 
 // Front is the facility-shaped command surface shared by a simplex
@@ -224,7 +223,6 @@ type structure interface {
 	model() Model
 	disconnect(conn string)
 	failConnector(conn string)
-	structureName() string
 	storageBytes() int64
 	fac() *Facility
 	// cloneInto re-allocates the structure, with a deep copy of its
@@ -437,24 +435,4 @@ func (f *Facility) lookup(name string, m Model) (structure, error) {
 		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrWrongModel, name, s.model(), m)
 	}
 	return s, nil
-}
-
-// AsyncResult carries the completion of an asynchronously executed
-// command (§3.3: commands can be executed synchronously or
-// asynchronously).
-type AsyncResult struct {
-	Err error
-}
-
-// Async runs fn off the caller's "CPU", delivering completion on the
-// returned channel.
-//
-// Deprecated: this spawns a goroutine per command — the opposite of
-// the paper's no-interrupt completion idiom. New code should use an
-// AsyncCtx (completion-vector dispatch, fixed worker pool) obtained
-// from Duplexed.NewAsync; see async.go and DESIGN §13.
-func Async(fn func() error) <-chan AsyncResult {
-	ch := make(chan AsyncResult, 1)
-	go func() { ch <- AsyncResult{Err: fn()} }()
-	return ch
 }

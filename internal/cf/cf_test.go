@@ -137,22 +137,6 @@ func TestCommandMetrics(t *testing.T) {
 	}
 }
 
-func TestAsync(t *testing.T) {
-	f := newCF(t)
-	ls, _ := f.AllocateLockStructure("L", 8)
-	ls.Connect(context.Background(), "SYS1")
-	res := <-Async(func() error {
-		_, err := ls.Obtain(context.Background(), 3, "SYS1", Exclusive)
-		return err
-	})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if _, excl, _ := ls.Interest(3, "SYS1"); excl != 1 {
-		t.Fatal("async obtain not applied")
-	}
-}
-
 func TestModelString(t *testing.T) {
 	if LockModel.String() != "lock" || CacheModel.String() != "cache" || ListModel.String() != "list" {
 		t.Fatal("model names wrong")

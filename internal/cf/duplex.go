@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,19 +83,18 @@ type Duplexed struct {
 	hFanout  *metrics.Histogram // cfrm.duplex.fanout, resolved once
 	cRetried *metrics.Counter   // cfrm.cmd.retried, resolved once
 
-	// Batch occupancy instrumentation (ROADMAP measurement item):
-	// cfrm.batch.ops totals subcommands shipped in envelopes;
-	// cfrm.batch.occ.* is a fixed-bound ops-per-batch histogram.
+	// Batch occupancy instrumentation; see countEnvelope.
 	cBatchOps *metrics.Counter
-	cBatchOcc [batchOccBuckets]*metrics.Counter
+	cBatchOcc [len(batchOccNames)]*metrics.Counter
 	// batchConn caches the per-connector attribution counter pair
 	// (conn -> *[2]*metrics.Counter); see connBatchCounters.
 	batchConn sync.Map
 
 	// opCounters holds the per-kind cfrm.op.* counter handles, all
-	// resolved at construction and indexed by opKind, so the metrics
+	// resolved at construction and indexed by Kind, so the metrics
 	// stage never hashes a string or takes the registry mutex.
-	opCounters [opKindCount]*metrics.Counter
+	// Diagnostics are not commands and have none.
+	opCounters [kindCount]*metrics.Counter
 	// inject is the optional fault hook run by the inject stage.
 	inject atomic.Pointer[func(ctx context.Context, op *Op) error]
 
@@ -115,14 +113,18 @@ type Duplexed struct {
 // pairStripes is the number of command-ordering stripes per pair.
 const pairStripes = 64
 
-// pair tracks one structure's replica handles and orders its commands.
+// pair tracks one structure's replica handles, orders its commands,
+// and executes them: its Exec (op.go) is the command pipeline.
 // Commands hold rw.RLock (plus, when mutating, the stripe for their
 // key); structure-global operations and Reduplex hold rw.Lock. Handles
 // are published in an atomic pointer and refreshed lazily when their
-// generation falls behind the front's.
+// generation falls behind the front's. Pairs are never removed from
+// the front, so a typed handle keeps its pair for life.
 type pair struct {
-	d    *Duplexed
-	name string
+	d     *Duplexed
+	name  string
+	model Model
+	size  int // fixed geometry, see Replica.ReplicaSize
 
 	rw      sync.RWMutex            // lintlock: level=10
 	stripes [pairStripes]sync.Mutex // lintlock: level=20 ordered — eachPair walks stripes in index order
@@ -142,13 +144,13 @@ type pairHandles struct {
 }
 
 // pairStripeIdx hashes a command-ordering key (FNV-1a) to a stripe.
-func pairStripeIdx(key string) int {
+func pairStripeIdx(key string) uint {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return int(h & (pairStripes - 1))
+	return uint(h & (pairStripes - 1))
 }
 
 // NewDuplexed returns a front over primary (required) and secondary
@@ -172,8 +174,10 @@ func NewDuplexed(clock vclock.Clock, reg *metrics.Registry, primary, secondary N
 		pairs:     make(map[string]*pair),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	for k := opKind(0); k < opKindCount; k++ {
-		d.opCounters[k] = reg.Counter("cfrm.op." + opKindNames[k])
+	for k := range cmdTable {
+		if sp := &cmdTable[k]; sp.name != "" && !sp.diag {
+			d.opCounters[k] = reg.Counter("cfrm.op." + sp.name)
+		}
 	}
 	d.cBatchOps = reg.Counter("cfrm.batch.ops")
 	for i := range d.cBatchOcc {
@@ -301,108 +305,111 @@ func (d *Duplexed) eachPair(fn func(pri, sec Replica)) {
 // AllocateLockStructure allocates a lock structure on the primary and,
 // when duplexed, the secondary.
 func (d *Duplexed) AllocateLockStructure(name string, entries int) (Lock, error) {
-	err := d.allocate(name, func(n Node) error {
+	p, err := d.allocate(name, LockModel, entries, func(n Node) error {
 		_, err := n.AllocateLockStructure(name, entries)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DuplexedLock{d: d, name: name}, nil
+	return &lockHandle{p.handle()}, nil
 }
 
 // AllocateCacheStructure allocates a cache structure on both replicas.
 func (d *Duplexed) AllocateCacheStructure(name string, maxEntries int) (Cache, error) {
-	err := d.allocate(name, func(n Node) error {
+	p, err := d.allocate(name, CacheModel, maxEntries, func(n Node) error {
 		_, err := n.AllocateCacheStructure(name, maxEntries)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DuplexedCache{d: d, name: name}, nil
+	return &cacheHandle{p.handle()}, nil
 }
 
 // AllocateListStructure allocates a list structure on both replicas.
 func (d *Duplexed) AllocateListStructure(name string, nLists, nLocks, maxEntries int) (List, error) {
-	err := d.allocate(name, func(n Node) error {
+	p, err := d.allocate(name, ListModel, nLists, func(n Node) error {
 		_, err := n.AllocateListStructure(name, nLists, nLocks, maxEntries)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DuplexedList{d: d, name: name}, nil
+	return &listHandle{p.handle()}, nil
 }
 
 // allocate performs a paired structure allocation. d.mu is held across
 // both node allocations (node calls never re-enter the front), so an
 // allocation can never race a Reduplex and miss the new secondary.
-func (d *Duplexed) allocate(name string, alloc func(Node) error) error {
+// size is the structure's fixed geometry (see Replica.ReplicaSize).
+func (d *Duplexed) allocate(name string, model Model, size int, alloc func(Node) error) (*pair, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for d.syncing {
 		d.cond.Wait()
 	}
 	if _, ok := d.pairs[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, name)
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if err := alloc(d.primary); err != nil {
-		return err
+		return nil, err
 	}
 	if d.secondary != nil {
 		if err := alloc(d.secondary); err != nil {
 			// Best-effort rollback: the allocate error is what matters.
 			_ = d.primary.Deallocate(name)
-			return err
+			return nil, err
 		}
 	}
-	// A nil handle forces a lookup on first use.
-	d.pairs[name] = &pair{d: d, name: name}
-	return nil
+	// The replica handles are looked up on first use.
+	p := &pair{d: d, name: name, model: model, size: size}
+	d.pairs[name] = p
+	return p, nil
 }
 
 // LockStructure returns the named lock structure's duplexed front.
 func (d *Duplexed) LockStructure(name string) (Lock, error) {
-	if err := d.checkModel(name, LockModel); err != nil {
+	p, err := d.lookup(name, LockModel)
+	if err != nil {
 		return nil, err
 	}
-	return &DuplexedLock{d: d, name: name}, nil
+	return &lockHandle{p.handle()}, nil
 }
 
 // CacheStructure returns the named cache structure's duplexed front.
 func (d *Duplexed) CacheStructure(name string) (Cache, error) {
-	if err := d.checkModel(name, CacheModel); err != nil {
+	p, err := d.lookup(name, CacheModel)
+	if err != nil {
 		return nil, err
 	}
-	return &DuplexedCache{d: d, name: name}, nil
+	return &cacheHandle{p.handle()}, nil
 }
 
 // ListStructure returns the named list structure's duplexed front.
 func (d *Duplexed) ListStructure(name string) (List, error) {
-	if err := d.checkModel(name, ListModel); err != nil {
+	p, err := d.lookup(name, ListModel)
+	if err != nil {
 		return nil, err
 	}
-	return &DuplexedList{d: d, name: name}, nil
+	return &listHandle{p.handle()}, nil
 }
 
-func (d *Duplexed) checkModel(name string, m Model) error {
-	d.mu.Lock()
-	_, ok := d.pairs[name]
-	pri := d.primary
-	d.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoStructure, name)
+// lookup finds a structure allocated through the front, checking its
+// model.
+func (d *Duplexed) lookup(name string, m Model) (*pair, error) {
+	p := d.pair(name)
+	if p == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoStructure, name)
 	}
-	s := pri.Structure(name)
-	if s == nil {
-		return fmt.Errorf("%w: %q", ErrNoStructure, name)
+	if p.model != m {
+		return nil, fmt.Errorf("%w: %q is %s, not %s", ErrWrongModel, name, p.model, m)
 	}
-	if s.ReplicaModel() != m {
-		return fmt.Errorf("%w: %q is %s, not %s", ErrWrongModel, name, s.ReplicaModel(), m)
-	}
-	return nil
+	return p, nil
 }
+
+// handle is the state of a typed front over this pair.
+func (p *pair) handle() handle { return handle{x: p, name: p.name, size: p.size} }
 
 func (d *Duplexed) pair(name string) *pair {
 	d.mu.Lock()
@@ -434,15 +441,6 @@ func (p *pair) handles() (*pairHandles, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoStructure, p.name)
 	}
 	return h, nil
-}
-
-// sameOutcome reports whether primary and secondary completed a
-// mirrored command identically (both clean, or the same error).
-func sameOutcome(perr, serr error) bool {
-	if (perr == nil) != (serr == nil) {
-		return false
-	}
-	return perr == nil || perr.Error() == serr.Error()
 }
 
 // failover promotes the secondary after the primary (seen) failed.
@@ -617,445 +615,3 @@ func (d *Duplexed) SwitchPrimary() (Node, error) {
 	d.gen.Add(1)
 	return old, nil
 }
-
-// ---------------------------------------------------------------------
-// Structure fronts. Each wraps one pair and dispatches through run():
-// mutating commands are mirrored, reads go to the primary. Methods with
-// no error return read the primary replica's in-memory state directly
-// (these are diagnostics that do not issue CF commands).
-// ---------------------------------------------------------------------
-
-// DuplexedLock is the Lock front over a duplexed lock structure pair.
-type DuplexedLock struct {
-	d    *Duplexed
-	name string
-}
-
-func (l *DuplexedLock) primary() Lock {
-	p := l.d.pair(l.name)
-	if p == nil {
-		return nil
-	}
-	p.rw.RLock()
-	defer p.rw.RUnlock()
-	h, err := p.handles()
-	if err != nil {
-		return nil
-	}
-	s, _ := h.pri.(Lock)
-	return s
-}
-
-// Name returns the structure name.
-func (l *DuplexedLock) Name() string { return l.name }
-
-// Entries returns the lock table size.
-func (l *DuplexedLock) Entries() int {
-	if s := l.primary(); s != nil {
-		return s.Entries()
-	}
-	return 0
-}
-
-// HashResource maps a resource name to a lock table entry; identical
-// table sizes on both replicas give identical hashing.
-func (l *DuplexedLock) HashResource(resource string) int {
-	if s := l.primary(); s != nil {
-		return s.HashResource(resource)
-	}
-	return 0
-}
-
-// Connect attaches a connector to both replicas.
-func (l *DuplexedLock) Connect(ctx context.Context, conn string) error {
-	return l.d.run(ctx, l.name, opLockConnect, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Lock).Connect(ctx, conn)
-	})
-}
-
-// Obtain records lock interest on both replicas; the primary's grant
-// decision is returned.
-func (l *DuplexedLock) Obtain(ctx context.Context, idx int, conn string, mode LockMode) (ObtainResult, error) {
-	var out ObtainResult
-	err := l.d.run(ctx, l.name, opLockObtain, OpKeyed, "e"+strconv.Itoa(idx), func(ctx context.Context, s Replica, primary bool) error {
-		r, err := s.(Lock).Obtain(ctx, idx, conn, mode)
-		if primary {
-			out = r
-		}
-		return err
-	})
-	return out, err
-}
-
-// ForceObtain records interest unconditionally on both replicas.
-func (l *DuplexedLock) ForceObtain(ctx context.Context, idx int, conn string, mode LockMode) error {
-	return l.d.run(ctx, l.name, opLockForce, OpKeyed, "e"+strconv.Itoa(idx), func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Lock).ForceObtain(ctx, idx, conn, mode)
-	})
-}
-
-// Release drops interest on both replicas.
-func (l *DuplexedLock) Release(ctx context.Context, idx int, conn string, mode LockMode) error {
-	return l.d.run(ctx, l.name, opLockRelease, OpKeyed, "e"+strconv.Itoa(idx), func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Lock).Release(ctx, idx, conn, mode)
-	})
-}
-
-// Interest reports conn's interest counts from the primary.
-func (l *DuplexedLock) Interest(idx int, conn string) (share, excl int, err error) {
-	s := l.primary()
-	if s == nil {
-		return 0, 0, fmt.Errorf("%w: %q", ErrNoStructure, l.name)
-	}
-	return s.Interest(idx, conn)
-}
-
-// SetRecord stores a persistent lock record on both replicas.
-func (l *DuplexedLock) SetRecord(ctx context.Context, conn, resource string, mode LockMode) error {
-	return l.d.run(ctx, l.name, opLockSetRecord, OpKeyed, "r"+conn, func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Lock).SetRecord(ctx, conn, resource, mode)
-	})
-}
-
-// DeleteRecord removes a persistent lock record from both replicas.
-func (l *DuplexedLock) DeleteRecord(ctx context.Context, conn, resource string) error {
-	return l.d.run(ctx, l.name, opLockDelRecord, OpKeyed, "r"+conn, func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Lock).DeleteRecord(ctx, conn, resource)
-	})
-}
-
-// Records reads conn's persistent lock records from the primary.
-func (l *DuplexedLock) Records(ctx context.Context, conn string) ([]LockRecord, error) {
-	var out []LockRecord
-	err := l.d.run(ctx, l.name, opLockRecords, OpRead, "", func(ctx context.Context, s Replica, primary bool) error {
-		r, err := s.(Lock).Records(ctx, conn)
-		if primary {
-			out = r
-		}
-		return err
-	})
-	return out, err
-}
-
-// AdoptRetained installs retained records on both replicas.
-//
-// lintctx: recovery bookkeeping with no error path; it must complete
-// regardless of any caller's deadline, so it dispatches detached.
-func (l *DuplexedLock) AdoptRetained(conn string, recs []LockRecord) {
-	// The closure never fails; run's error only reflects replica loss,
-	// which the failover machinery already records.
-	_ = l.d.run(context.Background(), l.name, opLockAdoptRetained, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		s.(Lock).AdoptRetained(conn, recs)
-		return nil
-	})
-}
-
-// RetainedConnectors lists failed connectors with retained records.
-func (l *DuplexedLock) RetainedConnectors() []string {
-	if s := l.primary(); s != nil {
-		return s.RetainedConnectors()
-	}
-	return nil
-}
-
-// DuplexedCache is the Cache front over a duplexed cache structure pair.
-type DuplexedCache struct {
-	d    *Duplexed
-	name string
-}
-
-func (c *DuplexedCache) primary() Cache {
-	p := c.d.pair(c.name)
-	if p == nil {
-		return nil
-	}
-	p.rw.RLock()
-	defer p.rw.RUnlock()
-	h, err := p.handles()
-	if err != nil {
-		return nil
-	}
-	s, _ := h.pri.(Cache)
-	return s
-}
-
-// Name returns the structure name.
-func (c *DuplexedCache) Name() string { return c.name }
-
-// Connect attaches a connector (and its validity vector) to both
-// replicas. The vector is shared: either replica's cross-invalidation
-// flips the same system-owned bits.
-func (c *DuplexedCache) Connect(ctx context.Context, conn string, vector *BitVector) error {
-	return c.d.run(ctx, c.name, opCacheConnect, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Cache).Connect(ctx, conn, vector)
-	})
-}
-
-// ReadAndRegister registers interest on both replicas (registration
-// mutates the directory) and returns the primary's data.
-func (c *DuplexedCache) ReadAndRegister(ctx context.Context, conn, name string, vecIdx int) (ReadResult, error) {
-	var out ReadResult
-	err := c.d.run(ctx, c.name, opCacheRead, OpKeyed, "b"+name, func(ctx context.Context, s Replica, primary bool) error {
-		r, err := s.(Cache).ReadAndRegister(ctx, conn, name, vecIdx)
-		if primary {
-			out = r
-		}
-		return err
-	})
-	return out, err
-}
-
-// WriteAndInvalidate stores the new block version on both replicas.
-// Cross-invalidation bits flip once per target either way, because the
-// replicas share the connectors' validity vectors.
-func (c *DuplexedCache) WriteAndInvalidate(ctx context.Context, conn, name string, data []byte, cache, changed bool, vecIdx int) error {
-	return c.d.run(ctx, c.name, opCacheWrite, OpKeyed, "b"+name, func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Cache).WriteAndInvalidate(ctx, conn, name, data, cache, changed, vecIdx)
-	})
-}
-
-// Unregister removes interest on both replicas.
-func (c *DuplexedCache) Unregister(ctx context.Context, conn, name string) error {
-	return c.d.run(ctx, c.name, opCacheUnregister, OpKeyed, "b"+name, func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Cache).Unregister(ctx, conn, name)
-	})
-}
-
-// CastoutBegin claims the castout lock on both replicas and returns the
-// primary's data and version.
-func (c *DuplexedCache) CastoutBegin(ctx context.Context, conn, name string) ([]byte, uint64, error) {
-	var (
-		data []byte
-		ver  uint64
-	)
-	err := c.d.run(ctx, c.name, opCacheCastoutBegin, OpKeyed, "b"+name, func(ctx context.Context, s Replica, primary bool) error {
-		d, v, err := s.(Cache).CastoutBegin(ctx, conn, name)
-		if primary {
-			data, ver = d, v
-		}
-		return err
-	})
-	return data, ver, err
-}
-
-// CastoutEnd completes the castout on both replicas.
-func (c *DuplexedCache) CastoutEnd(ctx context.Context, conn, name string, version uint64) error {
-	return c.d.run(ctx, c.name, opCacheCastoutEnd, OpKeyed, "b"+name, func(ctx context.Context, s Replica, primary bool) error {
-		return s.(Cache).CastoutEnd(ctx, conn, name, version)
-	})
-}
-
-// ChangedBlocks lists blocks pending castout on the primary.
-func (c *DuplexedCache) ChangedBlocks() []string {
-	if s := c.primary(); s != nil {
-		return s.ChangedBlocks()
-	}
-	return nil
-}
-
-// Registered reports the primary's registered connectors for a block.
-func (c *DuplexedCache) Registered(name string) []string {
-	if s := c.primary(); s != nil {
-		return s.Registered(name)
-	}
-	return nil
-}
-
-// Version returns the primary's directory version of a block.
-func (c *DuplexedCache) Version(name string) uint64 {
-	if s := c.primary(); s != nil {
-		return s.Version(name)
-	}
-	return 0
-}
-
-// DuplexedList is the List front over a duplexed list structure pair.
-type DuplexedList struct {
-	d    *Duplexed
-	name string
-}
-
-func (l *DuplexedList) primaryS() List {
-	p := l.d.pair(l.name)
-	if p == nil {
-		return nil
-	}
-	p.rw.RLock()
-	defer p.rw.RUnlock()
-	h, err := p.handles()
-	if err != nil {
-		return nil
-	}
-	s, _ := h.pri.(List)
-	return s
-}
-
-// Name returns the structure name.
-func (l *DuplexedList) Name() string { return l.name }
-
-// Lists returns the number of list headers.
-func (l *DuplexedList) Lists() int {
-	if s := l.primaryS(); s != nil {
-		return s.Lists()
-	}
-	return 0
-}
-
-// Connect attaches a connector (and its notification vector, shared by
-// both replicas) to the pair.
-func (l *DuplexedList) Connect(ctx context.Context, conn string, vector *BitVector) error {
-	return l.d.run(ctx, l.name, opListConnect, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).Connect(ctx, conn, vector)
-	})
-}
-
-// SetLock acquires a lock entry on both replicas.
-func (l *DuplexedList) SetLock(ctx context.Context, idx int, conn string) error {
-	return l.d.run(ctx, l.name, opListSetLock, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).SetLock(ctx, idx, conn)
-	})
-}
-
-// ReleaseLock releases a lock entry on both replicas.
-func (l *DuplexedList) ReleaseLock(ctx context.Context, idx int, conn string) error {
-	return l.d.run(ctx, l.name, opListReleaseLock, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).ReleaseLock(ctx, idx, conn)
-	})
-}
-
-// LockHolder reports the primary's holder of a lock entry.
-func (l *DuplexedList) LockHolder(idx int) string {
-	if s := l.primaryS(); s != nil {
-		return s.LockHolder(idx)
-	}
-	return ""
-}
-
-// Write creates or updates an entry on both replicas.
-func (l *DuplexedList) Write(ctx context.Context, conn string, list int, id, key string, data []byte, order Order, cond Cond) error {
-	return l.d.run(ctx, l.name, opListWrite, OpKeyed, "l"+strconv.Itoa(list), func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).Write(ctx, conn, list, id, key, data, order, cond)
-	})
-}
-
-// Read returns a copy of an entry from the primary.
-func (l *DuplexedList) Read(ctx context.Context, conn, id string, cond Cond) (ListEntry, error) {
-	var out ListEntry
-	err := l.d.run(ctx, l.name, opListRead, OpRead, "", func(ctx context.Context, s Replica, primary bool) error {
-		e, err := s.(List).Read(ctx, conn, id, cond)
-		if primary {
-			out = e
-		}
-		return err
-	})
-	return out, err
-}
-
-// ReadFirst returns the head entry of a list from the primary.
-func (l *DuplexedList) ReadFirst(ctx context.Context, conn string, list int, cond Cond) (ListEntry, error) {
-	var out ListEntry
-	err := l.d.run(ctx, l.name, opListReadFirst, OpRead, "", func(ctx context.Context, s Replica, primary bool) error {
-		e, err := s.(List).ReadFirst(ctx, conn, list, cond)
-		if primary {
-			out = e
-		}
-		return err
-	})
-	return out, err
-}
-
-// Pop removes and returns the head entry on both replicas; the
-// primary's entry is returned.
-func (l *DuplexedList) Pop(ctx context.Context, conn string, list int, cond Cond) (ListEntry, error) {
-	var out ListEntry
-	err := l.d.run(ctx, l.name, opListPop, OpKeyed, "l"+strconv.Itoa(list), func(ctx context.Context, s Replica, primary bool) error {
-		e, err := s.(List).Pop(ctx, conn, list, cond)
-		if primary {
-			out = e
-		}
-		return err
-	})
-	return out, err
-}
-
-// Delete removes an entry from both replicas.
-func (l *DuplexedList) Delete(ctx context.Context, conn, id string, cond Cond) error {
-	return l.d.run(ctx, l.name, opListDelete, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).Delete(ctx, conn, id, cond)
-	})
-}
-
-// Move moves an entry between lists on both replicas.
-func (l *DuplexedList) Move(ctx context.Context, conn, id string, toList int, order Order, cond Cond) error {
-	return l.d.run(ctx, l.name, opListMove, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).Move(ctx, conn, id, toList, order, cond)
-	})
-}
-
-// SetAdjunct updates an entry's adjunct area on both replicas.
-func (l *DuplexedList) SetAdjunct(ctx context.Context, conn, id, adjunct string, cond Cond) error {
-	// Global, not keyed by id: keyed by the entry alone it could order
-	// differently than a Pop of the entry's list on the two replicas.
-	return l.d.run(ctx, l.name, opListSetAdjunct, OpGlobal, "", func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).SetAdjunct(ctx, conn, id, adjunct, cond)
-	})
-}
-
-// Len returns the primary's entry count for a list.
-func (l *DuplexedList) Len(list int) int {
-	if s := l.primaryS(); s != nil {
-		return s.Len(list)
-	}
-	return 0
-}
-
-// Entries returns copies of the primary's entries on a list.
-func (l *DuplexedList) Entries(list int) []ListEntry {
-	if s := l.primaryS(); s != nil {
-		return s.Entries(list)
-	}
-	return nil
-}
-
-// TotalEntries returns the primary's structure-wide entry count.
-func (l *DuplexedList) TotalEntries() int {
-	if s := l.primaryS(); s != nil {
-		return s.TotalEntries()
-	}
-	return 0
-}
-
-// Monitor registers list-transition monitoring on both replicas (the
-// shared notification vector means the bit flips once per transition on
-// whichever replica signals first — signals are idempotent bit sets).
-func (l *DuplexedList) Monitor(ctx context.Context, conn string, list int, vecIdx int) error {
-	return l.d.run(ctx, l.name, opListMonitor, OpKeyed, "l"+strconv.Itoa(list), func(ctx context.Context, s Replica, primary bool) error {
-		return s.(List).Monitor(ctx, conn, list, vecIdx)
-	})
-}
-
-// Unmonitor removes monitoring from both replicas.
-//
-// lintctx: disconnect-side bookkeeping with no error path; it must
-// complete regardless of any caller's deadline, so it dispatches
-// detached.
-func (l *DuplexedList) Unmonitor(conn string, list int) {
-	// The closure never fails; run's error only reflects replica loss,
-	// which the failover machinery already records.
-	_ = l.d.run(context.Background(), l.name, opListUnmonitor, OpKeyed, "l"+strconv.Itoa(list), func(ctx context.Context, s Replica, primary bool) error {
-		s.(List).Unmonitor(conn, list)
-		return nil
-	})
-}
-
-// Interface conformance.
-var (
-	_ Front = (*Facility)(nil)
-	_ Front = (*Duplexed)(nil)
-	_ Lock  = (*LockStructure)(nil)
-	_ Lock  = (*DuplexedLock)(nil)
-	_ Cache = (*CacheStructure)(nil)
-	_ Cache = (*DuplexedCache)(nil)
-	_ List  = (*ListStructure)(nil)
-	_ List  = (*DuplexedList)(nil)
-)

@@ -467,3 +467,60 @@ func TestCloneFromBrokenFacilityDropsStaleSerialization(t *testing.T) {
 		t.Fatalf("healthy-source copy lost the live holder: %q", h)
 	}
 }
+
+// TestDuplexedCommandAllocs holds the pipeline to its promise that a
+// command adds no heap allocation over applying it directly: the
+// descriptor and reply travel by value through Exec, and no ordering
+// key is built. The bounds are what the closure-per-command pipeline
+// this one replaced allocated (BenchmarkFig2_DuplexedLockObtainParallel,
+// BenchmarkFig2_DuplexedCacheReadParallel with -benchmem): one
+// allocation per Obtain+Release pair, and for a cache read only the
+// two copies of the block data, one per replica.
+func TestDuplexedCommandAllocs(t *testing.T) {
+	ctx := context.Background()
+	d, _, _ := newPair(t)
+	ls, err := d.AllocateLockStructure("IRLM", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Connect(ctx, "SYS1"); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pair := testing.AllocsPerRun(2000, func() {
+		i++
+		if r, err := ls.Obtain(ctx, i%4096, "SYS1", Exclusive); err != nil || !r.Granted {
+			t.Fatalf("Obtain = %+v, %v", r, err)
+		}
+		if err := ls.Release(ctx, i%4096, "SYS1", Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pair > 1 {
+		t.Errorf("duplexed Obtain+Release: %.1f allocs, want <= 1", pair)
+	}
+
+	cs, err := d.AllocateCacheStructure("GBP0", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Connect(ctx, "SYS1", NewBitVector(1024)); err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]string, 512)
+	for p := range pages {
+		pages[p] = fmt.Sprintf("PAGE%03d", p)
+		if err := cs.WriteAndInvalidate(ctx, "SYS1", pages[p], []byte("data"), true, false, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := testing.AllocsPerRun(2000, func() {
+		i++
+		if r, err := cs.ReadAndRegister(ctx, "SYS1", pages[i%512], i%1024); err != nil || !r.Hit {
+			t.Fatalf("ReadAndRegister = %+v, %v", r, err)
+		}
+	})
+	if read > 2 {
+		t.Errorf("duplexed ReadAndRegister: %.1f allocs, want <= 2", read)
+	}
+}

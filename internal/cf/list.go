@@ -187,9 +187,8 @@ func (f *Facility) ListStructure(name string) (List, error) {
 	return s.(*ListStructure), nil
 }
 
-func (s *ListStructure) model() Model          { return ListModel }
-func (s *ListStructure) structureName() string { return s.name }
-func (s *ListStructure) fac() *Facility        { return s.facility }
+func (s *ListStructure) model() Model   { return ListModel }
+func (s *ListStructure) fac() *Facility { return s.facility }
 
 // cloneInto re-allocates the list structure in dst with a deep copy of
 // every list, entry, lock entry, and monitor registration. Notification

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 )
@@ -149,9 +148,8 @@ func (f *Facility) LockStructure(name string) (Lock, error) {
 	return s.(*LockStructure), nil
 }
 
-func (s *LockStructure) model() Model          { return LockModel }
-func (s *LockStructure) structureName() string { return s.name }
-func (s *LockStructure) fac() *Facility        { return s.facility }
+func (s *LockStructure) model() Model   { return LockModel }
+func (s *LockStructure) fac() *Facility { return s.facility }
 
 // cloneInto re-allocates the lock structure in dst with a deep copy of
 // its entries, connectors, records, and retained state.
@@ -262,9 +260,7 @@ func (s *LockStructure) cleanupInterestLocked(conn string) {
 // HashResource maps a software lock resource name to a lock table
 // entry, the "software-hashing" of §3.3.1.
 func (s *LockStructure) HashResource(resource string) int {
-	h := fnv.New64a()
-	h.Write([]byte(resource))
-	return int(h.Sum64() % uint64(len(s.entries)))
+	return hashResource(resource, len(s.entries))
 }
 
 // Obtain records interest of the given mode on lock table entry idx for

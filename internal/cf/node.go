@@ -1,17 +1,16 @@
 // The Node/Replica seam: the interfaces the duplexed front routes
 // commands to.
 //
-// Until this seam existed the front was welded to *Facility and the
-// three concrete structure types, so a coupling facility could only
-// ever be a struct behind a method call. A Node is "one CF as reached
-// from this system" — either an in-process *Facility (the default fast
-// path) or a transport client (internal/cflink) whose facility runs in
-// another process behind real coupling links. The pipeline, cfrm
+// A Node is "one CF as reached from this system" — either an
+// in-process *Facility (the default fast path) or a transport client
+// (internal/cflink) whose facility runs in another process behind real
+// coupling links. The pipeline, cfrm
 // duplexing, in-line failover, and fencing are all written against
 // these interfaces and therefore work identically over either.
 package cf
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -50,20 +49,27 @@ type Node interface {
 	AllocateListStructure(name string, nLists, nLocks, maxEntries int) (List, error)
 
 	// Structure returns the named structure's replica handle, or nil
-	// when the node has no such structure. Every returned handle also
-	// implements its model's command interface (Lock, Cache, or List).
+	// when the node has no such structure.
 	Structure(name string) Replica
 }
 
 // Replica is one structure image as routed to by the front's command
-// pipeline: the model-independent lifecycle surface. The command
-// surface itself is reached by asserting the handle to its model
-// interface (Lock, Cache, or List).
+// pipeline: the single command entry (Exec) plus the
+// model-independent lifecycle surface. LockOn, CacheOn and ListOn wrap
+// a replica in its model's typed command interface.
 type Replica interface {
+	// Exec applies one descriptor — a command, or a CmdBatch envelope —
+	// to this replica only.
+	Executor
 	// ReplicaName is the structure name.
 	ReplicaName() string
 	// ReplicaModel is the structure's behaviour model.
 	ReplicaModel() Model
+	// ReplicaSize is the structure's fixed geometry: lock table entries
+	// for a lock structure, list headers for a list structure, directory
+	// capacity for a cache structure. The typed fronts answer Entries,
+	// Lists and HashResource from it without a command.
+	ReplicaSize() int
 	// ReplicaDisconnect cleanly detaches a connector from this replica.
 	ReplicaDisconnect(conn string)
 	// ReplicaFailConnector marks a connector abnormally terminated on
@@ -103,30 +109,51 @@ func localCloneInto(s structure, dst Node) (Replica, error) {
 	return clone.(Replica), nil
 }
 
-// Replica conformance for the three concrete structure models.
+// Replica conformance for the three concrete structure models. Exec is
+// the table-driven entry (execOn); Batch is its envelope form for
+// callers holding the structure as a Lock, Cache or List.
 
 func (s *LockStructure) ReplicaName() string           { return s.name }
 func (s *LockStructure) ReplicaModel() Model           { return LockModel }
+func (s *LockStructure) ReplicaSize() int              { return len(s.entries) }
 func (s *LockStructure) ReplicaDisconnect(conn string) { s.disconnect(conn) }
 func (s *LockStructure) ReplicaFailConnector(c string) { s.failConnector(c) }
 func (s *LockStructure) ReplicaCloneInto(dst Node) (Replica, error) {
 	return localCloneInto(s, dst)
 }
+func (s *LockStructure) Exec(ctx context.Context, c Cmd) (Reply, error) { return execOn(ctx, s, &c) }
+func (s *LockStructure) Batch(ctx context.Context, cmds []Cmd) (Reply, error) {
+	return batchOn(ctx, s, cmds)
+}
 
 func (s *CacheStructure) ReplicaName() string           { return s.name }
 func (s *CacheStructure) ReplicaModel() Model           { return CacheModel }
+func (s *CacheStructure) ReplicaSize() int              { return s.maxEntries }
 func (s *CacheStructure) ReplicaDisconnect(conn string) { s.disconnect(conn) }
 func (s *CacheStructure) ReplicaFailConnector(c string) { s.failConnector(c) }
 func (s *CacheStructure) ReplicaCloneInto(dst Node) (Replica, error) {
 	return localCloneInto(s, dst)
 }
+func (s *CacheStructure) Exec(ctx context.Context, c Cmd) (Reply, error) { return execOn(ctx, s, &c) }
+func (s *CacheStructure) Batch(ctx context.Context, cmds []Cmd) (Reply, error) {
+	return batchOn(ctx, s, cmds)
+}
 
 func (s *ListStructure) ReplicaName() string           { return s.name }
 func (s *ListStructure) ReplicaModel() Model           { return ListModel }
+func (s *ListStructure) ReplicaSize() int              { return len(s.lists) }
 func (s *ListStructure) ReplicaDisconnect(conn string) { s.disconnect(conn) }
 func (s *ListStructure) ReplicaFailConnector(c string) { s.failConnector(c) }
 func (s *ListStructure) ReplicaCloneInto(dst Node) (Replica, error) {
 	return localCloneInto(s, dst)
+}
+func (s *ListStructure) Exec(ctx context.Context, c Cmd) (Reply, error) { return execOn(ctx, s, &c) }
+func (s *ListStructure) Batch(ctx context.Context, cmds []Cmd) (Reply, error) {
+	return batchOn(ctx, s, cmds)
+}
+
+func batchOn(ctx context.Context, s structure, cmds []Cmd) (Reply, error) {
+	return execOn(ctx, s, &Cmd{Kind: CmdBatch, Sub: cmds})
 }
 
 // Interface conformance.

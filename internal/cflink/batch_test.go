@@ -1,10 +1,10 @@
 package cflink
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 
 	"sysplex/internal/cf"
@@ -22,20 +22,20 @@ func TestBatchOverWire(t *testing.T) {
 	if err := ls.Connect(ctx, "SYSA", nil); err != nil {
 		t.Fatal(err)
 	}
-	errs, err := ls.Batch(ctx, []cf.BatchCmd{
-		cf.BatchListWrite("SYSA", 0, "e1", "", []byte("x"), cf.FIFO, cf.Cond{}),
-		cf.BatchListWrite("SYSA", 1, "e2", "", []byte("y"), cf.FIFO, cf.Cond{}),
-		cf.BatchListDelete("SYSA", "missing", cf.Cond{}),
+	errs, err := ls.Batch(ctx, []cf.Cmd{
+		{Kind: cf.CmdListWrite, Conn: "SYSA", Name: "e1", Data: []byte("x")},
+		{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 1, Name: "e2", Data: []byte("y")},
+		{Kind: cf.CmdListDelete, Conn: "SYSA", Name: "missing"},
 	})
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("writes failed: %v, %v", errs[0], errs[1])
+	if errs.Errs[0] != nil || errs.Errs[1] != nil {
+		t.Fatalf("writes failed: %v, %v", errs.Errs[0], errs.Errs[1])
 	}
 	// Sentinel identity must survive the wire in a status slot.
-	if !errors.Is(errs[2], cf.ErrEntryNotFound) {
-		t.Fatalf("errs[2] = %v, want ErrEntryNotFound", errs[2])
+	if !errors.Is(errs.Errs[2], cf.ErrEntryNotFound) {
+		t.Fatalf("errs[2] = %v, want ErrEntryNotFound", errs.Errs[2])
 	}
 	// The effects must be visible in the server's facility.
 	raw, err := srv.fac.ListStructure("WORKQ")
@@ -64,9 +64,9 @@ func TestBatchOversizedFailsCleanSessionSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := make([]byte, 64<<10)
-	cmds := make([]cf.BatchCmd, 0, 20)
+	cmds := make([]cf.Cmd, 0, 20)
 	for i := 0; i < 20; i++ { // ~1.25 MiB of payload > MaxFrame
-		cmds = append(cmds, cf.BatchCacheWrite("SYSA", "BLK"+string(rune('A'+i)), big, true, true, i%8))
+		cmds = append(cmds, cf.Cmd{Kind: cf.CmdCacheWrite, Conn: "SYSA", Name: "BLK" + string(rune('A'+i)), Data: big, Cache: true, Changed: true, VecIdx: i % 8})
 	}
 	if _, err := cs.Batch(ctx, cmds); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized batch = %v, want ErrFrameTooBig", err)
@@ -135,8 +135,9 @@ func TestBatchTruncatedCountMalformed(t *testing.T) {
 
 	var e encoder
 	e.uvarint(7) // request ID
-	e.u8(opBatch)
+	e.u8(opExec)
 	e.string("WORKQ")
+	e.u8(uint8(cf.CmdBatch))
 	e.uvarint(500) // promises 500 subcommands, carries none
 	if err := writeFrame(conn, e.b); err != nil {
 		t.Fatal(err)
@@ -197,37 +198,24 @@ func TestDuplicateRequestIDsBothAnswered(t *testing.T) {
 	}
 }
 
-// TestBatchCodecRoundTrip pins the wire form of every batch subcommand
-// shape: encode → decode must be identity.
+// TestBatchCodecRoundTrip pins the wire form of an envelope carrying
+// every command of the table: encode → decode must be identity.
 func TestBatchCodecRoundTrip(t *testing.T) {
-	cmds := []cf.BatchCmd{
-		cf.BatchLockRelease(17, "SYSA", cf.Exclusive),
-		cf.BatchLockForce(3, "SYSB", cf.Share),
-		cf.BatchLockSetRecord("SYSA", "ACCT/k1", cf.Exclusive),
-		cf.BatchLockDelRecord("SYSA", "ACCT/k1"),
-		cf.BatchCacheWrite("SYSA", "BLK7", []byte("page"), true, true, 5),
-		cf.BatchCacheUnregister("SYSA", "BLK7"),
-		cf.BatchCacheCastoutEnd("SYSA", "BLK7", 99),
-		cf.BatchListWrite("SYSA", 2, "id1", "k1", []byte("rec"), cf.Keyed, cf.Cond{Use: true, LockIndex: 1}),
-		cf.BatchListDelete("SYSA", "id1", cf.Cond{}),
+	vecs := newVecMap()
+	env := cf.Cmd{Kind: cf.CmdBatch}
+	for _, k := range allKinds() {
+		if k != cf.CmdBatch {
+			env.Sub = append(env.Sub, fillCmd(k, "SYSA"))
+		}
 	}
 	var e encoder
-	e.batchCmds(cmds)
+	e.cmd(&env, vecs.id)
 	d := &decoder{b: e.b}
-	got := d.batchCmds()
+	got := d.cmd(vecs.vec, false)
 	if err := d.finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	if len(got) != len(cmds) {
-		t.Fatalf("decoded %d cmds, want %d", len(got), len(cmds))
-	}
-	for i := range cmds {
-		w, g := cmds[i], got[i]
-		if g.Op != w.Op || g.Conn != w.Conn || g.Name != w.Name || g.Idx != w.Idx ||
-			g.Mode != w.Mode || !bytes.Equal(g.Data, w.Data) || g.Cache != w.Cache ||
-			g.Changed != w.Changed || g.VecIdx != w.VecIdx || g.Version != w.Version ||
-			g.Key != w.Key || g.Order != w.Order || g.Cond != w.Cond {
-			t.Fatalf("cmd %d: got %+v, want %+v", i, g, w)
-		}
+	if !reflect.DeepEqual(got, env) {
+		t.Fatalf("decoded envelope differs:\n got %+v\nwant %+v", got, env)
 	}
 }

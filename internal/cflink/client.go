@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -36,10 +35,10 @@ func WithClock(clock vclock.Clock) Option {
 }
 
 // Client is a coupling facility reached over a cflink transport. It
-// implements cf.Node — and its structure handles implement cf.Lock,
-// cf.Cache, cf.List, and cf.Replica — so a remote facility drops into
-// the duplexed front, cfrm policies, and the sysplex façade exactly
-// where an in-process *Facility does.
+// implements cf.Node, and its structure handles implement cf.Replica —
+// one Exec entry that ships any command descriptor — so a remote
+// facility drops into the duplexed front, cfrm policies, and the
+// sysplex façade exactly where an in-process *Facility does.
 //
 // Failure model: any transport failure (dial loss, write error, read
 // error, server-side fence or close) marks the client failed and fails
@@ -351,9 +350,18 @@ func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)
 	return d, nil
 }
 
-// call runs a command whose response carries no result fields.
-func (c *Client) call(ctx context.Context, op uint8, build func(e *encoder)) error {
-	d, err := c.roundTrip(ctx, op, build)
+// node runs a node-level operation, or a replica lifecycle call, for
+// one of cf.Node's and cf.Replica's context-free methods: there is no
+// caller deadline to honour, and the round trip is bounded by the link
+// lifetime (a dead link fails it with cf.ErrCFDown). The response
+// decoder is returned with the status already checked.
+func (c *Client) node(op uint8, build func(e *encoder)) (*decoder, error) {
+	return c.roundTrip(context.Background(), op, build)
+}
+
+// nodeCall is node for operations whose response carries no fields.
+func (c *Client) nodeCall(op uint8, build func(e *encoder)) error {
+	d, err := c.node(op, build)
 	if err != nil {
 		return err
 	}
@@ -364,9 +372,8 @@ func (c *Client) call(ctx context.Context, op uint8, build func(e *encoder)) err
 
 // StructureNames lists the remote facility's structures (nil if the
 // link is down).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) StructureNames() []string {
-	d, err := c.roundTrip(context.Background(), opStructureNames, nil)
+	d, err := c.node(opStructureNames, nil)
 	if err != nil {
 		return nil
 	}
@@ -379,82 +386,69 @@ func (c *Client) StructureNames() []string {
 
 // Failed reports whether the remote facility is down — or unreachable,
 // which to this system is the same thing.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) Failed() bool {
 	if c.failed.Load() {
 		return true
 	}
-	d, err := c.roundTrip(context.Background(), opFailed, nil)
+	d, err := c.node(opFailed, nil)
 	if err != nil {
 		return true
 	}
 	failed := d.bool()
-	if d.finish() != nil {
-		return true
-	}
-	return failed
+	return d.finish() != nil || failed
 }
 
 // Fail breaks the remote facility (failure injection over the wire:
 // the CF dies, the link stays up, and every command starts returning
 // ErrCFDown end-to-end).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (c *Client) Fail() {
-	_ = c.call(context.Background(), opFail, nil)
-}
+func (c *Client) Fail() { _ = c.nodeCall(opFail, nil) }
 
 // FailAfter arms remote failure injection after n more commands begin.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) FailAfter(n int) {
-	_ = c.call(context.Background(), opFailAfter, func(e *encoder) { e.int(n) })
+	_ = c.nodeCall(opFailAfter, func(e *encoder) { e.int(n) })
 }
 
 // SetSyncLatency injects per-command service time on the remote
 // facility (on top of the real link round trip this client pays).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) SetSyncLatency(d time.Duration) {
-	_ = c.call(context.Background(), opSetSyncLatency, func(e *encoder) { e.varint(int64(d)) })
+	_ = c.nodeCall(opSetSyncLatency, func(e *encoder) { e.varint(int64(d)) })
 }
 
 // Deallocate frees a remote structure.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) Deallocate(name string) error {
-	return c.call(context.Background(), opDeallocate, func(e *encoder) { e.string(name) })
+	return c.nodeCall(opDeallocate, func(e *encoder) { e.string(name) })
 }
 
 // AllocateLockStructure allocates a lock structure and returns its
 // remote handle.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) AllocateLockStructure(name string, entries int) (cf.Lock, error) {
-	err := c.call(context.Background(), opAllocLock, func(e *encoder) {
+	err := c.nodeCall(opAllocLock, func(e *encoder) {
 		e.string(name)
 		e.int(entries)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &remoteLock{remoteStruct{c: c, name: name, model: cf.LockModel, size: entries}}, nil
+	return cf.LockOn(&remoteStruct{c: c, name: name, model: cf.LockModel, size: entries}), nil
 }
 
 // AllocateCacheStructure allocates a cache structure and returns its
 // remote handle.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) AllocateCacheStructure(name string, maxEntries int) (cf.Cache, error) {
-	err := c.call(context.Background(), opAllocCache, func(e *encoder) {
+	err := c.nodeCall(opAllocCache, func(e *encoder) {
 		e.string(name)
 		e.int(maxEntries)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &remoteCache{remoteStruct{c: c, name: name, model: cf.CacheModel}}, nil
+	return cf.CacheOn(&remoteStruct{c: c, name: name, model: cf.CacheModel, size: maxEntries}), nil
 }
 
 // AllocateListStructure allocates a list structure and returns its
 // remote handle.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) AllocateListStructure(name string, nLists, nLocks, maxEntries int) (cf.List, error) {
-	err := c.call(context.Background(), opAllocList, func(e *encoder) {
+	err := c.nodeCall(opAllocList, func(e *encoder) {
 		e.string(name)
 		e.int(nLists)
 		e.int(nLocks)
@@ -463,15 +457,14 @@ func (c *Client) AllocateListStructure(name string, nLists, nLocks, maxEntries i
 	if err != nil {
 		return nil, err
 	}
-	return &remoteList{remoteStruct{c: c, name: name, model: cf.ListModel, size: nLists}}, nil
+	return cf.ListOn(&remoteStruct{c: c, name: name, model: cf.ListModel, size: nLists}), nil
 }
 
 // Structure returns the named remote structure's replica handle, or
 // nil when absent (or the link is down — a dead node has no reachable
 // structures).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) Structure(name string) cf.Replica {
-	d, err := c.roundTrip(context.Background(), opStructInfo, func(e *encoder) { e.string(name) })
+	d, err := c.node(opStructInfo, func(e *encoder) { e.string(name) })
 	if err != nil {
 		return nil
 	}
@@ -481,33 +474,21 @@ func (c *Client) Structure(name string) cf.Replica {
 	if d.finish() != nil || !exists {
 		return nil
 	}
-	rs := remoteStruct{c: c, name: name, model: model, size: size}
-	switch model {
-	case cf.LockModel:
-		return &remoteLock{rs}
-	case cf.CacheModel:
-		return &remoteCache{rs}
-	case cf.ListModel:
-		return &remoteList{rs}
-	default:
-		return nil
-	}
+	return &remoteStruct{c: c, name: name, model: model, size: size}
 }
 
 // Fence asks the server to fence system: its connections are severed
 // and its reconnects refused. A healthy sysplex member calls this to
 // cut a sick peer off from shared state before taking over its work.
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (c *Client) Fence(system string) error {
-	return c.call(context.Background(), opFence, func(e *encoder) { e.string(system) })
+	return c.nodeCall(opFence, func(e *encoder) { e.string(system) })
 }
 
-// ---- remote structure handles ----
-
-// remoteStruct is the common core of the three remote handles: the
+// remoteStruct is the wire handle of one structure replica: the
 // client, the structure identity, and the fixed geometry learned at
-// allocation (lock entries / list headers), which serves the local
-// diagnostics (Entries, Lists, HashResource) without a round trip.
+// allocation, which serves the typed fronts' local answers (Entries,
+// Lists, HashResource) without a round trip. cf.LockOn, cf.CacheOn and
+// cf.ListOn put the model's typed command surface over it.
 type remoteStruct struct {
 	c     *Client
 	name  string
@@ -515,54 +496,16 @@ type remoteStruct struct {
 	size  int
 }
 
-func (r *remoteStruct) Name() string { return r.name }
-
-// structOp prefixes every structure command with the structure name.
-func (r *remoteStruct) structOp(build func(e *encoder)) func(e *encoder) {
-	return func(e *encoder) {
-		e.string(r.name)
-		if build != nil {
-			build(e)
-		}
-	}
-}
-
-// ---- cf.Replica ----
-
 func (r *remoteStruct) ReplicaName() string    { return r.name }
 func (r *remoteStruct) ReplicaModel() cf.Model { return r.model }
+func (r *remoteStruct) ReplicaSize() int       { return r.size }
 
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (r *remoteStruct) ReplicaDisconnect(conn string) {
-	_ = r.c.call(context.Background(), opStructDisconnect, r.structOp(func(e *encoder) { e.string(conn) }))
+	_ = r.c.nodeCall(opStructDisconnect, func(e *encoder) { e.string(r.name); e.string(conn) })
 }
 
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
 func (r *remoteStruct) ReplicaFailConnector(conn string) {
-	_ = r.c.call(context.Background(), opStructFailConn, r.structOp(func(e *encoder) { e.string(conn) }))
-}
-
-// Batch ships an envelope of subcommands as one framed request — one
-// link crossing, one request ID, per-subcommand status bytes back.
-// This is the transport's whole reason to batch: EXP-TRANSPORT prices
-// the crossing at 20–50× the structure work. Shared by all three
-// remote handles; the server types the envelope by the structure's
-// model and validates it at its trust boundary (batchApply), so the
-// client does not pre-validate — the duplexed pipeline already did,
-// and a malformed direct call fails server-side with the same error.
-func (r *remoteStruct) Batch(ctx context.Context, cmds []cf.BatchCmd) ([]error, error) {
-	d, err := r.c.roundTrip(ctx, opBatch, r.structOp(func(e *encoder) { e.batchCmds(cmds) }))
-	if err != nil {
-		return nil, err
-	}
-	errs := d.batchErrs()
-	if ferr := d.finish(); ferr != nil {
-		return nil, ferr
-	}
-	if len(errs) != len(cmds) {
-		return nil, fmt.Errorf("%w: %d statuses for %d subcommands", ErrMalformed, len(errs), len(cmds))
-	}
-	return errs, nil
+	_ = r.c.nodeCall(opStructFailConn, func(e *encoder) { e.string(r.name); e.string(conn) })
 }
 
 // ReplicaCloneInto always fails with cf.ErrCloneUnsupported: cloning
@@ -575,435 +518,34 @@ func (r *remoteStruct) ReplicaCloneInto(dst cf.Node) (cf.Replica, error) {
 	return nil, cf.ErrCloneUnsupported
 }
 
-// remoteLock is the wire handle of a lock-model structure.
-type remoteLock struct{ remoteStruct }
-
-// Entries returns the lock table size (known since allocation, no
-// round trip).
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) Entries() int { return r.size }
-
-// HashResource maps a resource name to a lock table entry. Computed
-// locally with the same FNV-1a the facility uses — the hash is part of
-// the structure's architecture, not server state, so both sides agree
-// without a round trip.
-func (r *remoteLock) HashResource(resource string) int {
-	if r.size <= 0 {
-		return 0
+// Exec ships one descriptor as one framed request: the structure name,
+// then the fields the command table lists for its kind. A batch
+// envelope is one frame too — one link crossing, one request ID,
+// per-subcommand statuses back — which is the transport's whole reason
+// to batch: EXP-TRANSPORT prices the crossing at 20–50× the structure
+// work. Descriptors are validated on this side of the link as well
+// (cf.ValidateBatch for an envelope), so a malformed one is never put
+// on the wire and fails exactly as it would in-process.
+func (r *remoteStruct) Exec(ctx context.Context, c cf.Cmd) (cf.Reply, error) {
+	if err := c.Validate(r.model); err != nil {
+		return cf.Reply{}, err
 	}
-	h := fnv.New64a()
-	h.Write([]byte(resource))
-	return int(h.Sum64() % uint64(r.size))
-}
-
-func (r *remoteLock) Connect(ctx context.Context, conn string) error {
-	return r.c.call(ctx, opLockConnect, r.structOp(func(e *encoder) { e.string(conn) }))
-}
-
-func (r *remoteLock) Obtain(ctx context.Context, idx int, conn string, mode cf.LockMode) (cf.ObtainResult, error) {
-	d, err := r.c.roundTrip(ctx, opLockObtain, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
+	d, err := r.c.roundTrip(ctx, opExec, func(e *encoder) {
+		e.string(r.name)
+		e.cmd(&c, r.c.registerVector)
+	})
 	if err != nil {
-		return cf.ObtainResult{}, err
+		return cf.Reply{}, err
 	}
-	res := cf.ObtainResult{Granted: d.bool(), Holders: d.strings()}
+	rep := d.reply(&c)
 	if err := d.finish(); err != nil {
-		return cf.ObtainResult{}, err
+		return cf.Reply{}, err
 	}
-	return res, nil
-}
-
-func (r *remoteLock) ForceObtain(ctx context.Context, idx int, conn string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockForce, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
-}
-
-func (r *remoteLock) Release(ctx context.Context, idx int, conn string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockRelease, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-		e.int(int(mode))
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) Interest(idx int, conn string) (share, excl int, err error) {
-	d, err := r.c.roundTrip(context.Background(), opLockInterest, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-	if err != nil {
-		return 0, 0, err
-	}
-	share, excl = d.int(), d.int()
-	if err := d.finish(); err != nil {
-		return 0, 0, err
-	}
-	return share, excl, nil
-}
-
-func (r *remoteLock) SetRecord(ctx context.Context, conn, resource string, mode cf.LockMode) error {
-	return r.c.call(ctx, opLockSetRecord, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(resource)
-		e.int(int(mode))
-	}))
-}
-
-func (r *remoteLock) DeleteRecord(ctx context.Context, conn, resource string) error {
-	return r.c.call(ctx, opLockDelRecord, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(resource)
-	}))
-}
-
-func (r *remoteLock) Records(ctx context.Context, conn string) ([]cf.LockRecord, error) {
-	d, err := r.c.roundTrip(ctx, opLockRecords, r.structOp(func(e *encoder) { e.string(conn) }))
-	if err != nil {
-		return nil, err
-	}
-	recs := d.lockRecords()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) AdoptRetained(conn string, recs []cf.LockRecord) {
-	_ = r.c.call(context.Background(), opLockAdopt, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.lockRecords(recs)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteLock) RetainedConnectors() []string {
-	d, err := r.c.roundTrip(context.Background(), opLockRetainedConns, r.structOp(nil))
-	if err != nil {
-		return nil
-	}
-	conns := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return conns
-}
-
-// remoteCache is the wire handle of a cache-model structure.
-type remoteCache struct{ remoteStruct }
-
-func (r *remoteCache) Connect(ctx context.Context, conn string, vector *cf.BitVector) error {
-	vecID := r.c.registerVector(vector)
-	vecLen := 0
-	if vector != nil {
-		vecLen = vector.Len()
-	}
-	return r.c.call(ctx, opCacheConnect, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.uvarint(vecID)
-		e.int(vecLen)
-	}))
-}
-
-func (r *remoteCache) ReadAndRegister(ctx context.Context, conn, name string, vecIdx int) (cf.ReadResult, error) {
-	d, err := r.c.roundTrip(ctx, opCacheRead, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.int(vecIdx)
-	}))
-	if err != nil {
-		return cf.ReadResult{}, err
-	}
-	res := cf.ReadResult{Data: d.bytes(), Hit: d.bool(), Version: d.uvarint()}
-	if err := d.finish(); err != nil {
-		return cf.ReadResult{}, err
-	}
-	return res, nil
-}
-
-func (r *remoteCache) WriteAndInvalidate(ctx context.Context, conn, name string, data []byte, cache, changed bool, vecIdx int) error {
-	return r.c.call(ctx, opCacheWrite, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.bytes(data)
-		e.bool(cache)
-		e.bool(changed)
-		e.int(vecIdx)
-	}))
-}
-
-func (r *remoteCache) Unregister(ctx context.Context, conn, name string) error {
-	return r.c.call(ctx, opCacheUnregister, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-	}))
-}
-
-func (r *remoteCache) CastoutBegin(ctx context.Context, conn, name string) ([]byte, uint64, error) {
-	d, err := r.c.roundTrip(ctx, opCacheCastoutBegin, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-	}))
-	if err != nil {
-		return nil, 0, err
-	}
-	data := d.bytes()
-	version := d.uvarint()
-	if err := d.finish(); err != nil {
-		return nil, 0, err
-	}
-	return data, version, nil
-}
-
-func (r *remoteCache) CastoutEnd(ctx context.Context, conn, name string, version uint64) error {
-	return r.c.call(ctx, opCacheCastoutEnd, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(name)
-		e.uvarint(version)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) ChangedBlocks() []string {
-	d, err := r.c.roundTrip(context.Background(), opCacheChangedBlocks, r.structOp(nil))
-	if err != nil {
-		return nil
-	}
-	blocks := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return blocks
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) Registered(name string) []string {
-	d, err := r.c.roundTrip(context.Background(), opCacheRegistered, r.structOp(func(e *encoder) { e.string(name) }))
-	if err != nil {
-		return nil
-	}
-	conns := d.strings()
-	if d.finish() != nil {
-		return nil
-	}
-	return conns
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteCache) Version(name string) uint64 {
-	d, err := r.c.roundTrip(context.Background(), opCacheVersion, r.structOp(func(e *encoder) { e.string(name) }))
-	if err != nil {
-		return 0
-	}
-	v := d.uvarint()
-	if d.finish() != nil {
-		return 0
-	}
-	return v
-}
-
-// remoteList is the wire handle of a list-model structure.
-type remoteList struct{ remoteStruct }
-
-// Lists returns the list header count (known since allocation).
-func (r *remoteList) Lists() int { return r.size }
-
-func (r *remoteList) Connect(ctx context.Context, conn string, vector *cf.BitVector) error {
-	vecID := r.c.registerVector(vector)
-	vecLen := 0
-	if vector != nil {
-		vecLen = vector.Len()
-	}
-	return r.c.call(ctx, opListConnect, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.uvarint(vecID)
-		e.int(vecLen)
-	}))
-}
-
-func (r *remoteList) SetLock(ctx context.Context, idx int, conn string) error {
-	return r.c.call(ctx, opListSetLock, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-}
-
-func (r *remoteList) ReleaseLock(ctx context.Context, idx int, conn string) error {
-	return r.c.call(ctx, opListReleaseLock, r.structOp(func(e *encoder) {
-		e.int(idx)
-		e.string(conn)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) LockHolder(idx int) string {
-	d, err := r.c.roundTrip(context.Background(), opListLockHolder, r.structOp(func(e *encoder) { e.int(idx) }))
-	if err != nil {
-		return ""
-	}
-	holder := d.string()
-	if d.finish() != nil {
-		return ""
-	}
-	return holder
-}
-
-func (r *remoteList) Write(ctx context.Context, conn string, list int, id, key string, data []byte, order cf.Order, cond cf.Cond) error {
-	return r.c.call(ctx, opListWrite, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.string(id)
-		e.string(key)
-		e.bytes(data)
-		e.int(int(order))
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) Read(ctx context.Context, conn, id string, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListRead, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) ReadFirst(ctx context.Context, conn string, list int, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListReadFirst, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) Pop(ctx context.Context, conn string, list int, cond cf.Cond) (cf.ListEntry, error) {
-	d, err := r.c.roundTrip(ctx, opListPop, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.cond(cond)
-	}))
-	if err != nil {
-		return cf.ListEntry{}, err
-	}
-	le := d.listEntry()
-	if err := d.finish(); err != nil {
-		return cf.ListEntry{}, err
-	}
-	return le, nil
-}
-
-func (r *remoteList) Delete(ctx context.Context, conn, id string, cond cf.Cond) error {
-	return r.c.call(ctx, opListDelete, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) Move(ctx context.Context, conn, id string, toList int, order cf.Order, cond cf.Cond) error {
-	return r.c.call(ctx, opListMove, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.int(toList)
-		e.int(int(order))
-		e.cond(cond)
-	}))
-}
-
-func (r *remoteList) SetAdjunct(ctx context.Context, conn, id, adjunct string, cond cf.Cond) error {
-	return r.c.call(ctx, opListSetAdjunct, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.string(id)
-		e.string(adjunct)
-		e.cond(cond)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Len(list int) int {
-	d, err := r.c.roundTrip(context.Background(), opListLen, r.structOp(func(e *encoder) { e.int(list) }))
-	if err != nil {
-		return 0
-	}
-	n := d.int()
-	if d.finish() != nil {
-		return 0
-	}
-	return n
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Entries(list int) []cf.ListEntry {
-	d, err := r.c.roundTrip(context.Background(), opListEntries, r.structOp(func(e *encoder) { e.int(list) }))
-	if err != nil {
-		return nil
-	}
-	es := d.listEntries()
-	if d.finish() != nil {
-		return nil
-	}
-	return es
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) TotalEntries() int {
-	d, err := r.c.roundTrip(context.Background(), opListTotalEntries, r.structOp(nil))
-	if err != nil {
-		return 0
-	}
-	n := d.int()
-	if d.finish() != nil {
-		return 0
-	}
-	return n
-}
-
-func (r *remoteList) Monitor(ctx context.Context, conn string, list int, vecIdx int) error {
-	return r.c.call(ctx, opListMonitor, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-		e.int(vecIdx)
-	}))
-}
-
-// lintctx: mirrors a context-free cf interface method; the round trip is bounded by the link lifetime, not a caller deadline.
-func (r *remoteList) Unmonitor(conn string, list int) {
-	_ = r.c.call(context.Background(), opListUnmonitor, r.structOp(func(e *encoder) {
-		e.string(conn)
-		e.int(list)
-	}))
+	return rep, nil
 }
 
 // Interface conformance.
 var (
 	_ cf.Node    = (*Client)(nil)
-	_ cf.Lock    = (*remoteLock)(nil)
-	_ cf.Cache   = (*remoteCache)(nil)
-	_ cf.List    = (*remoteList)(nil)
-	_ cf.Replica = (*remoteLock)(nil)
-	_ cf.Replica = (*remoteCache)(nil)
-	_ cf.Replica = (*remoteList)(nil)
+	_ cf.Replica = (*remoteStruct)(nil)
 )

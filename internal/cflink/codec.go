@@ -3,25 +3,33 @@
 // byte stream (TCP or unix sockets), the repo's stand-in for the
 // paper's coupling links (§3.3). A Server wraps an in-process
 // cf.Facility and serves its command set; a Client implements cf.Node
-// and the three structure-model command interfaces, so the duplexed
-// front, cfrm duplexing, in-line failover, and the
-// gate→metrics→inject→retry→route pipeline all work unchanged over the
-// wire (DESIGN §11).
+// and its structure handles cf.Replica, so the duplexed front, cfrm
+// duplexing, in-line failover, and the command pipeline all work
+// unchanged over the wire (DESIGN §11).
 //
 // Wire format. Every message is one frame: a 4-byte big-endian length
 // followed by that many payload bytes, capped at MaxFrame. A session
 // has two connections:
 //
 //   - the command connection carries request frames (uvarint request
-//     ID, 1-byte opcode, op-specific fields) and matching response
-//     frames (request ID, 1-byte status — 0 ok, else an error code
-//     mapping to a cf sentinel — then results or a detail string);
-//     responses may arrive out of request order.
+//     ID, 1-byte opcode, then either a node-level operation's fields or,
+//     for opExec, a structure name and one command descriptor) and
+//     matching response frames (request ID, 1-byte status — 0 ok, else
+//     an error code mapping to a cf sentinel — then results or a detail
+//     string); responses may arrive out of request order.
 //   - the notification connection carries server-pushed bit-vector
 //     flips (vector ID, zigzag bit index with -1 meaning ClearAll, new
 //     state), the wire form of the CF flipping bits in system-owned
 //     vectors with no interrupt: cross-invalidates and list
 //     transitions reach the client without a command round trip.
+//
+// Structure commands have one request layout and one reply layout, both
+// driven by the cf command table: a descriptor is its kind byte
+// followed by exactly the fields the table lists for that kind, in
+// field-set bit order, and a reply is the reply fields the table lists
+// (encoder.cmd / encoder.reply). A batch envelope is the descriptor
+// whose one field is its subcommand list. Adding a command to the
+// table puts it on the wire; there is nothing to extend here.
 //
 // Scalar fields are uvarints (zigzag varints where signed); strings and
 // byte blocks are length-prefixed. The codec never panics on malformed
@@ -50,7 +58,7 @@ var (
 )
 
 // magic opens every session's first frame on both connection kinds.
-var magic = [4]byte{'C', 'F', 'L', '1'}
+var magic = [4]byte{'C', 'F', 'L', '2'}
 
 // Connection kinds declared in the session handshake.
 //
@@ -60,14 +68,11 @@ const (
 	connNotify  uint8 = 1
 )
 
-// Opcodes. Numeric values are the wire protocol — append, never renumber.
-// The lintwire annotation makes sysplexlint hold the table to the
-// produce/consume contract: every opcode must be collision-free, sent
-// by some client path, and named by some dispatch case.
+// Opcodes. Node-level operations address the facility itself; every
+// structure command travels as opExec plus a descriptor.
 //
-// lintwire: table opcodes dispatch
+// lintwire: table opcodes
 const (
-	// Node-level commands.
 	opStructureNames   uint8 = 1
 	opFailed           uint8 = 2
 	opFail             uint8 = 3
@@ -81,53 +86,7 @@ const (
 	opFence            uint8 = 11
 	opStructDisconnect uint8 = 12
 	opStructFailConn   uint8 = 13
-
-	// Lock-model commands.
-	opLockConnect       uint8 = 20
-	opLockObtain        uint8 = 21
-	opLockForce         uint8 = 22
-	opLockRelease       uint8 = 23
-	opLockInterest      uint8 = 24
-	opLockSetRecord     uint8 = 25
-	opLockDelRecord     uint8 = 26
-	opLockRecords       uint8 = 27
-	opLockAdopt         uint8 = 28
-	opLockRetainedConns uint8 = 29
-
-	// Cache-model commands.
-	opCacheConnect       uint8 = 40
-	opCacheRead          uint8 = 41
-	opCacheWrite         uint8 = 42
-	opCacheUnregister    uint8 = 43
-	opCacheCastoutBegin  uint8 = 44
-	opCacheCastoutEnd    uint8 = 45
-	opCacheChangedBlocks uint8 = 46
-	opCacheRegistered    uint8 = 47
-	opCacheVersion       uint8 = 48
-
-	// List-model commands.
-	opListConnect      uint8 = 60
-	opListSetLock      uint8 = 61
-	opListReleaseLock  uint8 = 62
-	opListLockHolder   uint8 = 63
-	opListWrite        uint8 = 64
-	opListRead         uint8 = 65
-	opListReadFirst    uint8 = 66
-	opListPop          uint8 = 67
-	opListDelete       uint8 = 68
-	opListMove         uint8 = 69
-	opListSetAdjunct   uint8 = 70
-	opListLen          uint8 = 71
-	opListEntries      uint8 = 72
-	opListTotalEntries uint8 = 73
-	opListMonitor      uint8 = 74
-	opListUnmonitor    uint8 = 75
-
-	// Batch envelope: one request ID covers N subcommands (all three
-	// structure models share the opcode; the target structure's model
-	// types the envelope). The response carries one status byte per
-	// subcommand — codeOK, or an error code plus detail string.
-	opBatch uint8 = 90
+	opExec             uint8 = 14
 )
 
 // Response status codes. 0 is success; the rest map to the cf command
@@ -389,15 +348,12 @@ func (e *encoder) strings(v []string) {
 }
 
 func (d *decoder) strings() []string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		// Each element costs ≥ 1 byte, so count can never exceed the
-		// remaining payload — reject before allocating.
-		d.fail()
+	n := d.count(MaxFrame)
+	if d.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.string())
 	}
 	return out
@@ -427,13 +383,12 @@ func (e *encoder) lockRecords(rs []cf.LockRecord) {
 }
 
 func (d *decoder) lockRecords() []cf.LockRecord {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		d.fail()
+	n := d.count(MaxFrame)
+	if d.err != nil {
 		return nil
 	}
 	out := make([]cf.LockRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.lockRecord())
 	}
 	return out
@@ -467,173 +422,188 @@ func (e *encoder) listEntries(es []cf.ListEntry) {
 }
 
 func (d *decoder) listEntries() []cf.ListEntry {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		d.fail()
+	n := d.count(MaxFrame)
+	if d.err != nil {
 		return nil
 	}
 	out := make([]cf.ListEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.listEntry())
 	}
 	return out
 }
 
-// Cond encoding.
-
-func (e *encoder) cond(c cf.Cond) {
-	e.bool(c.Use)
-	e.int(c.LockIndex)
+// cmdCodec is the wire form of each descriptor field, encoder beside
+// decoder. A descriptor is its kind byte followed by the rows whose
+// field its kind's table entry lists, in row order. Vector and Sub
+// need link context and follow the rows (see cmd).
+var cmdCodec = [...]struct {
+	f   cf.Fields
+	enc func(*encoder, *cf.Cmd)
+	dec func(*decoder, *cf.Cmd)
+}{
+	{cf.FConn, func(e *encoder, c *cf.Cmd) { e.string(c.Conn) }, func(d *decoder, c *cf.Cmd) { c.Conn = d.string() }},
+	{cf.FName, func(e *encoder, c *cf.Cmd) { e.string(c.Name) }, func(d *decoder, c *cf.Cmd) { c.Name = d.string() }},
+	{cf.FKey, func(e *encoder, c *cf.Cmd) { e.string(c.Key) }, func(d *decoder, c *cf.Cmd) { c.Key = d.string() }},
+	{cf.FIdx, func(e *encoder, c *cf.Cmd) { e.int(c.Idx) }, func(d *decoder, c *cf.Cmd) { c.Idx = d.int() }},
+	{cf.FVecIdx, func(e *encoder, c *cf.Cmd) { e.int(c.VecIdx) }, func(d *decoder, c *cf.Cmd) { c.VecIdx = d.int() }},
+	{cf.FMode, func(e *encoder, c *cf.Cmd) { e.int(int(c.Mode)) }, func(d *decoder, c *cf.Cmd) { c.Mode = cf.LockMode(d.int()) }},
+	{cf.FOrder, func(e *encoder, c *cf.Cmd) { e.int(int(c.Order)) }, func(d *decoder, c *cf.Cmd) { c.Order = cf.Order(d.int()) }},
+	{cf.FVersion, func(e *encoder, c *cf.Cmd) { e.uvarint(c.Version) }, func(d *decoder, c *cf.Cmd) { c.Version = d.uvarint() }},
+	{cf.FCond, func(e *encoder, c *cf.Cmd) { e.bool(c.Cond.Use); e.int(c.Cond.LockIndex) },
+		func(d *decoder, c *cf.Cmd) { c.Cond = cf.Cond{Use: d.bool(), LockIndex: d.int()} }},
+	{cf.FFlags, func(e *encoder, c *cf.Cmd) { e.bool(c.Cache); e.bool(c.Changed) },
+		func(d *decoder, c *cf.Cmd) { c.Cache, c.Changed = d.bool(), d.bool() }},
+	{cf.FData, func(e *encoder, c *cf.Cmd) { e.bytes(c.Data) }, func(d *decoder, c *cf.Cmd) { c.Data = d.bytes() }},
+	{cf.FRecords, func(e *encoder, c *cf.Cmd) { e.lockRecords(c.Records) }, func(d *decoder, c *cf.Cmd) { c.Records = d.lockRecords() }},
 }
 
-func (d *decoder) cond() cf.Cond {
-	return cf.Cond{Use: d.bool(), LockIndex: d.int()}
-}
-
-// Batch subcommand encoding: a 1-byte op tag, then exactly the fields
-// that op's one-command encoding carries, in the same order — the
-// subcommand forms are the existing command forms minus the per-op
-// frame.
-
-func (e *encoder) batchCmd(c *cf.BatchCmd) {
-	e.u8(uint8(c.Op))
-	switch c.Op {
-	case cf.BatchOpLockRelease, cf.BatchOpLockForce:
-		e.int(c.Idx)
-		e.string(c.Conn)
-		e.int(int(c.Mode))
-	case cf.BatchOpLockSetRecord:
-		e.string(c.Conn)
-		e.string(c.Name)
-		e.int(int(c.Mode))
-	case cf.BatchOpLockDelRecord, cf.BatchOpCacheUnregister:
-		e.string(c.Conn)
-		e.string(c.Name)
-	case cf.BatchOpCacheWrite:
-		e.string(c.Conn)
-		e.string(c.Name)
-		e.bytes(c.Data)
-		e.bool(c.Cache)
-		e.bool(c.Changed)
-		e.int(c.VecIdx)
-	case cf.BatchOpCacheCastoutEnd:
-		e.string(c.Conn)
-		e.string(c.Name)
-		e.uvarint(c.Version)
-	case cf.BatchOpListWrite:
-		e.string(c.Conn)
-		e.int(c.Idx)
-		e.string(c.Name)
-		e.string(c.Key)
-		e.bytes(c.Data)
-		e.int(int(c.Order))
-		e.cond(c.Cond)
-	case cf.BatchOpListDelete:
-		e.string(c.Conn)
-		e.string(c.Name)
-		e.cond(c.Cond)
+// cmd encodes one descriptor. A connector's bit vector crosses as
+// (wire ID, length): vecID registers the real vector on the client.
+func (e *encoder) cmd(c *cf.Cmd, vecID func(*cf.BitVector) uint64) {
+	e.u8(uint8(c.Kind))
+	// An unknown kind has no fields and encodes as the bare byte; the
+	// decoder rejects it.
+	in, _, _ := c.Kind.Fields()
+	for i := range cmdCodec {
+		if in&cmdCodec[i].f != 0 {
+			cmdCodec[i].enc(e, c)
+		}
 	}
-	// An unknown op encodes as the bare tag; the decoder rejects it.
-	// The client validates envelopes before encoding, so this is only
-	// reachable from hand-built frames.
+	if in&cf.FVector != 0 {
+		n := 0
+		if c.Vector != nil {
+			n = c.Vector.Len()
+		}
+		e.uvarint(vecID(c.Vector))
+		e.int(n)
+	}
+	if in&cf.FSub != 0 {
+		e.uvarint(uint64(len(c.Sub)))
+		for i := range c.Sub {
+			e.cmd(&c.Sub[i], vecID)
+		}
+	}
 }
 
-func (d *decoder) batchCmd() cf.BatchCmd {
-	c := cf.BatchCmd{Op: cf.BatchOp(d.u8())}
-	switch c.Op {
-	case cf.BatchOpLockRelease, cf.BatchOpLockForce:
-		c.Idx = d.int()
-		c.Conn = d.string()
-		c.Mode = cf.LockMode(d.int())
-	case cf.BatchOpLockSetRecord:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Mode = cf.LockMode(d.int())
-	case cf.BatchOpLockDelRecord, cf.BatchOpCacheUnregister:
-		c.Conn = d.string()
-		c.Name = d.string()
-	case cf.BatchOpCacheWrite:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Data = d.bytes()
-		c.Cache = d.bool()
-		c.Changed = d.bool()
-		c.VecIdx = d.int()
-	case cf.BatchOpCacheCastoutEnd:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Version = d.uvarint()
-	case cf.BatchOpListWrite:
-		c.Conn = d.string()
-		c.Idx = d.int()
-		c.Name = d.string()
-		c.Key = d.string()
-		c.Data = d.bytes()
-		c.Order = cf.Order(d.int())
-		c.Cond = d.cond()
-	case cf.BatchOpListDelete:
-		c.Conn = d.string()
-		c.Name = d.string()
-		c.Cond = d.cond()
-	default:
+// cmd decodes one descriptor; vec resolves a vector's wire ID to the
+// server's shadow of it. An unknown kind byte, an envelope inside an
+// envelope, or a subcommand count beyond cf.MaxBatchOps (or beyond
+// what the remaining payload could hold) is malformed — rejected before
+// anything is allocated for it.
+func (d *decoder) cmd(vec func(id uint64, length int) *cf.BitVector, nested bool) cf.Cmd {
+	c := cf.Cmd{Kind: cf.Kind(d.u8())}
+	in, _, ok := c.Kind.Fields()
+	if !ok || (nested && c.Kind == cf.CmdBatch) {
 		d.fail()
+		return c
+	}
+	for i := range cmdCodec {
+		if in&cmdCodec[i].f != 0 {
+			cmdCodec[i].dec(d, &c)
+		}
+	}
+	if in&cf.FVector != 0 {
+		if id, n := d.uvarint(), d.int(); d.err == nil {
+			c.Vector = vec(id, n)
+		}
+	}
+	if in&cf.FSub != 0 {
+		n := d.count(cf.MaxBatchOps)
+		c.Sub = make([]cf.Cmd, 0, n)
+		for i := 0; i < n; i++ {
+			c.Sub = append(c.Sub, d.cmd(vec, true))
+		}
 	}
 	return c
 }
 
-func (e *encoder) batchCmds(cmds []cf.BatchCmd) {
-	e.uvarint(uint64(len(cmds)))
-	for i := range cmds {
-		e.batchCmd(&cmds[i])
-	}
-}
-
-func (d *decoder) batchCmds() []cf.BatchCmd {
+// count decodes an element count, rejecting one beyond max or beyond
+// what the remaining payload could hold (every element costs ≥ 1 byte)
+// before the caller allocates for it.
+func (d *decoder) count(max uint64) int {
 	n := d.uvarint()
-	// Each subcommand costs ≥ 1 byte; additionally a well-formed
-	// envelope never exceeds MaxBatchOps — reject both before
-	// allocating.
-	if d.err != nil || n > uint64(len(d.b)-d.off) || n > cf.MaxBatchOps {
+	if d.err != nil || n > uint64(len(d.b)-d.off) || n > max {
 		d.fail()
-		return nil
+		return 0
 	}
-	out := make([]cf.BatchCmd, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, d.batchCmd())
-	}
-	return out
+	return int(n)
 }
 
-// Batch status encoding: one status byte per subcommand; non-OK
-// statuses carry the rendered detail string.
+// replyCodec is the wire form of each reply field. A reply is the rows
+// its command's table entry lists; both sides know the kind from the
+// request, so no kind byte is repeated.
+var replyCodec = [...]struct {
+	f   cf.Fields
+	enc func(*encoder, *cf.Reply)
+	dec func(*decoder, *cf.Reply)
+}{
+	{cf.RFlag, func(e *encoder, r *cf.Reply) { e.bool(r.Flag) }, func(d *decoder, r *cf.Reply) { r.Flag = d.bool() }},
+	{cf.RCounts, func(e *encoder, r *cf.Reply) { e.int(r.N); e.int(r.M) }, func(d *decoder, r *cf.Reply) { r.N, r.M = d.int(), d.int() }},
+	{cf.RVersion, func(e *encoder, r *cf.Reply) { e.uvarint(r.Version) }, func(d *decoder, r *cf.Reply) { r.Version = d.uvarint() }},
+	{cf.RText, func(e *encoder, r *cf.Reply) { e.string(r.Text) }, func(d *decoder, r *cf.Reply) { r.Text = d.string() }},
+	{cf.RData, func(e *encoder, r *cf.Reply) { e.bytes(r.Data) }, func(d *decoder, r *cf.Reply) { r.Data = d.bytes() }},
+	{cf.RNames, func(e *encoder, r *cf.Reply) { e.strings(r.Names) }, func(d *decoder, r *cf.Reply) { r.Names = d.strings() }},
+	{cf.RRecords, func(e *encoder, r *cf.Reply) { e.lockRecords(r.Records) }, func(d *decoder, r *cf.Reply) { r.Records = d.lockRecords() }},
+	{cf.REntry, func(e *encoder, r *cf.Reply) { e.listEntry(r.Entry) }, func(d *decoder, r *cf.Reply) { r.Entry = d.listEntry() }},
+	{cf.REntries, func(e *encoder, r *cf.Reply) { e.listEntries(r.Entries) }, func(d *decoder, r *cf.Reply) { r.Entries = d.listEntries() }},
+}
 
-func (e *encoder) batchErrs(errs []error) {
-	e.uvarint(uint64(len(errs)))
-	for _, err := range errs {
-		if err == nil {
+// reply encodes the reply to c. An envelope's reply is one status byte
+// per subcommand — codeOK followed by that subcommand's reply, or an
+// error code and its detail string — so errors.Is works per subcommand
+// across the wire.
+func (e *encoder) reply(c *cf.Cmd, r *cf.Reply) {
+	_, out, _ := c.Kind.Fields()
+	for i := range replyCodec {
+		if out&replyCodec[i].f != 0 {
+			replyCodec[i].enc(e, r)
+		}
+	}
+	if out&cf.RSub != 0 {
+		e.uvarint(uint64(len(r.Errs)))
+		for i, err := range r.Errs {
+			if err != nil {
+				code, detail := encodeErr(err)
+				e.u8(code)
+				e.string(detail)
+				continue
+			}
 			e.u8(codeOK)
-			continue
+			if r.Sub != nil {
+				e.reply(&c.Sub[i], &r.Sub[i])
+			}
 		}
-		code, detail := encodeErr(err)
-		e.u8(code)
-		e.string(detail)
 	}
 }
 
-func (d *decoder) batchErrs() []error {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) || n > cf.MaxBatchOps {
-		d.fail()
-		return nil
-	}
-	out := make([]error, 0, n)
-	for i := uint64(0); i < n; i++ {
-		code := d.u8()
-		if code == codeOK {
-			out = append(out, nil)
-			continue
+func (d *decoder) reply(c *cf.Cmd) cf.Reply {
+	var r cf.Reply
+	_, out, _ := c.Kind.Fields()
+	for i := range replyCodec {
+		if out&replyCodec[i].f != 0 {
+			replyCodec[i].dec(d, &r)
 		}
-		out = append(out, decodeErr(code, d.string()))
 	}
-	return out
+	if out&cf.RSub != 0 {
+		// One status per subcommand sent, no more and no fewer.
+		if n := d.count(cf.MaxBatchOps); n != len(c.Sub) {
+			d.fail()
+			return r
+		}
+		r.Errs = make([]error, len(c.Sub))
+		for i := range c.Sub {
+			if code := d.u8(); code != codeOK {
+				r.Errs[i] = decodeErr(code, d.string())
+			} else if _, sout, _ := c.Sub[i].Kind.Fields(); sout != 0 {
+				// As on the server, the reply slice exists only when a
+				// subcommand has result fields to put in it.
+				if r.Sub == nil {
+					r.Sub = make([]cf.Reply, len(c.Sub))
+				}
+				r.Sub[i] = d.reply(&c.Sub[i])
+			}
+		}
+	}
+	return r
 }

@@ -14,17 +14,13 @@ import (
 // must come back as errors — never a panic, never an out-of-bounds
 // read, never a giant allocation from a forged element count.
 func FuzzDecoder(f *testing.F) {
+	vecs := newVecMap()
 	var seed encoder
 	seed.uvarint(12)
-	seed.u8(opListWrite)
+	seed.u8(opExec)
 	seed.string("MSGQ")
-	seed.string("SYSA")
-	seed.int(3)
-	seed.string("id-1")
-	seed.string("key")
-	seed.bytes([]byte("data"))
-	seed.int(int(cf.Keyed))
-	seed.cond(cf.Cond{Use: true, LockIndex: 1})
+	seed.cmd(&cf.Cmd{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 3, Name: "id-1", Key: "key",
+		Data: []byte("data"), Order: cf.Keyed, Cond: cf.Cond{Use: true, LockIndex: 1}}, vecs.id)
 	f.Add(seed.b)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -35,20 +31,32 @@ func FuzzDecoder(f *testing.F) {
 	// same one truncated mid-subcommand, and a forged count that
 	// promises more subcommands than the payload carries (the classic
 	// allocation-bomb shape the decoder must refuse).
+	batch := cf.Cmd{Kind: cf.CmdBatch, Sub: []cf.Cmd{
+		{Kind: cf.CmdLockRelease, Idx: 5, Conn: "SYSA", Mode: cf.Exclusive},
+		{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 1, Name: "id", Key: "key", Data: []byte("rec"), Order: cf.Keyed, Cond: cf.Cond{Use: true}},
+	}}
 	var bseed encoder
-	bseed.batchCmds([]cf.BatchCmd{
-		cf.BatchLockRelease(5, "SYSA", cf.Exclusive),
-		cf.BatchListWrite("SYSA", 1, "id", "key", []byte("rec"), cf.Keyed, cf.Cond{Use: true}),
-	})
+	bseed.cmd(&batch, vecs.id)
 	f.Add(bseed.b)
 	f.Add(bseed.b[:len(bseed.b)/2])
 	var bcount encoder
+	bcount.u8(uint8(cf.CmdBatch))
 	bcount.uvarint(uint64(cf.MaxBatchOps) + 1)
-	bcount.u8(uint8(cf.BatchOpLockRelease))
+	bcount.u8(uint8(cf.CmdLockRelease))
 	f.Add(bcount.b)
 	var berrs encoder
-	berrs.batchErrs([]error{nil, cf.ErrEntryNotFound, cf.ErrCFDown})
+	berrs.reply(&batch, &cf.Reply{Errs: []error{nil, cf.ErrEntryNotFound}})
 	f.Add(berrs.b)
+	// One descriptor and one reply per row of the command table, so a
+	// new command is fuzzed from the day it is added.
+	for _, k := range allKinds() {
+		c, r := fillCmd(k, "SYSA"), fillReply(k)
+		var ce, re encoder
+		ce.cmd(&c, vecs.id)
+		re.reply(&c, &r)
+		f.Add(ce.b)
+		f.Add(re.b)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// Request-header shape.
@@ -65,18 +73,21 @@ func FuzzDecoder(f *testing.F) {
 			func(d *decoder) { d.listEntries() },
 			func(d *decoder) { d.listEntry() },
 			func(d *decoder) { d.lockRecord() },
-			func(d *decoder) { d.cond() },
 			func(d *decoder) { d.bytes() },
 			func(d *decoder) { d.varint(); d.uvarint(); d.bool() },
 			func(d *decoder) {
-				if cmds := d.batchCmds(); len(cmds) > cf.MaxBatchOps {
-					t.Fatalf("batchCmds decoded %d subcommands > MaxBatchOps", len(cmds))
+				if c := d.cmd(vecs.vec, false); len(c.Sub) > cf.MaxBatchOps {
+					t.Fatalf("cmd decoded %d subcommands > MaxBatchOps", len(c.Sub))
 				}
 			},
-			func(d *decoder) { d.batchCmd() },
 			func(d *decoder) {
-				if errs := d.batchErrs(); len(errs) > cf.MaxBatchOps {
-					t.Fatalf("batchErrs decoded %d statuses > MaxBatchOps", len(errs))
+				// The payload as the reply to every kind of request.
+				for _, k := range allKinds() {
+					c := fillCmd(k, "SYSA")
+					dd := &decoder{b: d.b}
+					if r := dd.reply(&c); len(r.Errs) > len(c.Sub) || len(r.Sub) > len(c.Sub) {
+						t.Fatalf("reply decoded %d statuses, %d replies for %d subcommands", len(r.Errs), len(r.Sub), len(c.Sub))
+					}
 				}
 			},
 		} {

@@ -119,17 +119,18 @@ func TestCompositeRoundTrip(t *testing.T) {
 		{ID: "msg-1", Key: "k1", Data: []byte("payload"), Adjunct: "adj", List: 3},
 		{ID: "msg-2", List: 0},
 	}
-	cond := cf.Cond{Use: true, LockIndex: 5}
+	// The conditional-execution field travels as part of a descriptor.
+	cond := cf.Cmd{Kind: cf.CmdListPop, Conn: "SYSA", Cond: cf.Cond{Use: true, LockIndex: 5}}
 
 	var e encoder
 	e.lockRecords(recs)
 	e.listEntries(entries)
-	e.cond(cond)
+	e.cmd(&cond, nil)
 
 	d := &decoder{b: e.b}
 	gotRecs := d.lockRecords()
 	gotEntries := d.listEntries()
-	gotCond := d.cond()
+	gotCond := d.cmd(nil, false)
 	if err := d.finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestCompositeRoundTrip(t *testing.T) {
 			t.Fatalf("listEntries[%d] = %+v, want %+v", i, gotEntries[i], entries[i])
 		}
 	}
-	if gotCond != cond {
+	if gotCond.Cond != cond.Cond || gotCond.Conn != cond.Conn {
 		t.Fatalf("cond = %+v, want %+v", gotCond, cond)
 	}
 }

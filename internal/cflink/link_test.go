@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -143,7 +144,7 @@ func TestErrorSentinelsOverWire(t *testing.T) {
 		t.Fatalf("unconnected err = %v, want ErrNotConnected", err)
 	}
 	// Model mismatch surfaces on the command, not the handle.
-	rl := &remoteLock{remoteStruct{c: c, name: "Q", model: cf.LockModel, size: 8}}
+	rl := cf.LockOn(&remoteStruct{c: c, name: "Q", model: cf.LockModel, size: 8})
 	if err := rl.Connect(ctx, "SYSA"); !errors.Is(err, cf.ErrWrongModel) {
 		t.Fatalf("wrong model err = %v, want ErrWrongModel", err)
 	}
@@ -175,7 +176,7 @@ func TestContextGateNeverSendsCancelled(t *testing.T) {
 		t.Fatalf("cancelled Write err = %v, want context.Canceled", err)
 	}
 	// The command was never sent, so the server must not have it.
-	if n := srv.Facility().Structure("Q").(cf.List).TotalEntries(); n != 0 {
+	if n := cf.ListOn(srv.Facility().Structure("Q")).TotalEntries(); n != 0 {
 		t.Fatalf("cancelled write reached the server: %d entries", n)
 	}
 }
@@ -189,8 +190,8 @@ func TestCacheCrossInvalidateOverWire(t *testing.T) {
 	if _, err := cA.AllocateCacheStructure("DB2GBP0", 1024); err != nil {
 		t.Fatal(err)
 	}
-	cacheA := cA.Structure("DB2GBP0").(cf.Cache)
-	cacheB := cB.Structure("DB2GBP0").(cf.Cache)
+	cacheA := cf.CacheOn(cA.Structure("DB2GBP0"))
+	cacheB := cf.CacheOn(cB.Structure("DB2GBP0"))
 
 	vecA := cf.NewBitVector(16)
 	vecB := cf.NewBitVector(16)
@@ -269,7 +270,7 @@ func TestFenceSeversAndRefuses(t *testing.T) {
 	if err := lst.Connect(ctx, "SYSA", nil); err != nil {
 		t.Fatal(err)
 	}
-	sickQ := sick.Structure("Q").(cf.List)
+	sickQ := cf.ListOn(sick.Structure("Q"))
 	if err := sickQ.Connect(ctx, "SYSB", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestDuplexedOverWire(t *testing.T) {
 
 	// Zero lost committed updates: every acked write is on the
 	// surviving replica exactly once.
-	surviving := c2.Structure("MSGQ").(cf.List)
+	surviving := cf.ListOn(c2.Structure("MSGQ"))
 	if n := surviving.TotalEntries(); n != 20 {
 		t.Fatalf("surviving replica has %d entries, want 20", n)
 	}
@@ -383,7 +384,7 @@ func TestCfrmPolicyWithRemoteFleet(t *testing.T) {
 		t.Fatalf("primary after failover = %q", got)
 	}
 	waitFor(t, "state settles simplex", func() bool { return mgr.Status().State == "simplex" })
-	if n := c2.Structure("LOGQ").(cf.List).TotalEntries(); n != 10 {
+	if n := cf.ListOn(c2.Structure("LOGQ")).TotalEntries(); n != 10 {
 		t.Fatalf("surviving replica has %d entries, want 10", n)
 	}
 }
@@ -442,4 +443,54 @@ func TestStructureNamesAndDeallocate(t *testing.T) {
 	if _, err := c.Structure("B").ReplicaCloneInto(cf.New("CFX", vclock.Real())); !errors.Is(err, cf.ErrCloneUnsupported) {
 		t.Fatalf("ReplicaCloneInto err = %v, want ErrCloneUnsupported", err)
 	}
+}
+
+// TestSessionsLeaveNoGoroutines dials and closes a batch of sessions
+// and requires the process's goroutine count to return to where it
+// started: every session goroutine — the server's serve loop and
+// notification writer, the client's two readers — must end with its
+// session, whichever side closes it.
+func TestSessionsLeaveNoGoroutines(t *testing.T) {
+	srv, network, addr := startServer(t, "CF01")
+	if _, err := srv.Facility().AllocateCacheStructure("GBP", 16); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up once so lazily started runtime goroutines are in the
+	// baseline.
+	c := dialT(t, network, addr)
+	c.Close()
+	waitFor(t, "warm-up session to drain", func() bool { return sessionCount(srv) == 0 })
+	base := runtime.NumGoroutine()
+
+	const sessions = 16
+	for i := 0; i < sessions; i++ {
+		c, err := Dial(network, addr, WithSystem(fmt.Sprintf("SYS%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Attach a vector so the session has pushed notifications.
+		vec := cf.NewBitVector(8)
+		gbp := cf.CacheOn(c.Structure("GBP"))
+		if err := gbp.Connect(context.Background(), c.System(), vec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gbp.ReadAndRegister(context.Background(), c.System(), "P", 1); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			c.Close() // client hangs up
+		} else {
+			srv.Fence(c.System()) // server severs the session
+			c.Close()
+		}
+	}
+	waitFor(t, fmt.Sprintf("goroutines to return to %d", base), func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+}
+
+func sessionCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sessions)
 }

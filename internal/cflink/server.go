@@ -23,6 +23,10 @@ const handshakeTimeout = 5 * time.Second
 // (the paper's fencing posture, applied to the link).
 const notifyQueueLen = 4096
 
+// maxVectorBits bounds the shadow vector a connect request may ask the
+// server to allocate; the length is peer-supplied.
+const maxVectorBits = 1 << 24
+
 // errFenced rejects connections from a fenced system.
 var errFenced = errors.New("cflink: system is fenced")
 
@@ -199,6 +203,7 @@ func (s *Server) startSession(conn net.Conn, system string) {
 		system:   system,
 		cmd:      conn,
 		notifyCh: make(chan notifyFrame, notifyQueueLen),
+		done:     make(chan struct{}),
 		vectors:  make(map[uint64]*cf.BitVector),
 	}
 	s.sessions[ses.id] = ses
@@ -269,6 +274,10 @@ type session struct {
 	nmu        sync.Mutex
 	notifyConn net.Conn
 	notifyCh   chan notifyFrame
+	// done is closed by close(): it stops the notification writer.
+	// notifyCh itself is never closed — commands on other goroutines
+	// may still be pushing flips into it.
+	done chan struct{}
 
 	vmu     sync.Mutex
 	vectors map[uint64]*cf.BitVector
@@ -280,6 +289,7 @@ type session struct {
 // from any goroutine, any number of times.
 func (ses *session) close() {
 	ses.closeOnce.Do(func() {
+		close(ses.done)
 		ses.srv.drop(ses)
 		ses.cmd.Close()
 		ses.nmu.Lock()
@@ -323,31 +333,22 @@ func (ses *session) serve() {
 	}
 }
 
-// reply sends a success response; body (may be nil) appends the result
-// fields.
-func (ses *session) reply(reqID uint64, body func(e *encoder)) {
+// reply sends one response frame: on success codeOK then the result
+// fields body appends (body may be nil), on failure err's status code
+// and rendered message.
+func (ses *session) reply(reqID uint64, body func(e *encoder), err error) {
 	var e encoder
 	e.uvarint(reqID)
-	e.u8(codeOK)
-	if body != nil {
-		body(&e)
-	}
-	ses.wmu.Lock()
-	err := writeFrame(ses.cmd, e.b)
-	ses.wmu.Unlock()
 	if err != nil {
-		ses.close()
+		code, detail := encodeErr(err)
+		e.u8(code)
+		e.string(detail)
+	} else {
+		e.u8(codeOK)
+		if body != nil {
+			body(&e)
+		}
 	}
-}
-
-// replyErr sends a failure response carrying err's status code and
-// rendered message.
-func (ses *session) replyErr(reqID uint64, err error) {
-	code, detail := encodeErr(err)
-	var e encoder
-	e.uvarint(reqID)
-	e.u8(code)
-	e.string(detail)
 	ses.wmu.Lock()
 	werr := writeFrame(ses.cmd, e.b)
 	ses.wmu.Unlock()
@@ -362,7 +363,7 @@ func (ses *session) replyErr(reqID uint64, err error) {
 // facility flips shadow bits, the hook forwards each flip, and the
 // client applies it to the real system-owned vector.
 func (ses *session) vector(vecID uint64, length int) *cf.BitVector {
-	if vecID == 0 {
+	if vecID == 0 || length < 0 || length > maxVectorBits {
 		return nil
 	}
 	ses.vmu.Lock()
@@ -391,9 +392,16 @@ func (ses *session) push(f notifyFrame) {
 	}
 }
 
-// notifyWriter drains the queue onto the notification connection.
+// notifyWriter drains the queue onto the notification connection
+// until the session closes.
 func (ses *session) notifyWriter(conn net.Conn) {
-	for f := range ses.notifyCh {
+	for {
+		var f notifyFrame
+		select {
+		case f = <-ses.notifyCh:
+		case <-ses.done:
+			return
+		}
 		var e encoder
 		e.uvarint(f.vec)
 		e.varint(f.bit)
@@ -405,648 +413,136 @@ func (ses *session) notifyWriter(conn net.Conn) {
 	}
 }
 
-// dispatch decodes and executes one command against the facility,
-// sending the response. The context handed to structure commands is
+// dispatch decodes and executes one request against the facility and
+// sends the response. The context handed to structure commands is
 // Background: the client's pipeline gate already polled the caller's
 // context before the request was sent, and a cancellation arriving
 // later must not produce a half-applied command on the CF — once a
 // frame is on the wire the command runs to completion and the client
 // learns the outcome (or loses the link and treats the CF as down).
 func (ses *session) dispatch(reqID uint64, op uint8, d *decoder) {
-	ctx := context.Background()
+	body, err := ses.execute(op, d)
+	ses.reply(reqID, body, err)
+}
+
+// execute runs one decoded request and returns the encoder of its
+// result fields. Every arm consumes its frame exactly (d.finish) before
+// acting, so a malformed request has no effect.
+func (ses *session) execute(op uint8, d *decoder) (func(e *encoder), error) {
 	fac := ses.srv.fac
 	switch op {
-	// ---- node-level ----
+	// Every structure command: decode → table lookup and apply (the
+	// replica's Exec) → encode. The descriptor's kind picks both the
+	// request and the reply layout.
+	case opExec:
+		name := d.string()
+		cmd := d.cmd(ses.vector, false)
+		if err := d.finish(); err != nil {
+			return nil, err
+		}
+		r := fac.Structure(name)
+		if r == nil {
+			return nil, fmt.Errorf("%w: %q", cf.ErrNoStructure, name)
+		}
+		rep, err := r.Exec(context.Background(), cmd)
+		if err != nil {
+			return nil, err
+		}
+		return func(e *encoder) { e.reply(&cmd, &rep) }, nil
+
+	// Node-level operations.
 	case opStructureNames:
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		names := fac.StructureNames()
-		ses.reply(reqID, func(e *encoder) { e.strings(names) })
+		return func(e *encoder) { e.strings(names) }, nil
 	case opFailed:
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		failed := fac.Failed()
-		ses.reply(reqID, func(e *encoder) { e.bool(failed) })
+		return func(e *encoder) { e.bool(failed) }, nil
 	case opFail:
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		fac.Fail()
-		ses.reply(reqID, nil)
+		return nil, nil
 	case opFailAfter:
 		n := d.int()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		fac.FailAfter(n)
-		ses.reply(reqID, nil)
+		return nil, nil
 	case opSetSyncLatency:
 		ns := d.varint()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		fac.SetSyncLatency(time.Duration(ns))
-		ses.reply(reqID, nil)
+		return nil, nil
 	case opDeallocate:
 		name := d.string()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
-		if err := fac.Deallocate(name); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
+		return nil, fac.Deallocate(name)
 	case opAllocLock:
 		name, entries := d.string(), d.int()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
-		if _, err := fac.AllocateLockStructure(name, entries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
+		_, err := fac.AllocateLockStructure(name, entries)
+		return nil, err
 	case opAllocCache:
 		name, maxEntries := d.string(), d.int()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
-		if _, err := fac.AllocateCacheStructure(name, maxEntries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
+		_, err := fac.AllocateCacheStructure(name, maxEntries)
+		return nil, err
 	case opAllocList:
 		name, nLists, nLocks, maxEntries := d.string(), d.int(), d.int(), d.int()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
-		if _, err := fac.AllocateListStructure(name, nLists, nLocks, maxEntries); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
+		_, err := fac.AllocateListStructure(name, nLists, nLocks, maxEntries)
+		return nil, err
 	case opStructInfo:
 		name := d.string()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		r := fac.Structure(name)
 		if r == nil {
-			ses.reply(reqID, func(e *encoder) { e.bool(false); e.int(0); e.int(0) })
-			return
+			return func(e *encoder) { e.bool(false); e.int(0); e.int(0) }, nil
 		}
-		model := r.ReplicaModel()
-		size := 0
-		switch model {
-		case cf.LockModel:
-			size = r.(cf.Lock).Entries()
-		case cf.ListModel:
-			size = r.(cf.List).Lists()
-		}
-		ses.reply(reqID, func(e *encoder) { e.bool(true); e.int(int(model)); e.int(size) })
+		return func(e *encoder) { e.bool(true); e.int(int(r.ReplicaModel())); e.int(r.ReplicaSize()) }, nil
 	case opFence:
 		system := d.string()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		ses.srv.Fence(system)
-		ses.reply(reqID, nil)
-	case opStructDisconnect:
+		return nil, nil
+	case opStructDisconnect, opStructFailConn:
 		name, conn := d.string(), d.string()
 		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+			return nil, err
 		}
 		r := fac.Structure(name)
 		if r == nil {
-			ses.replyErr(reqID, fmt.Errorf("%w: %q", cf.ErrNoStructure, name))
-			return
+			return nil, fmt.Errorf("%w: %q", cf.ErrNoStructure, name)
 		}
-		r.ReplicaDisconnect(conn)
-		ses.reply(reqID, nil)
-	case opStructFailConn:
-		name, conn := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
+		if op == opStructDisconnect {
+			r.ReplicaDisconnect(conn)
+		} else {
+			r.ReplicaFailConnector(conn)
 		}
-		r := fac.Structure(name)
-		if r == nil {
-			ses.replyErr(reqID, fmt.Errorf("%w: %q", cf.ErrNoStructure, name))
-			return
-		}
-		r.ReplicaFailConnector(conn)
-		ses.reply(reqID, nil)
-
-	// ---- lock model ----
-	case opLockConnect, opLockObtain, opLockForce, opLockRelease, opLockInterest,
-		opLockSetRecord, opLockDelRecord, opLockRecords, opLockAdopt, opLockRetainedConns:
-		ses.dispatchLock(ctx, reqID, op, d)
-
-	// ---- cache model ----
-	case opCacheConnect, opCacheRead, opCacheWrite, opCacheUnregister, opCacheCastoutBegin,
-		opCacheCastoutEnd, opCacheChangedBlocks, opCacheRegistered, opCacheVersion:
-		ses.dispatchCache(ctx, reqID, op, d)
-
-	// ---- list model ----
-	case opListConnect, opListSetLock, opListReleaseLock, opListLockHolder, opListWrite,
-		opListRead, opListReadFirst, opListPop, opListDelete, opListMove, opListSetAdjunct,
-		opListLen, opListEntries, opListTotalEntries, opListMonitor, opListUnmonitor:
-		ses.dispatchList(ctx, reqID, op, d)
-
-	// ---- batch envelope ----
-	case opBatch:
-		ses.dispatchBatch(ctx, reqID, d)
-
+		return nil, nil
 	default:
-		ses.replyErr(reqID, fmt.Errorf("cflink: unknown opcode %d", op))
+		return nil, fmt.Errorf("cflink: unknown opcode %d", op)
 	}
-}
-
-func (ses *session) dispatchLock(ctx context.Context, reqID uint64, op uint8, d *decoder) {
-	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
-		return
-	}
-	ls, err := ses.srv.fac.LockStructure(name)
-	if err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	switch op {
-	case opLockConnect:
-		conn := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.Connect(ctx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockObtain:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		res, err := ls.Obtain(ctx, idx, conn, mode)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.bool(res.Granted); e.strings(res.Holders) })
-	case opLockForce:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.ForceObtain(ctx, idx, conn, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockRelease:
-		idx, conn, mode := d.int(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.Release(ctx, idx, conn, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockInterest:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		share, excl, err := ls.Interest(idx, conn)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.int(share); e.int(excl) })
-	case opLockSetRecord:
-		conn, resource, mode := d.string(), d.string(), cf.LockMode(d.int())
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.SetRecord(ctx, conn, resource, mode); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockDelRecord:
-		conn, resource := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := ls.DeleteRecord(ctx, conn, resource); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opLockRecords:
-		conn := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		recs, err := ls.Records(ctx, conn)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.lockRecords(recs) })
-	case opLockAdopt:
-		conn := d.string()
-		recs := d.lockRecords()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ls.AdoptRetained(conn, recs)
-		ses.reply(reqID, nil)
-	case opLockRetainedConns:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		conns := ls.RetainedConnectors()
-		ses.reply(reqID, func(e *encoder) { e.strings(conns) })
-	}
-}
-
-func (ses *session) dispatchCache(ctx context.Context, reqID uint64, op uint8, d *decoder) {
-	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
-		return
-	}
-	cs, err := ses.srv.fac.CacheStructure(name)
-	if err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	switch op {
-	case opCacheConnect:
-		conn, vecID, vecLen := d.string(), d.uvarint(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.Connect(ctx, conn, ses.vector(vecID, vecLen)); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheRead:
-		conn, block, vecIdx := d.string(), d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		res, err := cs.ReadAndRegister(ctx, conn, block, vecIdx)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) {
-			e.bytes(res.Data)
-			e.bool(res.Hit)
-			e.uvarint(res.Version)
-		})
-	case opCacheWrite:
-		conn, block := d.string(), d.string()
-		data := d.bytes()
-		doCache, changed, vecIdx := d.bool(), d.bool(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.WriteAndInvalidate(ctx, conn, block, data, doCache, changed, vecIdx); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheUnregister:
-		conn, block := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.Unregister(ctx, conn, block); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheCastoutBegin:
-		conn, block := d.string(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		data, version, err := cs.CastoutBegin(ctx, conn, block)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.bytes(data); e.uvarint(version) })
-	case opCacheCastoutEnd:
-		conn, block, version := d.string(), d.string(), d.uvarint()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := cs.CastoutEnd(ctx, conn, block, version); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opCacheChangedBlocks:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		blocks := cs.ChangedBlocks()
-		ses.reply(reqID, func(e *encoder) { e.strings(blocks) })
-	case opCacheRegistered:
-		block := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		conns := cs.Registered(block)
-		ses.reply(reqID, func(e *encoder) { e.strings(conns) })
-	case opCacheVersion:
-		block := d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		v := cs.Version(block)
-		ses.reply(reqID, func(e *encoder) { e.uvarint(v) })
-	}
-}
-
-func (ses *session) dispatchList(ctx context.Context, reqID uint64, op uint8, d *decoder) {
-	name := d.string()
-	if d.err != nil {
-		ses.replyErr(reqID, ErrMalformed)
-		return
-	}
-	lst, err := ses.srv.fac.ListStructure(name)
-	if err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	switch op {
-	case opListConnect:
-		conn, vecID, vecLen := d.string(), d.uvarint(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Connect(ctx, conn, ses.vector(vecID, vecLen)); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListSetLock:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.SetLock(ctx, idx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListReleaseLock:
-		idx, conn := d.int(), d.string()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.ReleaseLock(ctx, idx, conn); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListLockHolder:
-		idx := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		holder := lst.LockHolder(idx)
-		ses.reply(reqID, func(e *encoder) { e.string(holder) })
-	case opListWrite:
-		conn, list, id, key := d.string(), d.int(), d.string(), d.string()
-		data := d.bytes()
-		order := cf.Order(d.int())
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Write(ctx, conn, list, id, key, data, order, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListRead:
-		conn, id := d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.Read(ctx, conn, id, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListReadFirst:
-		conn, list := d.string(), d.int()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.ReadFirst(ctx, conn, list, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListPop:
-		conn, list := d.string(), d.int()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		le, err := lst.Pop(ctx, conn, list, cond)
-		if err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, func(e *encoder) { e.listEntry(le) })
-	case opListDelete:
-		conn, id := d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Delete(ctx, conn, id, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListMove:
-		conn, id, toList := d.string(), d.string(), d.int()
-		order := cf.Order(d.int())
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Move(ctx, conn, id, toList, order, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListSetAdjunct:
-		conn, id, adjunct := d.string(), d.string(), d.string()
-		cond := d.cond()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.SetAdjunct(ctx, conn, id, adjunct, cond); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListLen:
-		list := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		n := lst.Len(list)
-		ses.reply(reqID, func(e *encoder) { e.int(n) })
-	case opListEntries:
-		list := d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		es := lst.Entries(list)
-		ses.reply(reqID, func(e *encoder) { e.listEntries(es) })
-	case opListTotalEntries:
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		n := lst.TotalEntries()
-		ses.reply(reqID, func(e *encoder) { e.int(n) })
-	case opListMonitor:
-		conn, list, vecIdx := d.string(), d.int(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		if err := lst.Monitor(ctx, conn, list, vecIdx); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		ses.reply(reqID, nil)
-	case opListUnmonitor:
-		conn, list := d.string(), d.int()
-		if err := d.finish(); err != nil {
-			ses.replyErr(reqID, err)
-			return
-		}
-		lst.Unmonitor(conn, list)
-		ses.reply(reqID, nil)
-	}
-}
-
-// dispatchBatch runs one batch envelope against the named structure:
-// the whole envelope executes as one server-side command (the
-// structure's Batch gate applies it all-or-nothing with respect to
-// facility death), and the response carries one status byte per
-// subcommand. The envelope's model is taken from its first subcommand;
-// a mixed envelope fails the structure's own validation.
-func (ses *session) dispatchBatch(ctx context.Context, reqID uint64, d *decoder) {
-	name := d.string()
-	cmds := d.batchCmds()
-	if err := d.finish(); err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	if len(cmds) == 0 {
-		ses.replyErr(reqID, fmt.Errorf("%w: empty batch", cf.ErrBadArgument))
-		return
-	}
-	model, ok := cmds[0].Op.Model()
-	if !ok {
-		ses.replyErr(reqID, fmt.Errorf("%w: unknown batch op %d", cf.ErrBadArgument, int(cmds[0].Op)))
-		return
-	}
-	var (
-		errs []error
-		err  error
-	)
-	fac := ses.srv.fac
-	switch model {
-	case cf.LockModel:
-		var ls cf.Lock
-		if ls, err = fac.LockStructure(name); err == nil {
-			errs, err = ls.Batch(ctx, cmds)
-		}
-	case cf.CacheModel:
-		var cs cf.Cache
-		if cs, err = fac.CacheStructure(name); err == nil {
-			errs, err = cs.Batch(ctx, cmds)
-		}
-	default:
-		var lst cf.List
-		if lst, err = fac.ListStructure(name); err == nil {
-			errs, err = lst.Batch(ctx, cmds)
-		}
-	}
-	if err != nil {
-		ses.replyErr(reqID, err)
-		return
-	}
-	ses.reply(reqID, func(e *encoder) { e.batchErrs(errs) })
 }

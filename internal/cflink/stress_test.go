@@ -120,7 +120,7 @@ func TestStressNoPartialEffectOverWire(t *testing.T) {
 	// Allow in-flight mirrors to finish, then audit the surviving
 	// replica.
 	deadline := time.Now().Add(5 * time.Second)
-	surviving := c2.Structure("MSGQ").(cf.List)
+	surviving := cf.ListOn(c2.Structure("MSGQ"))
 	for {
 		if surviving.TotalEntries() >= len(acked) || time.Now().After(deadline) {
 			break
@@ -195,7 +195,7 @@ func TestStressConcurrentSessions(t *testing.T) {
 		go func(i int, c *Client) {
 			defer wg.Done()
 			sys := fmt.Sprintf("SYS%d", i)
-			cache := c.Structure("GBP").(cf.Cache)
+			cache := cf.CacheOn(c.Structure("GBP"))
 			vec := cf.NewBitVector(64)
 			ctx := context.Background()
 			if err := cache.Connect(ctx, sys, vec); err != nil {

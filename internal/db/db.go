@@ -8,11 +8,9 @@
 //     group buffer pool (CF cache structure underneath);
 //   - a write-ahead log any peer can read for redo recovery of a
 //     failed system while that system's retained locks protect the
-//     affected records. With a System Logger attached (Config.Logger)
-//     the log is a set of sysplex-merged log streams — one update
-//     stream per table plus one sync stream carrying COMMIT/END —
-//     in CF interim storage with DASD offload; without one it is the
-//     original per-system log dataset on shared DASD;
+//     affected records: a set of sysplex-merged System Logger log
+//     streams — one update stream per table plus one sync stream
+//     carrying COMMIT/END — in CF interim storage with DASD offload;
 //   - page-range scans supporting the decision-support "split a query
 //     into sub-queries" pattern of §2.3.
 package db
@@ -42,6 +40,26 @@ var (
 	ErrValueTooBig = errors.New("db: record too large")
 )
 
+// Log record kinds.
+const (
+	recUpdate = "update"
+	recCommit = "commit"
+	recEnd    = "end" // all of the transaction's page changes are applied
+)
+
+// LogRecord is one write-ahead-log entry. Update records carry both the
+// before image (undo) and after image (redo) of a record-level change.
+type LogRecord struct {
+	Tx     string `json:"tx"`
+	Sys    string `json:"sys,omitempty"` // writing system (the streams merge all systems)
+	Kind   string `json:"kind"`
+	Table  string `json:"table,omitempty"`
+	Key    string `json:"key,omitempty"`
+	Before []byte `json:"before,omitempty"`
+	After  []byte `json:"after,omitempty"`
+	Delete bool   `json:"delete,omitempty"`
+}
+
 // Config wires an Engine to its substrates.
 type Config struct {
 	// Name is the database group name shared by all instances (e.g.
@@ -59,17 +77,15 @@ type Config struct {
 	Locks *lockmgr.Manager
 	// Clock defaults to the real clock.
 	Clock vclock.Clock
-	// Logger, when set, routes the write-ahead log through System
-	// Logger log streams (one update stream per table plus a sync
-	// stream carrying COMMIT/END) instead of a per-system log dataset.
-	// Peer recovery then browses the merged streams.
+	// Logger is this system's System Logger instance: the write-ahead
+	// log is a set of log streams (one update stream per table plus a
+	// sync stream carrying COMMIT/END), and recovery browses the merged
+	// streams.
 	Logger *logr.Manager
 	// PoolFrames sizes the local buffer pool (default 256).
 	PoolFrames int
 	// CacheEntries sizes the group buffer pool directory (default 4096).
 	CacheEntries int
-	// LogBlocks sizes the per-system log (default 512).
-	LogBlocks int
 	// LockTimeout bounds lock waits (default 5s).
 	LockTimeout time.Duration
 }
@@ -94,9 +110,8 @@ type Engine struct {
 	locks   *lockmgr.Manager
 	clock   vclock.Clock
 	pool    *buffman.Pool
-	log     *wal // legacy per-system log dataset (nil when stream-backed)
 	logger  *logr.Manager
-	sync    *logr.Stream // COMMIT/END stream (stream-backed mode only)
+	sync    *logr.Stream // COMMIT/END stream
 	timeout time.Duration
 
 	mu     sync.Mutex
@@ -109,12 +124,12 @@ type tableMeta struct {
 	name   string
 	pages  int
 	ds     *dasd.Dataset
-	stream *logr.Stream // per-table update stream (stream-backed mode only)
+	stream *logr.Stream // per-table update stream
 }
 
 // Open creates (or attaches to) the database group for one system.
 func Open(ctx context.Context, cfg Config) (*Engine, error) {
-	if cfg.Name == "" || cfg.System == "" || cfg.Farm == nil || cfg.Facility == nil || cfg.Locks == nil {
+	if cfg.Name == "" || cfg.System == "" || cfg.Farm == nil || cfg.Facility == nil || cfg.Locks == nil || cfg.Logger == nil {
 		return nil, errors.New("db: incomplete config")
 	}
 	if cfg.Clock == nil {
@@ -125,9 +140,6 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 4096
-	}
-	if cfg.LogBlocks == 0 {
-		cfg.LogBlocks = 512
 	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 5 * time.Second
@@ -140,6 +152,7 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 		fac:     cfg.Facility,
 		locks:   cfg.Locks,
 		clock:   cfg.Clock,
+		logger:  cfg.Logger,
 		timeout: cfg.LockTimeout,
 		tables:  make(map[string]*tableMeta),
 	}
@@ -161,38 +174,17 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.pool = pool
-	if cfg.Logger != nil {
-		// Stream-backed log: the sync stream carries COMMIT/END for
-		// every transaction in the group; table update streams are
-		// connected as tables are opened.
-		e.logger = cfg.Logger
-		s, err := cfg.Logger.Connect(ctx, logr.StreamSpec{Name: syncStreamName(cfg.Name)})
-		if err != nil {
-			return nil, err
-		}
-		e.sync = s
-		return e, nil
-	}
-	// Per-system log on shared DASD.
-	logName := logDatasetName(cfg.Name, cfg.System)
-	ds, err := cfg.Farm.Dataset(logName)
-	if err != nil {
-		ds, err = cfg.Farm.Allocate(cfg.Volume, logName, cfg.LogBlocks)
-		if err != nil {
-			return nil, err
-		}
-	}
-	w, err := openWAL(cfg.System, ds)
+	// The sync stream carries COMMIT/END for every transaction in the
+	// group; table update streams are connected as tables are opened.
+	s, err := cfg.Logger.Connect(ctx, logr.StreamSpec{Name: syncStreamName(cfg.Name)})
 	if err != nil {
 		return nil, err
 	}
-	e.log = w
+	e.sync = s
 	return e, nil
 }
 
-func logDatasetName(db, sys string) string { return "LOG." + db + "." + sys }
-
-// Stream names for the stream-backed log.
+// Log stream names.
 func syncStreamName(db string) string         { return "DB." + db + ".SYNC" }
 func tableStreamName(db, table string) string { return "DB." + db + ".T." + table }
 
@@ -239,15 +231,11 @@ func (e *Engine) OpenTable(ctx context.Context, name string, pages int) error {
 	if ds.Blocks() != pages {
 		return fmt.Errorf("db: table %q opened with %d pages but exists with %d", name, pages, ds.Blocks())
 	}
-	meta := &tableMeta{name: name, pages: pages, ds: ds}
-	if e.logger != nil {
-		s, err := e.logger.Connect(ctx, logr.StreamSpec{Name: tableStreamName(e.name, name)})
-		if err != nil {
-			return err
-		}
-		meta.stream = s
+	s, err := e.logger.Connect(ctx, logr.StreamSpec{Name: tableStreamName(e.name, name)})
+	if err != nil {
+		return err
 	}
-	e.tables[name] = meta
+	e.tables[name] = &tableMeta{name: name, pages: pages, ds: ds, stream: s}
 	return nil
 }
 
@@ -604,16 +592,11 @@ func (t *Tx) release() {
 	t.locks = map[string]bool{}
 }
 
-// appendLog forces records through whichever write-ahead log the engine
-// runs. In stream-backed mode update records go to the owning table's
-// log stream and COMMIT/END to the sync stream; because a transaction's
-// COMMIT lives on exactly one stream, it stays a single atomic commit
-// point even though the updates fan out. In legacy mode everything goes
-// to the per-system log dataset.
+// appendLog forces records to the write-ahead log: update records go to
+// the owning table's log stream and COMMIT/END to the sync stream;
+// because a transaction's COMMIT lives on exactly one stream, it stays
+// a single atomic commit point even though the updates fan out.
 func (e *Engine) appendLog(ctx context.Context, recs ...*LogRecord) error {
-	if e.logger == nil {
-		return e.log.Append(recs...)
-	}
 	for _, r := range recs {
 		r.Sys = e.sys
 		stream := e.sync
@@ -802,22 +785,14 @@ type RecoveryReport struct {
 }
 
 // RecoverPeer performs database recovery on behalf of a failed system:
-// it reads the failed system's log from shared DASD, re-applies
-// (redoes) the changes of committed-but-not-fully-applied transactions,
+// it reads the failed system's records off the merged log streams,
+// re-applies (redoes) the changes of committed-but-not-fully-applied
+// transactions,
 // and then frees the failed system's retained locks. Retained locks
 // protect the affected records for the whole procedure (§2.5, §3.3.1).
 func (e *Engine) RecoverPeer(ctx context.Context, failedSys string) (RecoveryReport, error) {
 	rep := RecoveryReport{FailedSystem: failedSys}
-	var recs []LogRecord
-	var err error
-	if e.logger != nil {
-		recs, err = e.streamLogRecords(ctx, failedSys)
-	} else {
-		var logDS *dasd.Dataset
-		if logDS, err = e.farm.Dataset(logDatasetName(e.name, failedSys)); err == nil {
-			recs, err = readLogRecords(e.sys, logDS)
-		}
-	}
+	recs, err := e.streamLogRecords(ctx, failedSys)
 	if err != nil {
 		return rep, err
 	}
@@ -897,9 +872,6 @@ type ColdReport struct {
 // Every table named in the log must already be opened.
 func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 	var rep ColdReport
-	if e.logger == nil {
-		return rep, errors.New("db: cold recovery requires stream-backed logging")
-	}
 	e.mu.Lock()
 	streams := []*logr.Stream{e.sync}
 	for _, t := range e.tables {
@@ -986,8 +958,8 @@ func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 // log streams: COMMIT/END markers from the sync stream, update records
 // from every opened table's stream — each browsed in timestamp order
 // across offloaded and interim storage, filtered to the failed system's
-// records. Browsing shared streams is exactly what the per-system log
-// dataset could not offer: no dataset handoff, no system affinity.
+// records. The streams are shared, so recovery needs no dataset
+// handoff and has no system affinity.
 func (e *Engine) streamLogRecords(ctx context.Context, failedSys string) ([]LogRecord, error) {
 	streams := []*logr.Stream{e.sync}
 	e.mu.Lock()

@@ -4,76 +4,16 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
-	"sysplex/internal/cds"
 	"sysplex/internal/cf"
-	"sysplex/internal/dasd"
 	"sysplex/internal/lockmgr"
-	"sysplex/internal/logr"
-	"sysplex/internal/timer"
-	"sysplex/internal/vclock"
-	"sysplex/internal/xcf"
 )
-
-// newStreamFixture is newDBFixture with the WAL routed through System
-// Logger streams (Config.Logger set).
-func newStreamFixture(t *testing.T, systems ...string) *dbFixture {
-	t.Helper()
-	clock := vclock.Real()
-	farm := dasd.NewFarm(clock)
-	if _, err := farm.AddVolume("DBVOL", 8192, 2); err != nil {
-		t.Fatal(err)
-	}
-	pri, _ := farm.Allocate("DBVOL", "XCF.CDS", 128)
-	store, _ := cds.New("S", clock, pri, nil, cds.Options{})
-	plex := xcf.NewSysplex("PLEX1", clock, store, farm, xcf.Options{})
-	fac := cf.New("CF01", clock)
-	ls, err := fac.AllocateLockStructure("IRLM", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmr := timer.New(clock)
-	fx := &dbFixture{farm: farm, fac: fac, plex: plex,
-		locks: map[string]*lockmgr.Manager{}, engines: map[string]*Engine{}}
-	for _, s := range systems {
-		sys, err := plex.Join(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm, err := lockmgr.New(context.Background(), sys, ls, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx.locks[s] = lm
-		logger, err := logr.New(logr.Config{
-			System: s, Front: fac, Farm: farm, Volume: "DBVOL",
-			Timer: tmr, Clock: clock,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := Open(context.Background(), Config{
-			Name: "DBP1", System: s, Farm: farm, Volume: "DBVOL",
-			Facility: fac, Locks: lm, LockTimeout: 3 * time.Second,
-			PoolFrames: 64, Logger: logger,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.OpenTable(context.Background(), "ACCT", 16); err != nil {
-			t.Fatal(err)
-		}
-		fx.engines[s] = eng
-	}
-	return fx
-}
 
 // TestStreamWALCarriesCommits proves commits flow through the log
 // streams: the table update stream and sync stream both accumulate
-// records, and no legacy log dataset exists.
+// records.
 func TestStreamWALCarriesCommits(t *testing.T) {
-	fx := newStreamFixture(t, "SYS1", "SYS2")
+	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1 := fx.engines["SYS1"]
 	for i := 0; i < 5; i++ {
 		tx := e1.Begin(context.Background())
@@ -83,12 +23,6 @@ func TestStreamWALCarriesCommits(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if e1.log != nil {
-		t.Fatal("legacy WAL allocated despite stream-backed config")
-	}
-	if _, err := fx.farm.Dataset(logDatasetName("DBP1", "SYS1")); err == nil {
-		t.Fatal("legacy log dataset allocated despite stream-backed config")
 	}
 	tblStream, err := e1.logger.Stream(tableStreamName("DBP1", "ACCT"))
 	if err != nil {
@@ -123,7 +57,7 @@ func TestStreamWALCarriesCommits(t *testing.T) {
 // browses the merged streams and redoes the changes under the retained
 // locks.
 func TestStreamPeerRecovery(t *testing.T) {
-	fx := newStreamFixture(t, "SYS1", "SYS2")
+	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
 	tx := e1.Begin(context.Background())
 	tx.Put("ACCT", "gina", []byte("old"))
@@ -176,7 +110,7 @@ func TestStreamPeerRecovery(t *testing.T) {
 // fully-ENDed transactions of the failed system and (b) every record
 // written by surviving systems, which share the same merged streams.
 func TestStreamRecoveryFilters(t *testing.T) {
-	fx := newStreamFixture(t, "SYS1", "SYS2")
+	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
 	// Survivor traffic interleaved on the same streams.
 	tx := e2.Begin(context.Background())

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,6 +14,8 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/dasd"
 	"sysplex/internal/lockmgr"
+	"sysplex/internal/logr"
+	"sysplex/internal/logr/logrtest"
 	"sysplex/internal/vclock"
 	"sysplex/internal/xcf"
 )
@@ -21,6 +24,7 @@ type dbFixture struct {
 	farm    *dasd.Farm
 	fac     *cf.Facility
 	plex    *xcf.Sysplex
+	loggers func(sys string) *logr.Manager
 	locks   map[string]*lockmgr.Manager
 	engines map[string]*Engine
 }
@@ -28,7 +32,7 @@ type dbFixture struct {
 func newDBFixture(t *testing.T, systems ...string) *dbFixture {
 	t.Helper()
 	farm := dasd.NewFarm(vclock.Real())
-	if _, err := farm.AddVolume("DBVOL", 4096, 2); err != nil {
+	if _, err := farm.AddVolume("DBVOL", 8192, 2); err != nil {
 		t.Fatal(err)
 	}
 	pri, _ := farm.Allocate("DBVOL", "XCF.CDS", 128)
@@ -39,7 +43,7 @@ func newDBFixture(t *testing.T, systems ...string) *dbFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &dbFixture{farm: farm, fac: fac, plex: plex,
+	fx := &dbFixture{farm: farm, fac: fac, plex: plex, loggers: logrtest.Loggers(t, fac, farm, "DBVOL"),
 		locks: map[string]*lockmgr.Manager{}, engines: map[string]*Engine{}}
 	for _, s := range systems {
 		sys, err := plex.Join(s)
@@ -54,7 +58,7 @@ func newDBFixture(t *testing.T, systems ...string) *dbFixture {
 		eng, err := Open(context.Background(), Config{
 			Name: "DBP1", System: s, Farm: farm, Volume: "DBVOL",
 			Facility: fac, Locks: lm, LockTimeout: 3 * time.Second,
-			PoolFrames: 64, LogBlocks: 256,
+			PoolFrames: 64, Logger: fx.loggers(s),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,7 +336,7 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 
 	// Simulate SYS1 dying mid-commit: COMMIT record logged but pages
 	// never applied. We write the log records directly, then kill SYS1.
-	err := e1.log.Append(
+	err := e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "gina", Before: []byte("old"), After: []byte("new")},
 		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "hank", After: []byte("born")},
 		&LogRecord{Tx: "SYS1-999999", Kind: recCommit},
@@ -381,9 +385,9 @@ func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
 	// Uncommitted (in-flight) transaction: update logged, no COMMIT.
-	e1.log.Append(&LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
+	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
 	// Fully applied transaction: COMMIT + END.
-	e1.log.Append(
+	e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-888888", Kind: recUpdate, Table: "ACCT", Key: "judy", After: []byte("stale")},
 		&LogRecord{Tx: "SYS1-888888", Kind: recCommit},
 		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
@@ -480,11 +484,12 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	tx := e.Begin(context.Background())
 	tx.Put("ACCT", "kate", []byte("v"))
 	tx.Commit()
-	// Re-open the engine over the same datasets (system re-IPL).
+	// Re-open the engine over the same streams and datasets (system
+	// re-IPL, with a fresh logger instance).
 	lm := fx.locks["SYS1"]
 	e2, err := Open(context.Background(), Config{
 		Name: "DBP1", System: "SYS1", Farm: fx.farm, Volume: "DBVOL",
-		Facility: fx.fac, Locks: lm, PoolFrames: 64, LogBlocks: 256,
+		Facility: fx.fac, Locks: lm, PoolFrames: 64, Logger: fx.loggers("SYS1"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -492,16 +497,60 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	if err := e2.OpenTable(context.Background(), "ACCT", 16); err != nil {
 		t.Fatal(err)
 	}
-	// The new WAL must continue after the old records, not overwrite.
-	if e2.log.nextBlk == 0 {
-		t.Fatal("log position lost on restart")
-	}
 	tx2 := e2.Begin(context.Background())
 	v, ok, err := tx2.Get("ACCT", "kate")
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("v=%q ok=%v err=%v", v, ok, err)
 	}
+	if err := tx2.Put("ACCT", "kate", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
 	tx2.Commit()
+	// The new instance's records must follow the old ones on the
+	// streams, not replace them: COMMIT+END of each transaction, in
+	// order.
+	var txs []string
+	for _, r := range syncRecords(t, e2) {
+		txs = append(txs, r.Tx+"/"+r.Kind)
+	}
+	want := []string{tx.ID() + "/commit", tx.ID() + "/end", tx2.ID() + "/commit", tx2.ID() + "/end"}
+	if fmt.Sprint(txs) != fmt.Sprint(want) {
+		t.Fatalf("sync stream after restart = %v, want %v", txs, want)
+	}
+}
+
+// syncRecords reads the engine's COMMIT/END stream in log order.
+func syncRecords(t *testing.T, e *Engine) []LogRecord {
+	t.Helper()
+	cur, err := e.sync.Browse(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []LogRecord
+	for {
+		srec, ok := cur.Next()
+		if !ok {
+			return out
+		}
+		var r LogRecord
+		if err := json.Unmarshal(srec.Data, &r); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+}
+
+// TestOpenRequiresLogger: the log streams are the only write-ahead
+// log, so a config without a logger is incomplete.
+func TestOpenRequiresLogger(t *testing.T) {
+	fx := newDBFixture(t, "SYS1")
+	_, err := Open(context.Background(), Config{
+		Name: "DBP1", System: "SYS9", Farm: fx.farm, Volume: "DBVOL",
+		Facility: fx.fac, Locks: fx.locks["SYS1"],
+	})
+	if err == nil {
+		t.Fatal("Open without a Logger succeeded")
+	}
 }
 
 func TestPageRoundTripProperty(t *testing.T) {

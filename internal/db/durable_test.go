@@ -10,8 +10,7 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/dasd"
 	"sysplex/internal/lockmgr"
-	"sysplex/internal/logr"
-	"sysplex/internal/timer"
+	"sysplex/internal/logr/logrtest"
 	"sysplex/internal/vclock"
 	"sysplex/internal/xcf"
 )
@@ -46,8 +45,7 @@ func newDurableFixture(t *testing.T, dir string, systems ...string) *dbFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmr := timer.New(clock)
-	fx := &dbFixture{farm: farm, fac: fac, plex: plex,
+	fx := &dbFixture{farm: farm, fac: fac, plex: plex, loggers: logrtest.Loggers(t, fac, farm, "DBVOL"),
 		locks: map[string]*lockmgr.Manager{}, engines: map[string]*Engine{}}
 	for _, s := range systems {
 		sys, err := plex.Join(s)
@@ -59,17 +57,10 @@ func newDurableFixture(t *testing.T, dir string, systems ...string) *dbFixture {
 			t.Fatal(err)
 		}
 		fx.locks[s] = lm
-		logger, err := logr.New(logr.Config{
-			System: s, Front: fac, Farm: farm, Volume: "DBVOL",
-			Timer: tmr, Clock: clock,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		eng, err := Open(context.Background(), Config{
 			Name: "DBP1", System: s, Farm: farm, Volume: "DBVOL",
 			Facility: fac, Locks: lm, LockTimeout: 3 * time.Second,
-			PoolFrames: 64, Logger: logger,
+			PoolFrames: 64, Logger: fx.loggers(s),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -161,48 +152,4 @@ func TestColdRestartReplaysWAL(t *testing.T) {
 		t.Fatalf("after second pass acct-0 = %q ok=%v", v, ok)
 	}
 	tx3.Commit()
-}
-
-// TestLegacyWALSyncsOnDurableFarm: the per-system log dataset forces to
-// stable storage on every append, so a power cut after Append returns
-// cannot lose the records.
-func TestLegacyWALSyncsOnDurableFarm(t *testing.T) {
-	dir := t.TempDir()
-	clock := vclock.Real()
-	farm, err := dasd.OpenFarm(clock, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := farm.AddVolume("DBVOL", 256, 1); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := farm.Allocate("DBVOL", "LOG.TEST.SYS1", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := openWAL("SYS1", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(&LogRecord{Tx: "SYS1-1", Kind: recCommit}); err != nil {
-		t.Fatal(err)
-	}
-	dasd.PowerCutFarm(farm)
-
-	farm2, err := dasd.OpenFarm(clock, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farm2.Close()
-	ds2, err := farm2.Dataset("LOG.TEST.SYS1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := readLogRecords("SYS1", ds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Tx != "SYS1-1" {
-		t.Fatalf("recovered %d records %+v, want the appended COMMIT", len(recs), recs)
-	}
 }

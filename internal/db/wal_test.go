@@ -1,186 +1,74 @@
 package db
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"testing"
-	"testing/quick"
 
 	"sysplex/internal/dasd"
-	"sysplex/internal/vclock"
 )
 
-func newWALFixture(t *testing.T, blocks int) (*wal, *dasd.Dataset) {
-	t.Helper()
-	farm := dasd.NewFarm(vclock.Real())
-	if _, err := farm.AddVolume("V", blocks+8, 1); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := farm.Allocate("V", "LOG", blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := openWAL("SYS1", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, ds
-}
+// The write-ahead log is a set of log streams; these tests pin what the
+// engine relies on from appendLog and streamLogRecords.
 
 func TestWALAppendAndRead(t *testing.T) {
-	w, ds := newWALFixture(t, 16)
-	err := w.Append(
-		&LogRecord{Tx: "T1", Kind: recUpdate, Table: "A", Key: "k", After: []byte("v")},
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
+	err := e1.appendLog(context.Background(),
+		&LogRecord{Tx: "T1", Kind: recUpdate, Table: "ACCT", Key: "k1", After: []byte("v1")},
+		&LogRecord{Tx: "T1", Kind: recUpdate, Table: "ACCT", Key: "k2", After: []byte("v2")},
 		&LogRecord{Tx: "T1", Kind: recCommit},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := readLogRecords("SYS2", ds) // peers can read over shared DASD
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("recs = %v err=%v", recs, err)
+	// Any peer reads the failed system's records off the shared
+	// streams: COMMIT from the sync stream, then the table stream's
+	// updates in the order they were appended.
+	recs, err := e2.streamLogRecords(context.Background(), "SYS1")
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("recs = %+v err=%v", recs, err)
 	}
-	if recs[0].LSN != 0 || recs[1].LSN != 1 {
-		t.Fatalf("LSNs = %d,%d", recs[0].LSN, recs[1].LSN)
-	}
-	if recs[0].Key != "k" || recs[1].Kind != recCommit {
+	if recs[0].Kind != recCommit || recs[1].Key != "k1" || recs[2].Key != "k2" {
 		t.Fatalf("recs = %+v", recs)
+	}
+	for _, r := range recs {
+		if r.Sys != "SYS1" {
+			t.Fatalf("record not stamped with its writer: %+v", r)
+		}
+	}
+	// Records of other systems are not SYS1's log.
+	if recs, err := e2.streamLogRecords(context.Background(), "SYS2"); err != nil || len(recs) != 0 {
+		t.Fatalf("SYS2 recs = %+v err=%v", recs, err)
 	}
 }
 
 func TestWALReopenContinues(t *testing.T) {
-	w, ds := newWALFixture(t, 16)
-	w.Append(&LogRecord{Tx: "T1", Kind: recCommit})
-	w2, err := openWAL("SYS1", ds)
+	fx := newDBFixture(t, "SYS1")
+	e := fx.engines["SYS1"]
+	if err := e.appendLog(context.Background(), &LogRecord{Tx: "T1", Kind: recCommit}); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(context.Background(), Config{
+		Name: "DBP1", System: "SYS1", Farm: fx.farm, Volume: "DBVOL",
+		Facility: fx.fac, Locks: fx.locks["SYS1"], Logger: fx.loggers("SYS1"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2.Append(&LogRecord{Tx: "T2", Kind: recCommit})
-	recs, _ := readLogRecords("SYS1", ds)
-	if len(recs) != 2 || recs[1].LSN != 1 {
+	if err := e2.appendLog(context.Background(), &LogRecord{Tx: "T2", Kind: recCommit}); err != nil {
+		t.Fatal(err)
+	}
+	recs := syncRecords(t, e2)
+	if len(recs) != 2 || recs[0].Tx != "T1" || recs[1].Tx != "T2" {
 		t.Fatalf("recs = %+v", recs)
 	}
 }
 
-func TestWALCompactionDiscardsEndedKeepsLive(t *testing.T) {
-	w, ds := newWALFixture(t, 8)
-	// Fill with: one fully-applied tx (3 records) and one in-flight tx
-	// (2 records), then 3 more applied records to hit the block limit.
-	w.Append(
-		&LogRecord{Tx: "DONE1", Kind: recUpdate, Table: "A", Key: "a", After: []byte("1")},
-		&LogRecord{Tx: "DONE1", Kind: recCommit},
-		&LogRecord{Tx: "DONE1", Kind: recEnd},
-		&LogRecord{Tx: "LIVE", Kind: recUpdate, Table: "A", Key: "b", After: []byte("2")},
-		&LogRecord{Tx: "LIVE", Kind: recCommit},
-		&LogRecord{Tx: "DONE2", Kind: recUpdate, Table: "A", Key: "c", After: []byte("3")},
-		&LogRecord{Tx: "DONE2", Kind: recCommit},
-		&LogRecord{Tx: "DONE2", Kind: recEnd},
-	)
-	// The log is full (8 records, 8 blocks). The next append compacts:
-	// DONE1/DONE2 vanish, LIVE survives.
-	if err := w.Append(&LogRecord{Tx: "NEW", Kind: recUpdate, Table: "A", Key: "d", After: []byte("4")}); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := readLogRecords("SYS1", ds)
-	var txs []string
-	for _, r := range recs {
-		txs = append(txs, r.Tx)
-	}
-	want := []string{"LIVE", "LIVE", "NEW"}
-	if len(txs) != len(want) {
-		t.Fatalf("after compaction: %v", txs)
-	}
-	for i := range want {
-		if txs[i] != want[i] {
-			t.Fatalf("after compaction: %v, want %v", txs, want)
-		}
-	}
-	// LSNs keep increasing across compaction.
-	if recs[2].LSN <= recs[1].LSN {
-		t.Fatalf("LSNs not monotone: %+v", recs)
-	}
-}
-
-func TestWALFullWithAllLiveRecords(t *testing.T) {
-	w, _ := newWALFixture(t, 4)
-	for i := 0; i < 4; i++ {
-		if err := w.Append(&LogRecord{Tx: "LIVE", Kind: recUpdate, Key: fmt.Sprintf("k%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Nothing is ENDed: compaction cannot free space.
-	err := w.Append(&LogRecord{Tx: "LIVE", Kind: recCommit})
-	if !errors.Is(err, ErrLogFull) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestWALOversizeRecordRejected(t *testing.T) {
-	w, _ := newWALFixture(t, 4)
-	err := w.Append(&LogRecord{Tx: "T", Kind: recUpdate, After: make([]byte, dasd.BlockSize)})
+	fx := newDBFixture(t, "SYS1")
+	err := fx.engines["SYS1"].appendLog(context.Background(),
+		&LogRecord{Tx: "T", Kind: recUpdate, Table: "ACCT", After: make([]byte, dasd.BlockSize)})
 	if err == nil {
 		t.Fatal("oversize record accepted")
-	}
-}
-
-// Property: after any interleaving of appends, reading back yields the
-// same records in LSN order, and compaction preserves exactly the
-// records of transactions without an END.
-func TestWALCompactionProperty(t *testing.T) {
-	f := func(plan []uint8) bool {
-		w, ds := newWALFixture(t, 64)
-		type txState struct{ updates int }
-		live := map[string]int{} // tx -> update count (uncommitted/unended)
-		for i, b := range plan {
-			tx := fmt.Sprintf("T%d", b%6)
-			switch b % 3 {
-			case 0:
-				if err := w.Append(&LogRecord{Tx: tx, Kind: recUpdate, Key: fmt.Sprintf("k%d", i)}); err != nil {
-					return false
-				}
-				live[tx]++
-			case 1:
-				if err := w.Append(&LogRecord{Tx: tx, Kind: recCommit}); err != nil {
-					return false
-				}
-				live[tx]++
-			case 2:
-				if err := w.Append(&LogRecord{Tx: tx, Kind: recEnd}); err != nil {
-					return false
-				}
-				delete(live, tx)
-			}
-		}
-		w.mu.Lock()
-		err := w.compactLocked()
-		w.mu.Unlock()
-		if err != nil {
-			return false
-		}
-		recs, err := readLogRecords("SYS1", ds)
-		if err != nil {
-			return false
-		}
-		counts := map[string]int{}
-		prev := int64(-1)
-		for _, r := range recs {
-			if r.LSN <= prev {
-				return false
-			}
-			prev = r.LSN
-			counts[r.Tx]++
-		}
-		if len(counts) != len(live) {
-			return false
-		}
-		for tx, n := range live {
-			if counts[tx] != n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sysplex/internal/dasd"
 	"sysplex/internal/db"
 	"sysplex/internal/lockmgr"
+	"sysplex/internal/logr/logrtest"
 	"sysplex/internal/vclock"
 	"sysplex/internal/xcf"
 )
@@ -35,12 +36,13 @@ type fixture struct {
 func newFixture(t *testing.T, systems ...string) *fixture {
 	t.Helper()
 	farm := dasd.NewFarm(vclock.Real())
-	farm.AddVolume("V", 4096, 2)
+	farm.AddVolume("V", 8192, 2)
 	pri, _ := farm.Allocate("V", "XCF.CDS", 128)
 	store, _ := cds.New("S", vclock.Real(), pri, nil, cds.Options{})
 	plex := xcf.NewSysplex("PLEX1", vclock.Real(), store, farm, xcf.Options{})
 	fac := cf.New("CF01", vclock.Real())
 	ls, _ := fac.AllocateLockStructure("IRLM", 1024)
+	loggers := logrtest.Loggers(t, fac, farm, "V")
 	fx := &fixture{dbs: map[string]*Database{}}
 	for _, s := range systems {
 		sys, err := plex.Join(s)
@@ -53,7 +55,7 @@ func newFixture(t *testing.T, systems ...string) *fixture {
 		}
 		eng, err := db.Open(context.Background(), db.Config{
 			Name: "IMSP1", System: s, Farm: farm, Volume: "V",
-			Facility: fac, Locks: lm, PoolFrames: 64, LogBlocks: 256,
+			Facility: fac, Locks: lm, PoolFrames: 64, Logger: loggers(s),
 			LockTimeout: 3 * time.Second,
 		})
 		if err != nil {

@@ -393,31 +393,31 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 	}
 
 	ls := m.structure()
-	cmds := make([]cf.BatchCmd, 0, 2*len(rels))
+	cmds := make([]cf.Cmd, 0, 2*len(rels))
 	for _, rl := range rels {
-		cmds = append(cmds, cf.BatchLockRelease(ls.HashResource(rl.name), m.sysName, rl.mode))
+		cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockRelease, Idx: ls.HashResource(rl.name), Conn: m.sysName, Mode: rl.mode})
 		if rl.mode == cf.Exclusive {
 			// A stale record is harmless: recovery re-grants and
 			// overwrites — its per-sub error is discarded below, same
 			// as Unlock discards DeleteRecord's.
-			cmds = append(cmds, cf.BatchLockDelRecord(m.sysName, rl.name))
+			cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockDelRecord, Conn: m.sysName, Name: rl.name})
 		}
 	}
 	var firstErr error
 	for start := 0; start < len(cmds); start += cf.MaxBatchOps {
 		chunk := cmds[start:min(start+cf.MaxBatchOps, len(cmds))]
-		errs, err := ls.Batch(ctx, chunk)
+		reply, err := ls.Batch(ctx, chunk)
 		if err != nil {
 			if firstErr == nil && !errors.Is(err, cf.ErrNotConnected) {
 				firstErr = err
 			}
 			continue
 		}
-		for i, serr := range errs {
+		for i, serr := range reply.Errs {
 			if serr == nil || errors.Is(serr, cf.ErrNotConnected) {
 				continue
 			}
-			if chunk[i].Op == cf.BatchOpLockDelRecord {
+			if chunk[i].Kind == cf.CmdLockDelRecord {
 				continue
 			}
 			if firstErr == nil {

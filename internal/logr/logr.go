@@ -1004,15 +1004,15 @@ func (s *Stream) deleteInterim(ctx context.Context, ids []string) error {
 			end = len(ids)
 		}
 		chunk := ids[start:end]
-		cmds := make([]cf.BatchCmd, len(chunk))
+		cmds := make([]cf.Cmd, len(chunk))
 		for i, id := range chunk {
-			cmds[i] = cf.BatchListDelete(m.sys, id, cf.Cond{})
+			cmds[i] = cf.Cmd{Kind: cf.CmdListDelete, Conn: m.sys, Name: id}
 		}
-		errs, err := s.list.Batch(ctx, cmds)
+		reply, err := s.list.Batch(ctx, cmds)
 		if err != nil {
 			return err
 		}
-		for _, serr := range errs {
+		for _, serr := range reply.Errs {
 			if serr != nil && !errors.Is(serr, cf.ErrEntryNotFound) {
 				return serr
 			}

@@ -114,8 +114,6 @@ type Config struct {
 	LockTableEntries int
 	// PoolFrames per system local buffer pool (default 256).
 	PoolFrames int
-	// LogBlocks per system (default 1024).
-	LogBlocks int
 	// LockTimeout for database locks (default 5s).
 	LockTimeout time.Duration
 	// HeartbeatInterval / FailureDetectionInterval drive XCF status
@@ -304,9 +302,6 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 	}
 	if cfg.PoolFrames == 0 {
 		cfg.PoolFrames = 256
-	}
-	if cfg.LogBlocks == 0 {
-		cfg.LogBlocks = 1024
 	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 5 * time.Second
@@ -788,8 +783,7 @@ func (p *Sysplex) AddSystem(ctx context.Context, sc SystemConfig) (*System, erro
 	engine, err := db.Open(ctx, db.Config{
 		Name: p.cfg.DatabaseName, System: sc.Name, Farm: p.farm, Volume: "SYSP01",
 		Facility: front, Locks: locks, Clock: p.clock, Logger: logger,
-		PoolFrames: p.cfg.PoolFrames, LogBlocks: p.cfg.LogBlocks,
-		LockTimeout: p.cfg.LockTimeout,
+		PoolFrames: p.cfg.PoolFrames, LockTimeout: p.cfg.LockTimeout,
 	})
 	if err != nil {
 		return nil, err
