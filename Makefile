@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race check loc demo bench bench-json bench-cf bench-cf-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet lint lint-json test race check loc demo bench bench-json bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
 
 all: check
 
@@ -77,6 +77,14 @@ bench-cf:
 # visible in every CI log.
 bench-cf-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig2_' -benchtime 100x -benchmem -cpu 1,2 .
+
+# The System Logger's mainline write (BenchmarkStreamWrite: before any
+# offload pass, and with 205 entry IDs pending from one) for a few
+# iterations: B/op and allocs/op of a log write — 2.4 of them per OLTP
+# transaction — are in every CI log beside the alloc guard
+# TestWriteAllocsIndependentOfPending.
+bench-logr-smoke:
+	$(GO) test -run '^$$' -bench '^BenchmarkStreamWrite$$' -benchtime 100x -benchmem -cpu 1,2 ./internal/logr
 
 # EXP-BATCH end to end over real unix-socket cflink servers: exercises
 # async dispatch, batch framing, and the bulk-release exploit path in

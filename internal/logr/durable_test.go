@@ -2,6 +2,7 @@ package logr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -52,10 +53,10 @@ var durableSpec = StreamSpec{
 // per offload crash stage: every acknowledged record survives a
 // whole-sysplex cold restart exactly once, whether the crash lands
 // before any offload commit, between the DASD writes and the durable
-// CTL, between the durable CTL and the CF CTL, or after the CF commit
-// but before interim cleanup.
+// CTL, between the durable CTL and the pending set, between the pending
+// set and the CF CTL, or after the CF commit but before interim cleanup.
 func TestColdRestartExactlyOnce(t *testing.T) {
-	for _, stage := range []string{"none", "dasd-written", "durable-ctl", "ctl-updated"} {
+	for _, stage := range []string{"none", "dasd-written", "durable-ctl", "pending-written", "ctl-updated"} {
 		stage := stage
 		t.Run(stage, func(t *testing.T) {
 			ctx := context.Background()
@@ -232,5 +233,41 @@ func TestStagingCompaction(t *testing.T) {
 			t.Fatalf("duplicate %q after compacted restart", r.Data)
 		}
 		seen[string(r.Data)] = true
+	}
+}
+
+// TestOldDurableCTLRefused: a durable CTL slot holding another layout —
+// the JSON image earlier builds wrote — fails the cold restart by name.
+// Skipping it as torn would seed an empty frontier over a populated
+// offload chain and replay staging in front of it.
+func TestOldDurableCTLRefused(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fx := durableFixture(t, dir, "SYSA")
+	s := fx.connect(t, durableSpec)["SYSA"]
+	for i := 0; i < 25; i++ {
+		if _, err := s.Write(ctx, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Offload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.readDurableFrontier()
+	if err != nil || c.Offloaded == 0 {
+		t.Fatalf("durable frontier after a pass: %+v, %v", c, err)
+	}
+	old := fmt.Sprintf(`{"high":%q,"ds":%d,"blk":%d,"n":%d}`, c.HighKey, c.NextDataset, c.NextBlock, c.Offloaded)
+	if err := s.ctlDS.Write("SYSA", int(c.Offloaded%2), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ctlDS.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dasd.PowerCutFarm(fx.farm)
+
+	fx2 := durableFixture(t, dir, "SYSA")
+	if _, err := fx2.mgrs["SYSA"].Connect(ctx, durableSpec); !errors.Is(err, ErrCTLLayout) {
+		t.Fatalf("cold restart over a JSON durable CTL: %v, want ErrCTLLayout", err)
 	}
 }

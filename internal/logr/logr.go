@@ -28,10 +28,13 @@ package logr
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,6 +50,12 @@ var (
 	ErrNoStream     = errors.New("logr: stream not connected")
 	ErrRecordTooBig = errors.New("logr: record exceeds maximum block size")
 	ErrBadSpec      = errors.New("logr: bad stream spec")
+	// ErrCTLLayout reports a CTL image — in the CF or in the durable
+	// shadow — that is not in this build's layout, such as the JSON image
+	// earlier builds wrote. It is never treated as torn: an empty frontier
+	// over a populated offload chain hides the chain from every browse
+	// and lets the next pass overwrite it from block 0.
+	ErrCTLLayout = errors.New("logr: CTL image is not in the current layout")
 )
 
 // MaxRecord bounds one log record's payload so the JSON envelope
@@ -56,7 +65,7 @@ const MaxRecord = 3 * 1024
 // list/lock layout inside the stream's CF structure.
 const (
 	listInterim = 0 // interim storage, keyed by sysplex timestamp
-	listControl = 1 // SPEC + CTL control entries
+	listControl = 1 // SPEC, CTL and PEND control entries
 	lockOffload = 0 // offload / browse serialization lock entry
 )
 
@@ -130,25 +139,56 @@ func (e envelope) record() Record {
 	return Record{Key: e.K, Sys: e.S, Time: time.Unix(0, e.T), Data: e.D}
 }
 
-// ctl is the stream control entry: the offload frontier and the DASD
-// cursor. Updating it is the commit point of an offload.
-type ctl struct {
+// frontier is the content of the stream's CTL control entry: the offload
+// frontier and the DASD cursor. Updating it is the commit point of an
+// offload. Every log write reads it back, so it is a small fixed-width
+// record; what a pass leaves for cleanup lives in the PEND entry.
+type frontier struct {
 	// HighKey is the highest offloaded key; interim entries at or below
 	// it are never browsed from interim (they are either offload
 	// leftovers already on DASD, or stranded writes their writer is
-	// about to retract).
-	HighKey string `json:"high,omitempty"`
+	// about to retract). Empty until the first offload commits.
+	HighKey string
 	// NextDataset / NextBlock locate the next free offload block.
-	NextDataset int `json:"ds"`
-	NextBlock   int `json:"blk"`
+	NextDataset int
+	NextBlock   int
 	// Offloaded counts records moved to DASD over the stream's life.
-	Offloaded int64 `json:"n"`
-	// Pending lists the interim entry IDs the committing offload moved
-	// to DASD but may not have deleted yet. The next pass (or a peer
-	// takeover) reaps exactly these — never any other sub-frontier
-	// entry, which could be a stranded fresh write that was never
-	// offloaded and must survive until its writer retracts it.
-	Pending []string `json:"pend,omitempty"`
+	Offloaded int64
+}
+
+// The CTL image, in the CF entry and in the durable shadow slots alike:
+// layout byte, NextDataset, NextBlock, Offloaded (big-endian uint64
+// each), then the frontier key, all zero while there is no frontier.
+const (
+	frontierLayout = 1
+	frontierSize   = 1 + 3*8 + keyWidth
+)
+
+func (c frontier) encode() []byte {
+	raw := make([]byte, frontierSize)
+	raw[0] = frontierLayout
+	binary.BigEndian.PutUint64(raw[1:], uint64(c.NextDataset))
+	binary.BigEndian.PutUint64(raw[9:], uint64(c.NextBlock))
+	binary.BigEndian.PutUint64(raw[17:], uint64(c.Offloaded))
+	copy(raw[25:], c.HighKey)
+	return raw
+}
+
+// decodeFrontier reads a CTL image; bytes past frontierSize (DASD block
+// padding) are ignored.
+func decodeFrontier(raw []byte) (frontier, error) {
+	if len(raw) < frontierSize || raw[0] != frontierLayout {
+		return frontier{}, fmt.Errorf("%w: %d bytes starting %q", ErrCTLLayout, len(raw), raw[:min(len(raw), 8)])
+	}
+	c := frontier{
+		NextDataset: int(binary.BigEndian.Uint64(raw[1:])),
+		NextBlock:   int(binary.BigEndian.Uint64(raw[9:])),
+		Offloaded:   int64(binary.BigEndian.Uint64(raw[17:])),
+	}
+	if raw[25] != 0 {
+		c.HighKey = string(raw[25:frontierSize])
+	}
+	return c, nil
 }
 
 // Config wires a per-system log manager to its substrates.
@@ -265,7 +305,16 @@ func (m *Manager) Connect(ctx context.Context, spec StreamSpec) (*Stream, error)
 	if err := json.Unmarshal(e.Data, &spec); err != nil {
 		return nil, fmt.Errorf("logr: corrupt SPEC for %s: %v", spec.Name, err)
 	}
-	s := &Stream{mgr: m, spec: spec, list: ls}
+	s := &Stream{
+		mgr: m, spec: spec, list: ls,
+		writes:         m.reg.Counter("logr.write.count"),
+		writeLatency:   m.reg.Histogram("logr.write.latency"),
+		interimEntries: m.reg.Gauge("logr.interim.entries"),
+		stagingAppends: m.reg.Counter("logr.staging.appends"),
+	}
+	if _, err := s.readFrontier(ctx); err != nil {
+		return nil, err // a CTL this build cannot read: refuse the stream
+	}
 	if m.farm.Durable() {
 		if err := s.setupDurable(ctx); err != nil {
 			return nil, err
@@ -358,6 +407,14 @@ type Stream struct {
 	spec StreamSpec
 	list cf.List
 
+	// Handles of the per-write metrics, resolved once at Connect: the
+	// registry is shared by every member's logger, and a lookup by name
+	// takes its mutex.
+	writes         *metrics.Counter
+	writeLatency   *metrics.Histogram
+	interimEntries *metrics.Gauge
+	stagingAppends *metrics.Counter
+
 	// Durable-farm artifacts (nil on an in-memory farm). CF interim
 	// storage is volatile across a whole-sysplex crash, so on durable
 	// farms every acknowledged write is also appended to one of this
@@ -390,10 +447,16 @@ type Stream struct {
 
 	// testCrash, when set by tests, simulates the writer dying inside
 	// offload at the named stage ("dasd-written" = blocks on DASD, CTL
-	// not yet updated; "ctl-updated" = CTL updated, interim not yet
-	// cleaned). Returning true abandons the offload with the lock held,
-	// exactly as a crashed system would.
+	// not yet updated; "pending-written" = pending set replaced, CTL not
+	// yet updated; "ctl-updated" = CTL updated, interim not yet cleaned).
+	// Returning true abandons the offload with the lock held, exactly as
+	// a crashed system would.
 	testCrash func(stage string) bool
+
+	// testStamped, when set by tests, runs in Write between stamping a
+	// record and storing it in interim — the window in which a peer's
+	// offload can slide the frontier past the new key.
+	testStamped func(key string)
 }
 
 // Name returns the stream name.
@@ -408,10 +471,22 @@ func (s *Stream) InterimLen() int { return s.list.Len(listInterim) }
 func (s *Stream) highMark() int { return s.spec.InterimEntries * s.spec.HighOffloadPct / 100 }
 func (s *Stream) lowMark() int  { return s.spec.InterimEntries * s.spec.LowOffloadPct / 100 }
 
+// A stream key is keyWidth decimal digits: those of the largest int64
+// nanosecond stamp, and one spare.
+const (
+	keyZeros = "00000000000000000000"
+	keyWidth = len(keyZeros)
+)
+
 // keyFor renders a sysplex timestamp as a fixed-width, lexically
 // ordered stream key. Timer stamps are strictly increasing across
 // systems, so keys are unique and lexical order is time order.
-func keyFor(t time.Time) string { return fmt.Sprintf("%020d", t.UnixNano()) }
+func keyFor(t time.Time) string {
+	b := make([]byte, 0, 2*keyWidth)
+	b = append(b, keyZeros...)
+	b = strconv.AppendInt(b, t.UnixNano(), 10)
+	return string(b[len(b)-keyWidth:])
+}
 
 // Write appends one record to the merged stream and returns its
 // position. The entry lands in CF interim storage conditionally on the
@@ -437,6 +512,9 @@ func (s *Stream) Write(ctx context.Context, data []byte) (Record, error) {
 			s.passMu.RUnlock()
 			return Record{}, err
 		}
+		if s.testStamped != nil {
+			s.testStamped(key)
+		}
 		err = s.list.Write(ctx, m.sys, listInterim, key, key, env, cf.Keyed, cond)
 		s.passMu.RUnlock()
 		switch {
@@ -450,7 +528,7 @@ func (s *Stream) Write(ctx context.Context, data []byte) (Record, error) {
 			// detached context: a caller cancellation must not strand the
 			// committed entry half-acknowledged.
 			dctx := vclock.Detach(ctx)
-			c, cerr := s.readCTL(dctx)
+			c, cerr := s.readFrontier(dctx)
 			if cerr != nil {
 				return Record{}, cerr
 			}
@@ -486,10 +564,10 @@ func (s *Stream) finishWrite(ctx context.Context, start time.Time, key string, s
 			return Record{}, err
 		}
 	}
-	m.reg.Counter("logr.write.count").Inc()
-	m.reg.Histogram("logr.write.latency").Observe(m.clock.Since(start))
+	s.writes.Inc()
+	s.writeLatency.Observe(m.clock.Since(start))
 	occ := s.list.Len(listInterim)
-	m.reg.Gauge("logr.interim.entries").Set(int64(occ))
+	s.interimEntries.Set(int64(occ))
 	if occ >= s.highMark() {
 		// Threshold-driven offload; ErrLockHeld means a peer is already
 		// draining, which serves this writer equally well.
@@ -528,27 +606,52 @@ func (s *Stream) retractEntry(ctx context.Context, key string) bool {
 	}
 }
 
-func (s *Stream) readCTL(ctx context.Context) (ctl, error) {
+// readFrontier reads the CTL entry; a stream no offload has committed on
+// has none and reads as the zero frontier.
+func (s *Stream) readFrontier(ctx context.Context) (frontier, error) {
 	e, err := s.list.Read(ctx, s.mgr.sys, "CTL", cf.Cond{})
 	if errors.Is(err, cf.ErrEntryNotFound) {
-		return ctl{}, nil
+		return frontier{}, nil
 	}
 	if err != nil {
-		return ctl{}, err
+		return frontier{}, err
 	}
-	var c ctl
-	if err := json.Unmarshal(e.Data, &c); err != nil {
-		return ctl{}, fmt.Errorf("logr: corrupt CTL for %s: %v", s.spec.Name, err)
+	c, err := decodeFrontier(e.Data)
+	if err != nil {
+		return frontier{}, fmt.Errorf("logr: CTL of %s: %w", s.spec.Name, err)
 	}
 	return c, nil
 }
 
-func (s *Stream) writeCTL(ctx context.Context, c ctl) error {
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return err
+func (s *Stream) writeFrontier(ctx context.Context, c frontier) error {
+	return s.list.Write(ctx, s.mgr.sys, listControl, "CTL", "CTL", c.encode(), cf.FIFO, cf.Cond{})
+}
+
+// readPending returns the PEND control entry as a set: the IDs of the
+// interim entries the last offload pass moved to DASD and may not have
+// deleted yet. A pass writes it before it commits in CTL, so the set can
+// be one pass ahead of the frontier; its IDs are then all above the
+// frontier, where nothing is ever reaped.
+func (s *Stream) readPending(ctx context.Context) (map[string]bool, error) {
+	e, err := s.list.Read(ctx, s.mgr.sys, "PEND", cf.Cond{})
+	if errors.Is(err, cf.ErrEntryNotFound) {
+		return nil, nil
 	}
-	return s.list.Write(ctx, s.mgr.sys, listControl, "CTL", "CTL", raw, cf.FIFO, cf.Cond{})
+	if err != nil {
+		return nil, err
+	}
+	ids := strings.Split(string(e.Data), "\n")
+	pending := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		pending[id] = true
+	}
+	return pending, nil
+}
+
+// writePending records ids (interim entry IDs are stream keys, so a
+// newline separates them safely).
+func (s *Stream) writePending(ctx context.Context, ids []string) error {
+	return s.list.Write(ctx, s.mgr.sys, listControl, "PEND", "PEND", []byte(strings.Join(ids, "\n")), cf.FIFO, cf.Cond{})
 }
 
 // setupDurable attaches the stream's durable artifacts on a file-backed
@@ -624,7 +727,7 @@ func (s *Stream) appendStaging(env []byte) error {
 	if err := ds.Write(m.sys, blk, env); err != nil {
 		return err
 	}
-	m.reg.Counter("logr.staging.appends").Inc()
+	s.stagingAppends.Inc()
 	// Concurrent appenders coalesce in the file backend's group commit:
 	// one leader fsync covers the whole batch.
 	return ds.Sync()
@@ -639,7 +742,7 @@ func (s *Stream) appendStaging(env []byte) error {
 // next compaction dedupe away.
 func (s *Stream) compactStagingLocked() error {
 	m := s.mgr
-	c, err := s.readDurableCTL()
+	c, err := s.readDurableFrontier()
 	if err != nil {
 		return err
 	}
@@ -699,46 +802,32 @@ func (s *Stream) compactStagingLocked() error {
 	return nil
 }
 
-// readDurableCTL returns the newest decodable durable CTL slot. A torn
-// or empty slot is skipped — the other holds the last good frontier.
-func (s *Stream) readDurableCTL() (ctl, error) {
-	var best ctl
-	found := false
+// readDurableFrontier returns the newest durable CTL slot. A torn slot or
+// one never written is skipped — the other holds the last good frontier.
+func (s *Stream) readDurableFrontier() (frontier, error) {
+	var best frontier
 	for b := 0; b < 2; b++ {
 		raw, err := s.ctlDS.Read(s.mgr.sys, b)
+		if err != nil || len(raw) == 0 || raw[0] == 0 {
+			continue
+		}
+		c, err := decodeFrontier(raw)
 		if err != nil {
-			continue
+			return frontier{}, fmt.Errorf("logr: durable CTL slot %d of %s: %w", b, s.spec.Name, err)
 		}
-		end := len(raw)
-		for end > 0 && raw[end-1] == 0 {
-			end--
-		}
-		if end == 0 {
-			continue
-		}
-		var c ctl
-		if json.Unmarshal(raw[:end], &c) != nil {
-			continue
-		}
-		if !found || c.Offloaded > best.Offloaded {
-			best, found = c, true
+		if c.Offloaded > best.Offloaded {
+			best = c
 		}
 	}
 	return best, nil
 }
 
-// writeDurableCTL persists the offload frontier before the CF commit
-// point, alternating between two slots versioned by the monotonic
+// writeDurableFrontier persists the offload frontier before the CF
+// commit point, alternating between two slots versioned by the monotonic
 // Offloaded count, so a torn CTL write can never destroy the last good
-// frontier. Pending is dropped: it only names interim entry IDs, which
-// do not survive a cold start (interim is rebuilt from staging).
-func (s *Stream) writeDurableCTL(c ctl) error {
-	c.Pending = nil
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	if err := s.ctlDS.Write(s.mgr.sys, int(c.Offloaded%2), raw); err != nil {
+// frontier.
+func (s *Stream) writeDurableFrontier(c frontier) error {
+	if err := s.ctlDS.Write(s.mgr.sys, int(c.Offloaded%2), c.encode()); err != nil {
 		return err
 	}
 	return s.ctlDS.Sync()
@@ -759,21 +848,20 @@ func (s *Stream) recoverCold(ctx context.Context) error {
 		return err
 	}
 	defer func() { _ = s.list.ReleaseLock(vclock.Detach(ctx), lockOffload, m.sys) }()
-	if _, err := s.list.Read(ctx, m.sys, "CTL", cf.Cond{}); err == nil {
-		return nil // CF state survived, or a peer already recovered
-	} else if !errors.Is(err, cf.ErrEntryNotFound) {
+	if c, err := s.readFrontier(ctx); err != nil {
 		return err
+	} else if c != (frontier{}) {
+		return nil // CF state survived, or a peer already recovered
 	}
-	c, err := s.readDurableCTL()
+	c, err := s.readDurableFrontier()
 	if err != nil {
 		return err
 	}
-	seeded := false
-	if c.HighKey != "" || c.NextDataset > 0 || c.NextBlock > 0 || c.Offloaded > 0 {
-		if err := s.writeCTL(ctx, c); err != nil {
+	seeded := c != (frontier{})
+	if seeded {
+		if err := s.writeFrontier(ctx, c); err != nil {
 			return err
 		}
-		seeded = true
 	}
 	seen := make(map[string]bool)
 	for _, e := range s.list.Entries(listInterim) {
@@ -853,7 +941,8 @@ func (s *Stream) Offload(ctx context.Context) (int, error) { return s.offloadOnc
 //  1. write the drained records to DASD at the CTL cursor — blocks
 //     beyond the cursor are garbage until committed, so a crashed
 //     half-write is simply overwritten by the next attempt;
-//  2. update CTL (frontier + cursor) — the commit point;
+//  2. replace the pending set with this pass's entry IDs, then update
+//     CTL (frontier + cursor) — the commit point;
 //  3. delete the offloaded entries from interim — leftovers below the
 //     frontier are invisible to browse and reaped by the next pass.
 //
@@ -882,19 +971,20 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		}
 	}()
 	start := m.clock.Now()
-	c, err := s.readCTL(ctx)
+	c, err := s.readFrontier(ctx)
 	if err != nil {
 		return 0, err
 	}
 	entries := s.list.Entries(listInterim) // keyed order == time order
 	// Phase 0 (recovery): reap leftovers a crashed predecessor moved to
-	// DASD but did not delete — exactly the CTL's pending set. Other
-	// sub-frontier entries are stranded fresh writes (stamped before,
-	// written after, a completed offload); their writer is mid-retract
-	// and they must be neither browsed, re-offloaded, nor deleted here.
-	pending := make(map[string]bool, len(c.Pending))
-	for _, id := range c.Pending {
-		pending[id] = true
+	// DASD but did not delete — exactly the pending set, below the
+	// frontier. Other sub-frontier entries are stranded fresh writes
+	// (stamped before, written after, a completed offload); their writer
+	// is mid-retract and they must be neither browsed, re-offloaded, nor
+	// deleted here.
+	pending, err := s.readPending(ctx)
+	if err != nil {
+		return 0, err
 	}
 	var reap []string
 	live := entries[:0]
@@ -952,9 +1042,9 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 	// Phase 2: commit point.
 	cur.HighKey = toMove[len(toMove)-1].Key
 	cur.Offloaded = c.Offloaded + int64(n)
-	cur.Pending = make([]string, n)
+	moved := make([]string, n)
 	for i, e := range toMove {
-		cur.Pending[i] = e.ID
+		moved[i] = e.ID
 	}
 	if s.ctlDS != nil {
 		// The durable frontier shadow leads the CF commit: after a
@@ -963,7 +1053,7 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		// of staging. If the crash lands before the CF CTL write below,
 		// a live peer simply redoes the pass — it re-writes the same
 		// records to the same blocks, so the shadow stays consistent.
-		if err := s.writeDurableCTL(cur); err != nil {
+		if err := s.writeDurableFrontier(cur); err != nil {
 			return 0, err
 		}
 		if s.testCrash != nil && s.testCrash("durable-ctl") {
@@ -971,7 +1061,18 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 			return 0, errors.New("logr: simulated crash after durable CTL, before CF CTL")
 		}
 	}
-	if err := s.writeCTL(ctx, cur); err != nil {
+	// The pending set goes in before the commit. Phase 0 and takeover
+	// reap a pending ID only at or below the committed frontier, and
+	// these are all above it until CTL lands: a crash in between reaps
+	// nothing, and the pass that redoes the work overwrites the set.
+	if err := s.writePending(ctx, moved); err != nil {
+		return 0, err
+	}
+	if s.testCrash != nil && s.testCrash("pending-written") {
+		crashed = true
+		return 0, errors.New("logr: simulated crash after pending set, before CF CTL")
+	}
+	if err := s.writeFrontier(ctx, cur); err != nil {
 		return 0, err
 	}
 	if s.testCrash != nil && s.testCrash("ctl-updated") {
@@ -979,14 +1080,14 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		return 0, errors.New("logr: simulated crash before interim cleanup")
 	}
 	// Phase 3: cleanup — one CF batch instead of a delete per record.
-	if err := s.deleteInterim(ctx, cur.Pending); err != nil {
+	if err := s.deleteInterim(ctx, moved); err != nil {
 		return 0, err
 	}
 	m.reg.Counter("logr.offload.count").Inc()
 	m.reg.Counter("logr.offload.records").Add(int64(n))
 	m.reg.Counter("logr.offload.bytes").Add(bytes)
 	m.reg.Histogram("logr.offload.duration").Observe(m.clock.Since(start))
-	m.reg.Gauge("logr.interim.entries").Set(int64(s.list.Len(listInterim)))
+	s.interimEntries.Set(int64(s.list.Len(listInterim)))
 	return n, nil
 }
 
@@ -1036,13 +1137,13 @@ func (s *Stream) recoverOffload(ctx context.Context, failedSys string) (bool, er
 	// Retained on failure; FailConnector or a rebuild from the broken
 	// CF clears the stale holder.
 	defer func() { _ = s.list.ReleaseLock(vclock.Detach(ctx), lockOffload, m.sys) }()
-	c, err := s.readCTL(ctx)
+	c, err := s.readFrontier(ctx)
 	if err != nil {
 		return false, err
 	}
-	pending := make(map[string]bool, len(c.Pending))
-	for _, id := range c.Pending {
-		pending[id] = true
+	pending, err := s.readPending(ctx)
+	if err != nil {
+		return false, err
 	}
 	did := false
 	for _, e := range s.list.Entries(listInterim) {
@@ -1071,7 +1172,7 @@ func (s *Stream) recoverOffload(ctx context.Context, failedSys string) (bool, er
 // immutable, so they are read lock-free afterwards.
 func (s *Stream) Browse(ctx context.Context) (*Cursor, error) {
 	m := s.mgr
-	var c ctl
+	var c frontier
 	var interim []cf.ListEntry
 	for {
 		if err := vclock.Check(ctx, m.clock); err != nil {
@@ -1087,7 +1188,7 @@ func (s *Stream) Browse(ctx context.Context) (*Cursor, error) {
 			return nil, err
 		}
 		var err error
-		c, err = s.readCTL(ctx)
+		c, err = s.readFrontier(ctx)
 		if err == nil {
 			interim = s.list.Entries(listInterim)
 		}
@@ -1164,7 +1265,7 @@ type Stats struct {
 
 // Stats snapshots the stream.
 func (s *Stream) Stats(ctx context.Context) (Stats, error) {
-	c, err := s.readCTL(ctx)
+	c, err := s.readFrontier(ctx)
 	if err != nil {
 		return Stats{}, err
 	}

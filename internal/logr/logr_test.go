@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ type fixture struct {
 	mgrs  map[string]*Manager
 }
 
-func newFixture(t *testing.T, mode cfrm.Mode, systems ...string) *fixture {
+func newFixture(t testing.TB, mode cfrm.Mode, systems ...string) *fixture {
 	t.Helper()
 	clock := vclock.Real()
 	cfres, err := cfrm.New(cfrm.Policy{Mode: mode}, clock)
@@ -169,7 +170,7 @@ func TestOffloadChainsAcrossDatasets(t *testing.T) {
 		}
 		want[p] = true
 	}
-	c, err := s.readCTL(context.Background())
+	c, err := s.readFrontier(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +253,13 @@ func TestCFFailoverNoLoss(t *testing.T) {
 	assertExactlyOnce(t, streams["SYS1"], want)
 }
 
-// TestPeerTakeoverMidOffload kills the writer at both crash points of
+// TestPeerTakeoverMidOffload kills the writer at each crash point of
 // the offload protocol and has a survivor complete the offload; no
-// record may be lost or duplicated either way. (The dead system's
+// record may be lost or duplicated at any of them. (The dead system's
 // offload lock is cleared by CF connector-failure processing, exactly
 // as the sysplex does it.)
 func TestPeerTakeoverMidOffload(t *testing.T) {
-	for _, stage := range []string{"dasd-written", "ctl-updated"} {
+	for _, stage := range []string{"dasd-written", "pending-written", "ctl-updated"} {
 		t.Run(stage, func(t *testing.T) {
 			fx := newFixture(t, cfrm.ModeDuplexed, "SYS1", "SYS2")
 			streams := fx.connect(t, StreamSpec{Name: "TAKE", InterimEntries: 32, OffloadBlocks: 16})
@@ -457,4 +458,196 @@ func TestBrowseSnapshotStableUnderConcurrentOffload(t *testing.T) {
 	}
 	<-done
 	assertExactlyOnce(t, streams["SYS2"], want)
+}
+
+// TestStrandedWriteRetractsAndRestamps drives the race the post-write
+// frontier check exists for: a record stamped before, and stored after,
+// a peer's committed offload pass lands below the frontier, where no
+// browse would ever show it. The writer must take it back, re-stamp it
+// above the frontier and acknowledge it once.
+func TestStrandedWriteRetractsAndRestamps(t *testing.T) {
+	ctx := context.Background()
+	fx := newFixture(t, cfrm.ModeDuplexed, "SYS1", "SYS2")
+	streams := fx.connect(t, StreamSpec{Name: "STRAND", InterimEntries: 32, OffloadBlocks: 16})
+	w, peer := streams["SYS1"], streams["SYS2"]
+	want := map[string]bool{}
+	write := func(s *Stream, p string) Record {
+		t.Helper()
+		r, err := s.Write(ctx, []byte(p))
+		if err != nil {
+			t.Fatalf("write %s: %v", p, err)
+		}
+		want[p] = true
+		return r
+	}
+	for i := 0; i < 5; i++ {
+		write(w, fmt.Sprintf("pre%02d", i))
+	}
+	var stamped []string
+	w.testStamped = func(key string) {
+		stamped = append(stamped, key)
+		if len(stamped) > 1 {
+			return
+		}
+		// Between the writer's stamp and its interim write the peer logs
+		// newer records and commits a pass that offloads some of them:
+		// the frontier is now above the writer's stamp.
+		for i := 0; i < 20; i++ {
+			write(peer, fmt.Sprintf("peer%02d", i))
+		}
+		if n, err := peer.Offload(ctx); err != nil || n == 0 {
+			t.Fatalf("peer offload moved %d records: %v", n, err)
+		}
+	}
+	rec := write(w, "stranded")
+	w.testStamped = nil
+
+	c, err := w.readFrontier(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stamped) != 2 {
+		t.Fatalf("record stamped %d times, want 2 (one retract, one re-stamp): %v", len(stamped), stamped)
+	}
+	if stamped[0] > c.HighKey {
+		t.Fatalf("first stamp %s is above the frontier %s: the race was not set up", stamped[0], c.HighKey)
+	}
+	if rec.Key != stamped[1] || rec.Key <= c.HighKey {
+		t.Fatalf("acknowledged key %s, want the re-stamp %s above the frontier %s", rec.Key, stamped[1], c.HighKey)
+	}
+	if _, err := w.list.Read(ctx, "SYS1", stamped[0], cf.Cond{}); !errors.Is(err, cf.ErrEntryNotFound) {
+		t.Fatalf("stranded entry %s not retracted: %v", stamped[0], err)
+	}
+	if got := fx.mgrs["SYS1"].Metrics().Counter("logr.write.count").Value(); got != 6 {
+		t.Fatalf("SYS1 acknowledged %d writes, want 6", got)
+	}
+	assertExactlyOnce(t, w, want)
+	assertExactlyOnce(t, peer, want)
+}
+
+// TestOldCTLImageRefused: a CTL entry in another layout — the JSON image
+// earlier builds wrote — fails the connect and the write's frontier
+// check by name. Reading it as "no frontier yet" would put new records
+// in front of an offload chain nobody browses any more.
+func TestOldCTLImageRefused(t *testing.T) {
+	ctx := context.Background()
+	fx := newFixture(t, cfrm.ModeDuplexed, "SYS1", "SYS2")
+	s, err := fx.mgrs["SYS1"].Connect(ctx, StreamSpec{Name: "OLD"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`{"high":"01700000000000000000","ds":0,"blk":5,"n":5,"pend":["01700000000000000000"]}`)
+	if err := s.list.Write(ctx, "SYS1", listControl, "CTL", "CTL", old, cf.FIFO, cf.Cond{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.mgrs["SYS2"].Connect(ctx, StreamSpec{Name: "OLD"}); !errors.Is(err, ErrCTLLayout) {
+		t.Fatalf("connect over a JSON CTL: %v, want ErrCTLLayout", err)
+	}
+	if _, err := s.Write(ctx, []byte("x")); !errors.Is(err, ErrCTLLayout) {
+		t.Fatalf("write over a JSON CTL: %v, want ErrCTLLayout", err)
+	}
+	good := frontier{HighKey: keyFor(time.Unix(1700000000, 0)), NextDataset: 3, NextBlock: 7, Offloaded: 1543}
+	if got, err := decodeFrontier(good.encode()); err != nil || got != good {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	next := good.encode()
+	next[0]++
+	if _, err := decodeFrontier(next); !errors.Is(err, ErrCTLLayout) {
+		t.Fatalf("layout byte %d accepted: %v", next[0], err)
+	}
+}
+
+// pendingStream connects a default-spec stream on SYS1 and runs one
+// offload pass of exactly n records on it, which leaves their n entry
+// IDs in the pending set; n = 0 leaves the stream as connected, with no
+// pass committed and no CTL entry. 205 is the size of a threshold pass
+// (512 entries, 70% down to 30%). At least 150 further writes fit below
+// the next pass either way.
+func pendingStream(tb testing.TB, fx *fixture, name string, n int) *Stream {
+	tb.Helper()
+	ctx := context.Background()
+	s, err := fx.mgrs["SYS1"].Connect(ctx, StreamSpec{Name: name})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n == 0 {
+		return s
+	}
+	for i := 0; i < s.lowMark()+n; i++ {
+		if _, err := s.Write(ctx, writePayload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// A no-op when the last write crossed the high mark and ran the pass.
+	if _, err := s.Offload(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if ids, err := s.readPending(ctx); err != nil || len(ids) != n {
+		tb.Fatalf("pending set has %d IDs (%v), want %d", len(ids), err, n)
+	}
+	return s
+}
+
+// writePayload is the size of a db update record, near enough.
+var writePayload = make([]byte, 64)
+
+// TestWriteAllocsIndependentOfPending guards the mainline write against
+// reading the offload pass's leftovers again: what a write allocates may
+// not depend on how many IDs the pending set holds, and stays under a
+// fixed ceiling (the write that decoded 205 of them allocated ~19 KB).
+// A stream with no pass committed yet is held to the ceiling only: its
+// frontier read comes back "entry not found", an error the CF allocates.
+func TestWriteAllocsIndependentOfPending(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	ctx := context.Background()
+	fx := newFixture(t, cfrm.ModeDuplexed, "SYS1")
+	const ceiling = 2048
+	allocs := map[int]float64{}
+	for _, pending := range []int{0, 1, 205} {
+		s := pendingStream(t, fx, fmt.Sprintf("ALLOC.%d", pending), pending)
+		write := func() {
+			if _, err := s.Write(ctx, writePayload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[pending] = testing.AllocsPerRun(50, write)
+		const n = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / n
+		t.Logf("%3d pending: %v allocs, %d bytes per write", pending, allocs[pending], bytes)
+		if bytes > ceiling {
+			t.Errorf("%d pending: %d bytes per write, ceiling %d", pending, bytes, ceiling)
+		}
+	}
+	if allocs[1] != allocs[205] {
+		t.Errorf("allocs per write depend on the pending set: %v with 1 ID, %v with 205", allocs[1], allocs[205])
+	}
+}
+
+// BenchmarkStreamWrite is the layer benchmark of the mainline log write
+// on a duplexed in-process CF and memory DASD, before any pass and after
+// one that left 205 IDs pending. Threshold passes that fall inside the
+// loop are part of the cost, as they are of a transaction's.
+func BenchmarkStreamWrite(b *testing.B) {
+	for _, pending := range []int{0, 205} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			ctx := context.Background()
+			fx := newFixture(b, cfrm.ModeDuplexed, "SYS1")
+			s := pendingStream(b, fx, "BENCH", pending)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Write(ctx, writePayload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
