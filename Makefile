@@ -79,12 +79,14 @@ bench-cf-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig2_' -benchtime 100x -benchmem -cpu 1,2 .
 
 # The System Logger's mainline write (BenchmarkStreamWrite: before any
-# offload pass, and with 205 entry IDs pending from one) for a few
-# iterations: B/op and allocs/op of a log write — 2.4 of them per OLTP
-# transaction — are in every CI log beside the alloc guard
-# TestWriteAllocsIndependentOfPending.
+# offload pass, and with 205 entry IDs pending from one) and its offload
+# pass (BenchmarkOffloadPass: 200 records a pass) for a few iterations:
+# B/op and allocs/op of a log write — 2.4 of them per OLTP transaction —
+# and of a pass (B/op over 200 is bytes per offloaded record) are in
+# every CI log beside the alloc guards TestWriteAllocsIndependentOfPending
+# and TestOffloadBytesPerRecord.
 bench-logr-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkStreamWrite$$' -benchtime 100x -benchmem -cpu 1,2 ./internal/logr
+	$(GO) test -run '^$$' -bench '^Benchmark(StreamWrite|OffloadPass)$$' -benchtime 100x -benchmem -cpu 1,2 ./internal/logr
 
 # EXP-BATCH end to end over real unix-socket cflink servers: exercises
 # async dispatch, batch framing, and the bulk-release exploit path in

@@ -121,13 +121,17 @@ func (f *Farm) fsyncObserver() func(time.Duration) {
 // not hold f.mu.
 func (f *Farm) attachVolume(volser string, store Store, pathsPerSystem int) *Volume {
 	v := &Volume{
-		farm:   f,
-		volser: volser,
-		store:  store,
-		nPaths: pathsPerSystem,
-		paths:  make(map[string][]bool),
-		pathIO: make(map[string][]int64),
-		fenced: make(map[string]bool),
+		farm:      f,
+		volser:    volser,
+		store:     store,
+		nPaths:    pathsPerSystem,
+		paths:     make(map[string][]bool),
+		pathIO:    make(map[string][]int64),
+		fenced:    make(map[string]bool),
+		reads:     f.metrics.Counter("dasd.read"),
+		writes:    f.metrics.Counter("dasd.write"),
+		volReads:  f.metrics.Counter("dasd.vol." + volser + ".read"),
+		volWrites: f.metrics.Counter("dasd.vol." + volser + ".write"),
 	}
 	f.mu.Lock()
 	f.volumes[volser] = v
@@ -353,6 +357,11 @@ type Volume struct {
 
 	readLatency  time.Duration
 	writeLatency time.Duration
+
+	// Handles of the per-I/O counters, resolved once at attach: a lookup
+	// by name builds the name and takes the registry's mutex.
+	reads, writes       *metrics.Counter // dasd.read, dasd.write
+	volReads, volWrites *metrics.Counter // dasd.vol.<volser>.read, .write
 }
 
 // Volser returns the volume serial.
@@ -555,8 +564,8 @@ func (v *Volume) Read(sys string, blk int) ([]byte, error) {
 	}
 	out := make([]byte, BlockSize)
 	copy(out, src)
-	v.farm.metrics.Counter("dasd.read").Inc()
-	v.farm.metrics.Counter("dasd.vol." + v.volser + ".read").Inc()
+	v.reads.Inc()
+	v.volReads.Inc()
 	if lat > 0 {
 		v.farm.clock.Sleep(lat)
 	}
@@ -588,8 +597,8 @@ func (v *Volume) Write(sys string, blk int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	v.farm.metrics.Counter("dasd.write").Inc()
-	v.farm.metrics.Counter("dasd.vol." + v.volser + ".write").Inc()
+	v.writes.Inc()
+	v.volWrites.Inc()
 	if lat > 0 {
 		v.farm.clock.Sleep(lat)
 	}

@@ -140,6 +140,89 @@ func TestColdRestartExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestColdRestartAfterLargerRedo: a pass crashes after its durable
+// frontier (at durable-ctl or pending-written), a peer takes over, more
+// records arrive, and the peer's redo pass — moving more records from the
+// same cursor, so its last block holds records the durable frontier does
+// not name — completes or itself crashes after its DASD writes. Every
+// acknowledged record survives the whole-sysplex cold restart that
+// follows exactly once, and still after a later pass moves the frontier
+// past the records the redo packed: browse takes from the chain only what
+// the frontier names and nothing twice, and staging supplies the rest.
+func TestColdRestartAfterLargerRedo(t *testing.T) {
+	for _, first := range []string{"durable-ctl", "pending-written"} {
+		for _, redo := range []string{"dasd-written", "none"} {
+			t.Run(first+"/"+redo, func(t *testing.T) {
+				ctx := context.Background()
+				dir := t.TempDir()
+				fx := durableFixture(t, dir, "SYSA", "SYSB")
+				streams := fx.connect(t, durableSpec)
+				acked := map[string]bool{}
+				write := func(s *Stream, n int) {
+					t.Helper()
+					for i := 0; i < n; i++ {
+						p := fmt.Sprintf("rec-%02d", len(acked))
+						if _, err := s.Write(ctx, []byte(p)); err != nil {
+							t.Fatalf("write %s: %v", p, err)
+						}
+						acked[p] = true
+					}
+				}
+				// 20 records, below the high mark: the crashed pass moves 11.
+				write(streams["SYSA"], 20)
+				streams["SYSA"].testCrash = func(got string) bool { return got == first }
+				if _, err := streams["SYSA"].Offload(ctx); err == nil {
+					t.Fatalf("offload survived simulated crash at %s", first)
+				}
+				crashed, err := streams["SYSA"].readDurableFrontier()
+				if err != nil || crashed.Offloaded != 11 {
+					t.Fatalf("durable frontier after the crashed pass: %+v, %v", crashed, err)
+				}
+				fx.cfres.Front().FailConnector("SYSA")
+				fx.mgrs["SYSB"].TakeoverFailed(ctx, "SYSA")
+				// Six more: the redo pass moves 17, all in the block the
+				// crashed pass filled with 11.
+				peer := streams["SYSB"]
+				write(peer, 6)
+				peer.testCrash = func(got string) bool { return got == redo }
+				n, err := peer.Offload(ctx)
+				if (redo == "none") != (err == nil) {
+					t.Fatalf("redo pass: moved %d, %v", n, err)
+				}
+				c, err := peer.readDurableFrontier()
+				switch {
+				case err != nil:
+					t.Fatal(err)
+				case redo == "none" && c.Offloaded != 17:
+					t.Fatalf("durable frontier after the redo pass: %+v, want 17 offloaded", c)
+				case redo != "none" && c != crashed:
+					t.Fatalf("durable frontier after the crashed redo: %+v, want %+v", c, crashed)
+				}
+				dasd.PowerCutFarm(fx.farm)
+
+				fx2 := durableFixture(t, dir, "SYSA", "SYSB")
+				streams = fx2.connect(t, durableSpec)
+				for sys, s := range streams {
+					t.Run(sys, func(t *testing.T) { assertExactlyOnce(t, s, acked) })
+				}
+				// Six more, then a pass that takes the frontier past every
+				// record the redo packed: the chain now holds some records
+				// both in that block and in the fresh one this pass starts.
+				write(streams["SYSA"], 6)
+				if _, err := streams["SYSA"].Offload(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if c, err := streams["SYSA"].readFrontier(ctx); err != nil || c.Offloaded != 23 {
+					t.Fatalf("frontier after the post-restart pass: %+v, %v; want 23 offloaded", c, err)
+				}
+				for sys, s := range streams {
+					t.Run(sys+"/after-pass", func(t *testing.T) { assertExactlyOnce(t, s, acked) })
+				}
+			})
+		}
+	}
+}
+
 // TestColdRestartMergesPeerStaging: records staged by a system that
 // never comes back are still recovered by the surviving system.
 func TestColdRestartMergesPeerStaging(t *testing.T) {

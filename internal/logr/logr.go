@@ -56,11 +56,22 @@ var (
 	// over a populated offload chain hides the chain from every browse
 	// and lets the next pass overwrite it from block 0.
 	ErrCTLLayout = errors.New("logr: CTL image is not in the current layout")
+	// ErrBlockLayout reports an offload block not in the packed layout below.
+	ErrBlockLayout = errors.New("logr: offload block is not in the current layout")
 )
 
-// MaxRecord bounds one log record's payload so the JSON envelope
-// always fits a DASD block during offload.
-const MaxRecord = 3 * 1024
+// An offload block: layout byte, big-endian uint16 record count, then each
+// envelope behind its big-endian uint16 length; the rest is zero.
+const (
+	blockLayout = 1
+	blockHeader = 1 + 2
+	envLength   = 2
+	maxEnvelope = dasd.BlockSize - blockHeader - envLength // the largest envelope one block holds
+)
+
+// MaxRecord bounds a payload so its envelope (fields, key, int64 stamp, a
+// system name of up to 8 bytes, base64 payload) fits one offload block.
+const MaxRecord = (maxEnvelope - len(`{"k":"","s":"","t":,"d":""}`) - keyWidth - 8 - 20) / 4 * 3
 
 // list/lock layout inside the stream's CF structure.
 const (
@@ -508,6 +519,9 @@ func (s *Stream) Write(ctx context.Context, data []byte) (Record, error) {
 		stamp := m.timer.Stamp()
 		key := keyFor(stamp)
 		env, err := json.Marshal(envelope{K: key, S: m.sys, T: stamp.UnixNano(), D: data})
+		if err == nil && !fits(nil, env) {
+			err = fmt.Errorf("%w: %d-byte envelope, an offload block holds %d", ErrRecordTooBig, len(env), maxEnvelope)
+		}
 		if err != nil {
 			s.passMu.RUnlock()
 			return Record{}, err
@@ -1008,11 +1022,18 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		return 0, nil
 	}
 	toMove := live[:n]
-	// Phase 1: DASD writes at the uncommitted cursor.
+	// Phase 1: DASD writes at the uncommitted cursor, as many envelopes to a
+	// block as fit, from a fresh block: no committed block is rewritten.
 	cur := c
 	var bytes int64
 	var lastDS *dasd.Dataset
-	for _, e := range toMove {
+	blk := make([]byte, 0, dasd.BlockSize)
+	for i, e := range toMove {
+		blk = packEnvelope(blk, e.Data)
+		bytes += int64(len(e.Data))
+		if i+1 < len(toMove) && fits(blk, toMove[i+1].Data) {
+			continue
+		}
 		if cur.NextBlock >= s.spec.OffloadBlocks {
 			cur.NextDataset++
 			cur.NextBlock = 0
@@ -1021,12 +1042,12 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := ds.Write(m.sys, cur.NextBlock, e.Data); err != nil {
+		if err := ds.Write(m.sys, cur.NextBlock, blk); err != nil {
 			return 0, err
 		}
 		lastDS = ds
 		cur.NextBlock++
-		bytes += int64(len(e.Data))
+		blk = blk[:0]
 	}
 	if s.ctlDS != nil && lastDS != nil {
 		// Durable farm: the offload chain must be on stable storage
@@ -1051,8 +1072,8 @@ func (s *Stream) offloadOnce(ctx context.Context, force bool) (int, error) {
 		// whole-sysplex crash anywhere past this write, recovery reads
 		// these records from the (already synced) offload chain instead
 		// of staging. If the crash lands before the CF CTL write below,
-		// a live peer simply redoes the pass — it re-writes the same
-		// records to the same blocks, so the shadow stays consistent.
+		// a live peer redoes the pass from the same cursor (unpackBlock
+		// says why a larger redo still leaves readers exact).
 		if err := s.writeDurableFrontier(cur); err != nil {
 			return 0, err
 		}
@@ -1220,11 +1241,9 @@ func (s *Stream) Browse(ctx context.Context) (*Cursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			env, err := decodeEnvelope(raw)
-			if err != nil {
-				return nil, fmt.Errorf("logr: %s offload ds %d blk %d: %v", s.spec.Name, d, b, err)
+			if recs, err = unpackBlock(recs, raw, c.HighKey); err != nil {
+				return nil, fmt.Errorf("logr: %s offload ds %d blk %d: %w", s.spec.Name, d, b, err)
 			}
-			recs = append(recs, env.record())
 		}
 	}
 	// Interim portion: everything above the frontier. Entries at or
@@ -1243,6 +1262,47 @@ func (s *Stream) Browse(ctx context.Context) (*Cursor, error) {
 	}
 	m.reg.Counter("logr.browse.count").Inc()
 	return &Cursor{recs: recs}, nil
+}
+
+// fits reports whether env fits offload block image blk (empty: a new one).
+func fits(blk, env []byte) bool {
+	return max(len(blk), blockHeader)+envLength+len(env) <= dasd.BlockSize
+}
+
+// packEnvelope appends env to offload block image blk; an empty blk starts one.
+func packEnvelope(blk, env []byte) []byte {
+	if len(blk) == 0 {
+		blk = append(blk, blockLayout, 0, 0)
+	}
+	binary.BigEndian.PutUint16(blk[1:], binary.BigEndian.Uint16(blk[1:])+1)
+	blk = binary.BigEndian.AppendUint16(blk, uint16(len(env)))
+	return append(blk, env...)
+}
+
+// unpackBlock appends one offload block's records to recs, taking only
+// those above recs' last key and at or below highKey: a redo of a crashed
+// pass may pack records that a durable frontier from before the crash does
+// not name, and after a cold restart the next pass writes them again.
+func unpackBlock(recs []Record, raw []byte, highKey string) ([]Record, error) {
+	if len(raw) < blockHeader || raw[0] != blockLayout {
+		return nil, fmt.Errorf("%w: starts %q", ErrBlockLayout, raw[:min(len(raw), 8)])
+	}
+	n, p := int(binary.BigEndian.Uint16(raw[1:])), raw[blockHeader:]
+	for i := 1; i <= n; i++ {
+		if len(p) < envLength || len(p) < envLength+int(binary.BigEndian.Uint16(p)) {
+			return nil, fmt.Errorf("%w: record %d of %d overruns the block", ErrBlockLayout, i, n)
+		}
+		l := envLength + int(binary.BigEndian.Uint16(p))
+		env, err := decodeEnvelope(p[envLength:l])
+		if err != nil {
+			return nil, err
+		}
+		if env.K <= highKey && (len(recs) == 0 || env.K > recs[len(recs)-1].Key) {
+			recs = append(recs, env.record())
+		}
+		p = p[l:]
+	}
+	return recs, nil
 }
 
 func decodeEnvelope(raw []byte) (envelope, error) {

@@ -1,6 +1,7 @@
 package logr
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -178,6 +179,94 @@ func TestOffloadChainsAcrossDatasets(t *testing.T) {
 		t.Fatalf("offload never chained to a second dataset: %+v", c)
 	}
 	assertExactlyOnce(t, s, want)
+}
+
+// TestMaxRecordOffloads writes records of sizes up to MaxRecord from a
+// system with an eight-character name, across offload passes whose
+// blocks cross dataset boundaries mid-pass, and browses every one back
+// exactly once. A MaxRecord payload's envelope used to outgrow a block:
+// the record was acknowledged from interim storage, and every later pass
+// failed on it. A longer system name is refused before interim storage.
+func TestMaxRecordOffloads(t *testing.T) {
+	ctx := context.Background()
+	fx := newFixture(t, cfrm.ModeSimplex, "SYSNAME8", "SYSTEMNAME12")
+	streams := fx.connect(t, StreamSpec{Name: "BIG", InterimEntries: 40, OffloadBlocks: 8})
+	s, long := streams["SYSNAME8"], streams["SYSTEMNAME12"]
+	want := map[string]bool{}
+	sizes := []int{MaxRecord, 4, MaxRecord / 2, 700, MaxRecord - 1}
+	for i := 0; i < 120; i++ {
+		p := append([]byte(fmt.Sprintf("%04d", i)), bytes.Repeat([]byte{'x'}, sizes[i%len(sizes)]-4)...)
+		if _, err := s.Write(ctx, p); err != nil {
+			t.Fatalf("write %d (%d bytes): %v", i, len(p), err)
+		}
+		want[string(p)] = true
+	}
+	if n := fx.mgrs["SYSNAME8"].Metrics().Counter("logr.offload.count").Value(); n < 3 {
+		t.Fatalf("%d offload passes, want at least 3", n)
+	}
+	if c, err := s.readFrontier(ctx); err != nil || c.NextDataset < 2 {
+		t.Fatalf("frontier %+v (%v): want a chain of three datasets or more", c, err)
+	}
+	assertExactlyOnce(t, s, want)
+
+	before := long.InterimLen()
+	if _, err := long.Write(ctx, make([]byte, MaxRecord)); !errors.Is(err, ErrRecordTooBig) {
+		t.Fatalf("MaxRecord from a twelve-character system name: %v, want ErrRecordTooBig", err)
+	}
+	if long.InterimLen() != before {
+		t.Fatal("a refused record reached interim storage")
+	}
+}
+
+// TestOffloadBlockLayout: the offload block codec round-trips up to a
+// frontier key, and a block in another layout — the one-record JSON
+// blocks earlier builds wrote, or a length that overruns the block —
+// fails Browse by name.
+func TestOffloadBlockLayout(t *testing.T) {
+	ctx := context.Background()
+	var blk []byte
+	var keys []string
+	for i := 0; i < 3; i++ {
+		keys = append(keys, keyFor(time.Unix(1700000000+int64(i), 0)))
+		env := fmt.Sprintf(`{"k":%q,"s":"SYS1","t":%d,"d":"eA=="}`, keys[i], i)
+		blk = packEnvelope(blk, []byte(env))
+	}
+	for upTo := 0; upTo < 3; upTo++ {
+		recs, err := unpackBlock(nil, blk, keys[upTo])
+		if err != nil || len(recs) != upTo+1 || recs[upTo].Key != keys[upTo] || string(recs[0].Data) != "x" {
+			t.Fatalf("unpack up to key %d: %+v, %v", upTo, recs, err)
+		}
+	}
+
+	fx := newFixture(t, cfrm.ModeSimplex, "SYS1")
+	s := fx.connect(t, StreamSpec{Name: "LAYOUT", InterimEntries: 16})["SYS1"]
+	for i := 0; i < 10; i++ {
+		if _, err := s.Write(ctx, []byte(fmt.Sprintf("r%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Offload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := s.offloadDataset(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := ds.Read("SYS1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overrun := append([]byte(nil), good...)
+	overrun[blockHeader], overrun[blockHeader+1] = 0xff, 0xff
+	old := fmt.Sprintf(`{"k":%q,"s":"SYS1","t":1,"d":"eA=="}`, keys[0])
+	for name, raw := range map[string][]byte{"one-record JSON": []byte(old), "overrun": overrun} {
+		if err := ds.Write("SYS1", 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Browse(ctx); !errors.Is(err, ErrBlockLayout) {
+			t.Fatalf("browse over a %s block: %v, want ErrBlockLayout", name, err)
+		}
+	}
 }
 
 func TestSpecRecordedAndAdopted(t *testing.T) {
@@ -649,5 +738,70 @@ func BenchmarkStreamWrite(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// fillForPass writes until interim storage holds n records above the low
+// mark, so a forced pass moves exactly n. n must keep the stream below
+// its high mark, or a threshold pass runs first.
+func fillForPass(tb testing.TB, s *Stream, n int) {
+	tb.Helper()
+	for s.InterimLen() < s.lowMark()+n {
+		if _, err := s.Write(context.Background(), writePayload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestOffloadBytesPerRecord guards what an offload pass allocates per
+// record it moves. Memory DASD allocates a block per block written, so
+// the DASD path's share is the blocks written times BlockSize: at most
+// 512 bytes a record (a block per record was 4096). The whole pass —
+// interim snapshot, DASD, pending set, cleanup batch — stays under
+// 1536 bytes a record (a block per record was over 5000).
+func TestOffloadBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	const perPass, dasdCeiling, passCeiling = 200, 512, 1536
+	fx := newFixture(t, cfrm.ModeDuplexed, "SYS1")
+	s := pendingStream(t, fx, "PASS", 0)
+	blocks := fx.farm.Metrics().Counter("dasd.write")
+	for pass := 0; pass < 3; pass++ {
+		fillForPass(t, s, perPass)
+		var before, after runtime.MemStats
+		b0 := blocks.Value()
+		runtime.ReadMemStats(&before)
+		n, err := s.Offload(context.Background())
+		runtime.ReadMemStats(&after)
+		if err != nil || n != perPass {
+			t.Fatalf("pass %d moved %d records: %v", pass, n, err)
+		}
+		dasdPer := (blocks.Value() - b0) * dasd.BlockSize / perPass
+		passPer := (after.TotalAlloc - before.TotalAlloc) / perPass
+		t.Logf("pass %d: %d DASD bytes, %d bytes in all per offloaded record", pass, dasdPer, passPer)
+		if dasdPer > dasdCeiling || passPer > passCeiling {
+			t.Errorf("pass %d: %d DASD bytes (ceiling %d), %d in all (ceiling %d) per offloaded record",
+				pass, dasdPer, dasdCeiling, passPer, passCeiling)
+		}
+	}
+}
+
+// BenchmarkOffloadPass times one forced offload pass of 200 records on a
+// duplexed in-process CF and memory DASD; the writes that refill interim
+// storage run with the timer stopped. B/op divided by 200 is the pass's
+// bytes per offloaded record.
+func BenchmarkOffloadPass(b *testing.B) {
+	const perPass = 200
+	fx := newFixture(b, cfrm.ModeDuplexed, "SYS1")
+	s := pendingStream(b, fx, "BENCH", 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fillForPass(b, s, perPass)
+		b.StartTimer()
+		if n, err := s.Offload(context.Background()); err != nil || n != perPass {
+			b.Fatalf("pass moved %d records: %v", n, err)
+		}
 	}
 }
