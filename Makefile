@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race check loc demo bench bench-json bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet lint lint-json test race check loc demo bench bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
 
 all: check
 
@@ -55,20 +55,17 @@ loc:
 demo:
 	$(GO) run ./cmd/sysplexdemo
 
+# The five sysplexbench experiments no test, benchmark or example
+# drives: cfscale, transport, batch, rmf and restart (-h lists them).
 bench:
 	$(GO) run ./cmd/sysplexbench -exp all
-
-# Machine-readable benchmark results: one BENCH_<exp>.json per run.
-BENCH_EXP ?= logr
-bench-json:
-	$(GO) run ./cmd/sysplexbench -exp $(BENCH_EXP) -json BENCH_$(BENCH_EXP).json
 
 # CF command-path scaling: the Fig. 2 micro-benchmarks (serial and
 # parallel variants) across core counts, then the goroutine sweep with
 # its machine-readable output.
 bench-cf:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig2_' -count=5 -cpu=1,4,8 .
-	$(GO) run ./cmd/sysplexbench -exp cfscale,ctxpath,transport -json BENCH_cf.json
+	$(GO) run ./cmd/sysplexbench -exp cfscale,transport -json BENCH_cf.json
 
 # One short iteration of the parallel benchmarks so CI catches rot
 # without paying for a full measurement run. -benchmem at one and two

@@ -2,8 +2,8 @@ package sysplex
 
 // Benchmark harness: one benchmark per paper artifact (Figures 1-4) and
 // per derived experiment. Custom metrics carry the quantities the paper
-// reports; cmd/sysplexbench prints the same data as human-readable
-// tables/series.
+// reports; the root tests assert them and examples/ prints them as
+// tables (examples/scalability for Figure 3 and the §4 claims).
 
 import (
 	"context"
@@ -345,11 +345,11 @@ func BenchmarkFig4_FullStackTxParallel(b *testing.B) {
 	}
 	defer p.Stop()
 	registerBankBenchPrograms(p)
-	var ctr int64
+	// Each client starts its keys at its own offset.
+	var ctr atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		i := ctr
-		ctr += 1 << 20
+		i := ctr.Add(1 << 20)
 		for pb.Next() {
 			i++
 			if _, err := p.SubmitViaLogon(context.Background(), "DEPOSIT", []byte(fmt.Sprintf("acct%d", i%512))); err != nil {
