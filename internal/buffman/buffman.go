@@ -95,14 +95,6 @@ func NewPool(ctx context.Context, sys string, cs cf.Cache, n int, read PageReade
 // System returns the owning system name.
 func (p *Pool) System() string { return p.sys }
 
-// structure returns the current cache structure under the lock so a
-// concurrent Rebind is observed atomically.
-func (p *Pool) structure() cf.Cache {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cs
-}
-
 // Stats returns a snapshot of the counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
@@ -152,8 +144,7 @@ func (p *Pool) GetPage(ctx context.Context, name string) ([]byte, error) {
 // refresh re-registers interest and fills the frame from the global
 // cache or DASD.
 func (p *Pool) refresh(ctx context.Context, name string, idx int) ([]byte, error) {
-	cs := p.structure()
-	res, err := cs.ReadAndRegister(ctx, p.sys, name, idx)
+	res, err := p.cs.ReadAndRegister(ctx, p.sys, name, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +158,7 @@ func (p *Pool) refresh(ctx context.Context, name string, idx int) ([]byte, error
 		data, err = p.read(name)
 		if err != nil {
 			// Best-effort: the read error is the one to surface.
-			_ = cs.Unregister(ctx, p.sys, name)
+			_ = p.cs.Unregister(ctx, p.sys, name)
 			return nil, err
 		}
 		p.mu.Lock()
@@ -204,7 +195,7 @@ func (p *Pool) WritePage(ctx context.Context, name string, data []byte) error {
 	p.frames[idx] = frame{name: name, data: append([]byte(nil), data...), lastUse: p.bumpTick(), used: true}
 	p.stats.Writes++
 	p.mu.Unlock()
-	err := p.structure().WriteAndInvalidate(ctx, p.sys, name, data, true, true, idx)
+	err := p.cs.WriteAndInvalidate(ctx, p.sys, name, data, true, true, idx)
 	if err != nil {
 		// The group buffer pool rejected the write: the local frame
 		// must not keep serving data the caller will treat as not
@@ -270,7 +261,6 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 	}
 	p.mu.Unlock()
 
-	cs := p.structure()
 	var firstErr error
 	for start := 0; start < len(names); start += 1 {
 		// Build the next chunk bounded by both op count and bytes.
@@ -288,7 +278,7 @@ func (p *Pool) WritePages(ctx context.Context, pages map[string][]byte) error {
 			bytes += len(data)
 			end++
 		}
-		reply, err := cs.Batch(ctx, cmds)
+		reply, err := p.cs.Batch(ctx, cmds)
 		if err != nil {
 			// Batch-level failure: none of the chunk's writes took
 			// effect; drop every frame the chunk covered.
@@ -338,23 +328,22 @@ func (p *Pool) dropFrames(idxs map[string]int) {
 // CastoutOnce casts out up to max changed pages (all if max <= 0) from
 // the group buffer pool to DASD. Any system may run castout.
 func (p *Pool) CastoutOnce(ctx context.Context, max int) (int, error) {
-	cs := p.structure()
-	names := cs.ChangedBlocks()
+	names := p.cs.ChangedBlocks()
 	n := 0
 	for _, name := range names {
 		if max > 0 && n >= max {
 			break
 		}
-		data, ver, err := cs.CastoutBegin(ctx, p.sys, name)
+		data, ver, err := p.cs.CastoutBegin(ctx, p.sys, name)
 		if err != nil {
 			continue // raced with another castout owner
 		}
 		if err := p.write(name, data); err != nil {
 			// Best-effort: keep the page changed; the write error wins.
-			_ = cs.CastoutEnd(ctx, p.sys, name, ver-1)
+			_ = p.cs.CastoutEnd(ctx, p.sys, name, ver-1)
 			return n, err
 		}
-		if err := cs.CastoutEnd(ctx, p.sys, name, ver); err != nil {
+		if err := p.cs.CastoutEnd(ctx, p.sys, name, ver); err != nil {
 			return n, err
 		}
 		n++
@@ -363,27 +352,6 @@ func (p *Pool) CastoutOnce(ctx context.Context, max int) (int, error) {
 	p.stats.Castouts += int64(n)
 	p.mu.Unlock()
 	return n, nil
-}
-
-// Rebind moves the pool onto a new cache structure (CF structure
-// rebuild). Local frames are discarded — registrations do not exist in
-// the new structure — so subsequent reads re-register and refill from
-// DASD. The caller must cast out all changed pages from the old
-// structure first (planned rebuild), or accept re-reading stale DASD
-// images (unplanned CF loss; see DESIGN.md on CF duplexing).
-func (p *Pool) Rebind(ctx context.Context, cs cf.Cache) error {
-	if err := cs.Connect(ctx, p.sys, p.vec); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.frames {
-		p.frames[i] = frame{}
-	}
-	p.byName = make(map[string]int)
-	p.vec.ClearAll()
-	p.cs = cs
-	return nil
 }
 
 // Invalidate drops the local frame for a page (local cache management;
@@ -396,12 +364,11 @@ func (p *Pool) Invalidate(ctx context.Context, name string) {
 		p.frames[idx] = frame{}
 		p.vec.Clear(idx)
 	}
-	cs := p.cs
 	p.mu.Unlock()
 	if ok {
 		// The local frame is already gone; a failed unregister only
 		// costs a spurious cross-invalidate later.
-		_ = cs.Unregister(ctx, p.sys, name)
+		_ = p.cs.Unregister(ctx, p.sys, name)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/cfrm"
 	"sysplex/internal/vclock"
 )
 
@@ -49,7 +50,6 @@ func (d *fakeDASD) get(name string) []byte {
 }
 
 type bmFixture struct {
-	fac   *cf.Facility
 	cs    cf.Cache
 	dasd  *fakeDASD
 	pools map[string]*Pool
@@ -57,12 +57,17 @@ type bmFixture struct {
 
 func newBMFixture(t *testing.T, frames int, systems ...string) *bmFixture {
 	t.Helper()
-	fac := cf.New("CF01", vclock.Real())
-	cs, err := fac.AllocateCacheStructure("GBP0", 256)
+	return newBMFixtureOn(t, cf.New("CF01", vclock.Real()), frames, systems...)
+}
+
+// newBMFixtureOn allocates the group buffer pool through front.
+func newBMFixtureOn(t *testing.T, front cf.Front, frames int, systems ...string) *bmFixture {
+	t.Helper()
+	cs, err := front.AllocateCacheStructure("GBP0", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &bmFixture{fac: fac, cs: cs, dasd: newFakeDASD(), pools: map[string]*Pool{}}
+	fx := &bmFixture{cs: cs, dasd: newFakeDASD(), pools: map[string]*Pool{}}
 	for _, s := range systems {
 		p, err := NewPool(context.Background(), s, cs, frames, fx.dasd.reader(), fx.dasd.writer())
 		if err != nil {
@@ -299,39 +304,40 @@ func TestCoherentReadsProperty(t *testing.T) {
 	}
 }
 
-func TestRebindStartsCleanOnNewStructure(t *testing.T) {
-	fx := newBMFixture(t, 8, "SYS1", "SYS2")
+func TestRebuildKeepsCrossInvalidation(t *testing.T) {
+	cfres, err := cfrm.New(cfrm.Policy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newBMFixtureOn(t, cfres.Front(), 8, "SYS1", "SYS2")
 	fx.dasd.pages["P"] = []byte("v0")
 	p1, p2 := fx.pools["SYS1"], fx.pools["SYS2"]
 	p1.GetPage(context.Background(), "P")
 	p2.WritePage(context.Background(), "P", []byte("v1"))
-	// Planned rebuild: drain changed pages first, then rebind both.
-	if _, err := p1.CastoutOnce(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	fac2 := cf.New("CF02", vclock.Real())
-	cs2, _ := fac2.AllocateCacheStructure("GBP0", 256)
-	if err := p1.Rebind(context.Background(), cs2); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Rebind(context.Background(), cs2); err != nil {
-		t.Fatal(err)
-	}
-	fx.cs = cs2
-	// Reads refill from DASD (which has the cast-out v1) and coherency
-	// works on the new structure.
 	got, err := p1.GetPage(context.Background(), "P")
 	if err != nil || !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("got %q err=%v", got, err)
 	}
+	// Rebuild the group buffer pool into a fresh facility and retire the
+	// old one; SYS1 keeps its cached copy of P.
+	old := cfres.Primary()
+	if err := cfres.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	old.Fail()
+	got, err = p1.GetPage(context.Background(), "P")
+	if err != nil || !bytes.Equal(got, []byte("v1")) {
+		t.Fatalf("got %q err=%v", got, err)
+	}
+	// SYS2's write on the new structure cross-invalidates that copy.
 	if err := p2.WritePage(context.Background(), "P", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	got, err = p1.GetPage(context.Background(), "P")
 	if err != nil || !bytes.Equal(got, []byte("v2")) {
-		t.Fatalf("coherency broken after rebind: %q err=%v", got, err)
+		t.Fatalf("coherency broken after rebuild: %q err=%v", got, err)
 	}
-	if regs := cs2.Registered("P"); len(regs) != 2 {
+	if regs := cf.CacheOn(cfres.Primary().Structure("GBP0")).Registered("P"); len(regs) != 2 {
 		t.Fatalf("registered = %v", regs)
 	}
 }

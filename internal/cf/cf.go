@@ -72,7 +72,6 @@ type Lock interface {
 	SetRecord(ctx context.Context, conn, resource string, mode LockMode) error
 	DeleteRecord(ctx context.Context, conn, resource string) error
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
-	AdoptRetained(conn string, recs []LockRecord)
 	RetainedConnectors() []string
 	// Batch executes an envelope of lock-model commands in one pipeline
 	// traversal (one link crossing on a transport handle). The reply's

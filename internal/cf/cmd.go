@@ -35,7 +35,6 @@ const (
 	CmdLockSetRecord
 	CmdLockDelRecord
 	CmdLockRecords
-	CmdLockAdoptRetained
 	CmdLockInterest
 	CmdLockRetainedConns
 
@@ -98,10 +97,9 @@ type Cmd struct {
 	Version uint64   // cache castout-end
 	Cond    Cond     // list conditional execution
 
-	Data    []byte       // cache block / list entry payload
-	Vector  *BitVector   // connect: the connector's system-owned vector
-	Records []LockRecord // adopt-retained
-	Sub     []Cmd        // CmdBatch: the envelope's subcommands
+	Data   []byte     // cache block / list entry payload
+	Vector *BitVector // connect: the connector's system-owned vector
+	Sub    []Cmd      // CmdBatch: the envelope's subcommands
 }
 
 // Reply is the result union of the command set. Each kind fills exactly
@@ -147,7 +145,6 @@ const (
 	FFlags // Cache and Changed
 	FData
 	FVector
-	FRecords
 	FSub
 )
 
@@ -225,11 +222,6 @@ var cmdTable = [kindCount]cmdSpec{
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
 			recs, err := s.(*LockStructure).Records(ctx, c.Conn)
 			return Reply{Records: recs}, err
-		}},
-	CmdLockAdoptRetained: {name: "lock.adoptretained", model: LockModel, order: OpGlobal, in: FConn | FRecords,
-		apply: func(_ context.Context, s structure, c Cmd) (Reply, error) {
-			s.(*LockStructure).AdoptRetained(c.Conn, c.Records)
-			return Reply{}, nil
 		}},
 	CmdLockInterest: {name: "lock.interest", model: LockModel, diag: true, in: FIdx | FConn, out: RCounts,
 		apply: func(_ context.Context, s structure, c Cmd) (Reply, error) {

@@ -65,8 +65,8 @@ func (h *handle) do(ctx context.Context, c Cmd) error {
 
 // detached issues a command for a context-free interface method: the
 // diagnostics, which read in-memory state and issue no CF command, and
-// the two bookkeeping commands with no error path (AdoptRetained,
-// Unmonitor), which must complete regardless of any caller's deadline.
+// the one bookkeeping command with no error path (Unmonitor), which
+// must complete regardless of any caller's deadline.
 // This is the one place a command enters Exec without a caller context.
 func (h *handle) detached(c Cmd) (Reply, error) {
 	return h.x.Exec(context.Background(), c)
@@ -130,12 +130,6 @@ func (l *lockHandle) DeleteRecord(ctx context.Context, conn, resource string) er
 func (l *lockHandle) Records(ctx context.Context, conn string) ([]LockRecord, error) {
 	r, err := l.x.Exec(ctx, Cmd{Kind: CmdLockRecords, Conn: conn})
 	return r.Records, err
-}
-
-func (l *lockHandle) AdoptRetained(conn string, recs []LockRecord) {
-	// The command never fails; an error only reflects replica loss,
-	// which the failover machinery already records.
-	_, _ = l.detached(Cmd{Kind: CmdLockAdoptRetained, Conn: conn, Records: recs})
 }
 
 func (l *lockHandle) RetainedConnectors() []string {

@@ -492,30 +492,6 @@ func (s *LockStructure) Records(ctx context.Context, conn string) ([]LockRecord,
 	return out, nil
 }
 
-// AdoptRetained installs another structure's retained records for a
-// failed connector during a structure rebuild, so recovery protection
-// survives the move to a new coupling facility.
-func (s *LockStructure) AdoptRetained(conn string, recs []LockRecord) {
-	if len(recs) == 0 {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	m := s.records[conn]
-	if m == nil {
-		m = make(map[string]LockRecord)
-		s.records[conn] = m
-	}
-	for _, r := range recs {
-		m[r.Resource] = LockRecord{Connector: conn, Resource: r.Resource, Mode: r.Mode}
-	}
-	if !s.conns[conn] {
-		s.retained[conn] = true
-	}
-}
-
 // RetainedConnectors lists failed connectors with retained records.
 func (s *LockStructure) RetainedConnectors() []string {
 	s.mu.RLock()

@@ -57,8 +57,9 @@ var (
 	ErrMalformed   = errors.New("cflink: malformed frame")
 )
 
-// magic opens every session's first frame on both connection kinds.
-var magic = [4]byte{'C', 'F', 'L', '2'}
+// magic opens every session's first frame on both connection kinds; its
+// last byte is the wire revision, bumped whenever a Kind or Fields bit moves.
+var magic = [4]byte{'C', 'F', 'L', '3'}
 
 // Connection kinds declared in the session handshake.
 //
@@ -455,7 +456,6 @@ var cmdCodec = [...]struct {
 	{cf.FFlags, func(e *encoder, c *cf.Cmd) { e.bool(c.Cache); e.bool(c.Changed) },
 		func(d *decoder, c *cf.Cmd) { c.Cache, c.Changed = d.bool(), d.bool() }},
 	{cf.FData, func(e *encoder, c *cf.Cmd) { e.bytes(c.Data) }, func(d *decoder, c *cf.Cmd) { c.Data = d.bytes() }},
-	{cf.FRecords, func(e *encoder, c *cf.Cmd) { e.lockRecords(c.Records) }, func(d *decoder, c *cf.Cmd) { c.Records = d.lockRecords() }},
 }
 
 // cmd encodes one descriptor. A connector's bit vector crosses as

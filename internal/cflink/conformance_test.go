@@ -54,7 +54,6 @@ func fillCmd(k cf.Kind, conn string) cf.Cmd {
 	set(cf.FFlags, func() { c.Cache, c.Changed = true, true })
 	set(cf.FData, func() { c.Data = []byte("payload") })
 	set(cf.FVector, func() { c.Vector = cf.NewBitVector(8) })
-	set(cf.FRecords, func() { c.Records = []cf.LockRecord{{Connector: conn, Resource: "R9", Mode: cf.Share}} })
 	set(cf.FSub, func() {
 		c.Sub = []cf.Cmd{fillCmd(cf.CmdListWrite, conn), fillCmd(cf.CmdListRead, conn), fillCmd(cf.CmdListDelete, conn)}
 	})
@@ -361,8 +360,7 @@ var confScripts = map[cf.Model][]cf.Cmd{
 		{Kind: cf.CmdLockRelease, Idx: 1, Conn: "SYS1", Mode: cf.Exclusive},
 		{Kind: cf.CmdLockSetRecord, Conn: "SYS2", Name: "N2", Mode: cf.Share},
 		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1"},
-		{Kind: cf.CmdLockAdoptRetained, Conn: "SYS9", Records: []cf.LockRecord{{Connector: "SYS9", Resource: "R9", Mode: cf.Exclusive}}},
-		{Kind: cf.CmdLockRecords, Conn: "SYS9"},
+		{Kind: cf.CmdLockRecords, Conn: "SYS2"},
 		{Kind: cf.CmdListPop, Conn: "SYS1"}, // wrong model
 	},
 	cf.CacheModel: {

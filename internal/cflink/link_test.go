@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -65,6 +66,30 @@ func TestHandshake(t *testing.T) {
 	}
 	if c.Failed() {
 		t.Fatal("fresh client reports Failed")
+	}
+}
+
+// TestHandshakeRefusesOtherRevision sends a hello with the previous
+// wire revision's magic: kind bytes after lock.records moved when
+// lock.adoptretained left the table, so the server must close the
+// connection without replying rather than misread that peer's commands.
+func TestHandshakeRefusesOtherRevision(t *testing.T) {
+	_, network, addr := startServer(t, "CF01")
+	conn, err := net.Dial(network, addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	var e encoder
+	e.b = append(e.b, 'C', 'F', 'L', '2')
+	e.u8(connCommand)
+	e.string("SYSA")
+	if err := writeFrame(conn, e.b); err != nil {
+		t.Fatalf("hello write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if reply, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("CFL2 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
 	}
 }
 

@@ -292,10 +292,6 @@ func (e *Engine) CastoutOnce(ctx context.Context, max int) (int, error) {
 	return e.pool.CastoutOnce(ctx, max)
 }
 
-// RebindCache moves the engine's buffer pool onto a rebuilt group
-// buffer pool structure. Cast out all changed pages first.
-func (e *Engine) RebindCache(ctx context.Context, cs cf.Cache) error { return e.pool.Rebind(ctx, cs) }
-
 // InvalidateLocal drops the local buffer for one page of a table, so
 // the next access must consult the CF (used by cache ablations and
 // local buffer-pool management).

@@ -55,43 +55,10 @@ type Job struct {
 // (or equivalent values over the same structure).
 type Queue struct {
 	conn string
+	ls   cf.List
 
 	mu     sync.Mutex
-	ls     cf.List
 	nextID uint64
-}
-
-// structure returns the current list structure under the lock so a
-// concurrent Rebind is observed atomically.
-func (q *Queue) structure() cf.List {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.ls
-}
-
-// Rebind rebuilds the checkpoint into a new list structure (CF
-// structure rebuild): all queued, active, and completed entries are
-// copied over. The old structure must still be readable (planned
-// rebuild).
-func (q *Queue) Rebind(ctx context.Context, newLS cf.List) error {
-	if newLS.Lists() < numLists {
-		return fmt.Errorf("jes: structure needs >= %d lists", numLists)
-	}
-	if err := newLS.Connect(ctx, q.conn, nil); err != nil {
-		return err
-	}
-	old := q.structure()
-	for list := 0; list < numLists; list++ {
-		for _, e := range old.Entries(list) {
-			if err := newLS.Write(ctx, q.conn, list, e.ID, e.Key, e.Data, cf.FIFO, cf.Cond{}); err != nil {
-				return err
-			}
-		}
-	}
-	q.mu.Lock()
-	q.ls = newLS
-	q.mu.Unlock()
-	return nil
 }
 
 // NewQueue creates the queue over a list structure with at least three
@@ -119,7 +86,7 @@ func (q *Queue) Submit(ctx context.Context, class string, payload []byte, submit
 	if err != nil {
 		return "", err
 	}
-	if err := q.structure().Write(ctx, q.conn, inputList, id, "", raw, cf.FIFO, cf.Cond{}); err != nil {
+	if err := q.ls.Write(ctx, q.conn, inputList, id, "", raw, cf.FIFO, cf.Cond{}); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -127,7 +94,7 @@ func (q *Queue) Submit(ctx context.Context, class string, payload []byte, submit
 
 // Result fetches a completed job.
 func (q *Queue) Result(ctx context.Context, id string) (Job, error) {
-	e, err := q.structure().Read(ctx, q.conn, id, cf.Cond{})
+	e, err := q.ls.Read(ctx, q.conn, id, cf.Cond{})
 	if err != nil {
 		return Job{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -142,21 +109,20 @@ func (q *Queue) Result(ctx context.Context, id string) (Job, error) {
 }
 
 // Pending returns the input queue depth.
-func (q *Queue) Pending() int { return q.structure().Len(inputList) }
+func (q *Queue) Pending() int { return q.ls.Len(inputList) }
 
 // Active returns the in-flight job count.
-func (q *Queue) Active() int { return q.structure().Len(activeList) }
+func (q *Queue) Active() int { return q.ls.Len(activeList) }
 
 // Done returns the completed job count.
-func (q *Queue) Done() int { return q.structure().Len(doneList) }
+func (q *Queue) Done() int { return q.ls.Len(doneList) }
 
 // RequeueOrphans moves jobs that were active on a failed system back to
 // the input queue (checkpoint takeover by a peer). Returns the job IDs
 // requeued.
 func (q *Queue) RequeueOrphans(ctx context.Context, failedSys string) ([]string, error) {
 	var requeued []string
-	ls := q.structure()
-	for _, e := range ls.Entries(activeList) {
+	for _, e := range q.ls.Entries(activeList) {
 		var job Job
 		if err := json.Unmarshal(e.Data, &job); err != nil {
 			continue
@@ -169,10 +135,10 @@ func (q *Queue) RequeueOrphans(ctx context.Context, failedSys string) ([]string,
 		if err != nil {
 			continue
 		}
-		if err := ls.Write(ctx, q.conn, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{}); err != nil {
+		if err := q.ls.Write(ctx, q.conn, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{}); err != nil {
 			continue
 		}
-		if err := ls.Move(ctx, q.conn, job.ID, inputList, cf.FIFO, cf.Cond{}); err != nil {
+		if err := q.ls.Move(ctx, q.conn, job.ID, inputList, cf.FIFO, cf.Cond{}); err != nil {
 			continue
 		}
 		requeued = append(requeued, job.ID)
@@ -189,9 +155,9 @@ type Executor struct {
 	sys   string
 	clock vclock.Clock
 	vec   *cf.BitVector
+	ls    cf.List
 
 	mu       sync.Mutex
-	ls       cf.List
 	handlers map[string]Handler
 	executed int64
 	stopped  bool
@@ -219,28 +185,6 @@ func NewExecutor(ctx context.Context, ls cf.List, sys string, clock vclock.Clock
 		return nil, err
 	}
 	return e, nil
-}
-
-// structure returns the current list structure under the lock.
-func (e *Executor) structure() cf.List {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ls
-}
-
-// Rebind moves the executor onto a rebuilt structure: reconnect and
-// re-register transition monitoring.
-func (e *Executor) Rebind(ctx context.Context, newLS cf.List) error {
-	if err := newLS.Connect(ctx, e.sys, e.vec); err != nil {
-		return err
-	}
-	if err := newLS.Monitor(ctx, e.sys, inputList, 0); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.ls = newLS
-	e.mu.Unlock()
-	return nil
 }
 
 // Register installs the handler for a job class.
@@ -300,7 +244,7 @@ func (e *Executor) Start(poll time.Duration) {
 					// Re-arm: monitoring sets the bit again immediately if
 					// the list is still non-empty. The next tick retries if
 					// the CF was down.
-					_ = e.structure().Monitor(context.Background(), e.sys, inputList, 0)
+					_ = e.ls.Monitor(context.Background(), e.sys, inputList, 0)
 				}
 			}
 		}
@@ -323,8 +267,7 @@ func (e *Executor) DrainOnce(ctx context.Context) int {
 // runOne atomically claims one job. The Pop is the serialization: two
 // executors can never claim the same entry.
 func (e *Executor) runOne(ctx context.Context) bool {
-	ls := e.structure()
-	entry, err := ls.Pop(ctx, e.sys, inputList, cf.Cond{})
+	entry, err := e.ls.Pop(ctx, e.sys, inputList, cf.Cond{})
 	if err != nil {
 		return false
 	}
@@ -338,7 +281,7 @@ func (e *Executor) runOne(ctx context.Context) bool {
 	raw, _ := json.Marshal(job)
 	// Best-effort checkpoint: if the CF is down the claim simply isn't
 	// durable, and a peer requeues the job after takeover.
-	_ = ls.Write(ctx, e.sys, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{})
+	_ = e.ls.Write(ctx, e.sys, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{})
 
 	e.mu.Lock()
 	h := e.handlers[job.Class]
@@ -359,8 +302,8 @@ func (e *Executor) runOne(ctx context.Context) bool {
 	// Detached: the job has run; a cancelled submitter must not leave
 	// the completion record half-posted.
 	dctx := vclock.Detach(ctx)
-	_ = ls.Write(dctx, e.sys, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{})
-	_ = ls.Move(dctx, e.sys, job.ID, doneList, cf.FIFO, cf.Cond{})
+	_ = e.ls.Write(dctx, e.sys, activeList, job.ID, "", raw, cf.FIFO, cf.Cond{})
+	_ = e.ls.Move(dctx, e.sys, job.ID, doneList, cf.FIFO, cf.Cond{})
 	e.mu.Lock()
 	e.executed++
 	e.mu.Unlock()

@@ -14,6 +14,11 @@
 //     recovery completes, requests conflicting with a retained lock are
 //     refused;
 //   - cross-system deadlocks are found by a waits-for-graph detector.
+//
+// The manager holds its lock structure for life. A move to another
+// coupling facility is CFRM's structure rebuild (cfrm.Manager.Rebuild),
+// which copies interest, records and retained records with the
+// structure; the manager takes no part in it.
 package lockmgr
 
 import (
@@ -120,14 +125,6 @@ func New(ctx context.Context, system *xcf.System, ls cf.Lock, clock vclock.Clock
 
 // System returns the owning system name.
 func (m *Manager) System() string { return m.sysName }
-
-// structure returns the current lock structure under the lock so a
-// concurrent Rebind is observed atomically.
-func (m *Manager) structure() cf.Lock {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ls
-}
 
 // Stats returns a snapshot of activity counters.
 func (m *Manager) Stats() Stats {
@@ -243,7 +240,7 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 		return tryResult{}, fmt.Errorf("%w: %s held by failed %s", ErrRetained, resourceName, holder)
 	}
 
-	ls := m.structure()
+	ls := m.ls
 	entry := ls.HashResource(resourceName)
 	res, err := ls.Obtain(ctx, entry, m.sysName, mode)
 	if err != nil {
@@ -319,7 +316,7 @@ func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error 
 	}
 	m.mu.Unlock()
 
-	ls := m.structure()
+	ls := m.ls
 	entry := ls.HashResource(resourceName)
 	if err := ls.Release(ctx, entry, m.sysName, mode); err != nil && !errors.Is(err, cf.ErrNotConnected) {
 		return err
@@ -392,7 +389,7 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 		return nil
 	}
 
-	ls := m.structure()
+	ls := m.ls
 	cmds := make([]cf.Cmd, 0, 2*len(rels))
 	for _, rl := range rels {
 		cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockRelease, Idx: ls.HashResource(rl.name), Conn: m.sysName, Mode: rl.mode})
@@ -458,7 +455,7 @@ func (m *Manager) grantLocal(ctx context.Context, resourceName, owner string, mo
 	if mode == cf.Exclusive {
 		// Persistent record: peers recover this if we fail (§3.3.1). If
 		// the CF is down the grant stands, just without crash coverage.
-		_ = m.structure().SetRecord(ctx, m.sysName, resourceName, mode)
+		_ = m.ls.SetRecord(ctx, m.sysName, resourceName, mode)
 	}
 }
 
@@ -525,7 +522,7 @@ func localConflicts(r *resource, owner string, mode cf.LockMode) []string {
 
 // retainedConflict checks CF persistent records of failed connectors.
 func (m *Manager) retainedConflict(ctx context.Context, resourceName string, mode cf.LockMode) (string, bool, error) {
-	ls := m.structure()
+	ls := m.ls
 	for _, conn := range ls.RetainedConnectors() {
 		recs, err := ls.Records(ctx, conn)
 		if err != nil {
@@ -543,74 +540,16 @@ func (m *Manager) retainedConflict(ctx context.Context, resourceName string, mod
 	return "", false, nil
 }
 
-// Rebind moves the manager onto a new lock structure (CF structure
-// rebuild, §3.3 "multiple CFs can be connected for availability"): the
-// connector re-registers, re-populates its held interest from the local
-// lock tables, re-records persistent locks, and migrates any retained
-// records of failed systems it can still read from the old structure.
-// All managers of a structure must rebind before normal operation
-// resumes; the caller orchestrates that (see the sysplex façade).
-func (m *Manager) Rebind(ctx context.Context, newLS cf.Lock) error {
-	if err := newLS.Connect(ctx, m.sysName); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	oldLS := m.ls
-	type hold struct {
-		resource string
-		mode     cf.LockMode
-	}
-	var holds []hold
-	for name, r := range m.resources {
-		// One unit of CF interest exists per local holder.
-		for _, mode := range r.holders {
-			holds = append(holds, hold{resource: name, mode: mode})
-		}
-	}
-	m.ls = newLS
-	m.mu.Unlock()
-
-	for _, h := range holds {
-		entry := newLS.HashResource(h.resource)
-		res, err := newLS.Obtain(ctx, entry, m.sysName, h.mode)
-		if err != nil {
-			return err
-		}
-		if !res.Granted {
-			// Any entry-level conflict during a rebuild of already
-			// compatible holders is false contention by construction.
-			if err := newLS.ForceObtain(ctx, entry, m.sysName, h.mode); err != nil {
-				return err
-			}
-		}
-		if h.mode == cf.Exclusive {
-			if err := newLS.SetRecord(ctx, m.sysName, h.resource, h.mode); err != nil {
-				return err
-			}
-		}
-	}
-	// Carry forward retained records of failed systems, if the old
-	// structure is still readable.
-	if oldLS != nil {
-		for _, conn := range oldLS.RetainedConnectors() {
-			if recs, err := oldLS.Records(ctx, conn); err == nil {
-				newLS.AdoptRetained(conn, recs)
-			}
-		}
-	}
-	return nil
-}
-
 // RetainedResources lists resources protected on behalf of a failed
 // system (recovery reads this to drive redo/undo).
 func (m *Manager) RetainedResources(ctx context.Context, failedSys string) ([]cf.LockRecord, error) {
-	return m.structure().Records(ctx, failedSys)
+	return m.ls.Records(ctx, failedSys)
 }
 
 // ReleaseRetained deletes the retained record for one resource of a
 // failed system once its recovery is complete.
 func (m *Manager) ReleaseRetained(ctx context.Context, failedSys, resourceName string) error {
-	return m.structure().DeleteRecord(ctx, failedSys, resourceName)
+	return m.ls.DeleteRecord(ctx, failedSys, resourceName)
 }
 
 func (m *Manager) bump(fn func(*Stats)) {

@@ -11,6 +11,7 @@ import (
 
 	"sysplex/internal/cds"
 	"sysplex/internal/cf"
+	"sysplex/internal/cfrm"
 	"sysplex/internal/dasd"
 	"sysplex/internal/vclock"
 	"sysplex/internal/xcf"
@@ -31,6 +32,15 @@ type Sysplexish struct {
 
 func newHarness(t *testing.T, systems ...string) *Sysplexish {
 	t.Helper()
+	fac := cf.New("CF01", vclock.Real())
+	h := newHarnessOn(t, fac, systems...)
+	h.fac = fac
+	return h
+}
+
+// newHarnessOn allocates the lock structure through front.
+func newHarnessOn(t *testing.T, front cf.Front, systems ...string) *Sysplexish {
+	t.Helper()
 	farm := dasd.NewFarm(vclock.Real())
 	if _, err := farm.AddVolume("V", 256, 1); err != nil {
 		t.Fatal(err)
@@ -38,12 +48,11 @@ func newHarness(t *testing.T, systems ...string) *Sysplexish {
 	pri, _ := farm.Allocate("V", "CDS", 128)
 	store, _ := cds.New("S", vclock.Real(), pri, nil, cds.Options{})
 	plex := xcf.NewSysplex("PLEX1", vclock.Real(), store, farm, xcf.Options{})
-	fac := cf.New("CF01", vclock.Real())
-	ls, err := fac.AllocateLockStructure("IRLM", 512)
+	ls, err := front.AllocateLockStructure("IRLM", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &Sysplexish{plex: plex, fac: fac, ls: ls, mgrs: map[string]*Manager{}}
+	h := &Sysplexish{plex: plex, ls: ls, mgrs: map[string]*Manager{}}
 	for _, name := range systems {
 		sys, err := plex.Join(name)
 		if err != nil {
@@ -450,8 +459,30 @@ func atomicAdd(p *int32, d int32) int32 {
 	return atomic.AddInt32(p, d)
 }
 
-func TestRebindPreservesInterestAndRecords(t *testing.T) {
-	h := newHarness(t, "SYS1", "SYS2")
+// newRebuildHarness allocates the lock structure through a duplexed
+// CFRM front, the only way a structure moves between facilities.
+func newRebuildHarness(t *testing.T, systems ...string) (*Sysplexish, *cfrm.Manager) {
+	t.Helper()
+	cfres, err := cfrm.New(cfrm.Policy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newHarnessOn(t, cfres.Front(), systems...), cfres
+}
+
+// rebuild moves every structure off the current primary, then fails the
+// facility it retired so nothing can still be served from there.
+func rebuild(t *testing.T, cfres *cfrm.Manager) {
+	t.Helper()
+	old := cfres.Primary()
+	if err := cfres.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	old.Fail()
+}
+
+func TestRebuildPreservesInterestAndRecords(t *testing.T) {
+	h, cfres := newRebuildHarness(t, "SYS1", "SYS2")
 	m1, m2 := h.mgrs["SYS1"], h.mgrs["SYS2"]
 	if err := m1.Lock(context.Background(), "TX1", "A", Exclusive, tmo); err != nil {
 		t.Fatal(err)
@@ -459,20 +490,7 @@ func TestRebindPreservesInterestAndRecords(t *testing.T) {
 	if err := m1.Lock(context.Background(), "TX1", "B", Share, tmo); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild the lock structure into a second facility.
-	fac2 := cf.New("CF02", vclock.Real())
-	newLS, err := fac2.AllocateLockStructure("IRLM", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.Rebind(context.Background(), newLS); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Rebind(context.Background(), newLS); err != nil {
-		t.Fatal(err)
-	}
-	// Old facility can die now.
-	h.fac.Fail()
+	rebuild(t, cfres)
 	// Exclusive interest survived: SYS2 is still blocked.
 	if err := m2.Lock(context.Background(), "TX2", "A", Exclusive, 60*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, exclusive interest lost", err)
@@ -481,8 +499,8 @@ func TestRebindPreservesInterestAndRecords(t *testing.T) {
 	if err := m2.Lock(context.Background(), "TX2", "B", Share, tmo); err != nil {
 		t.Fatal(err)
 	}
-	// Persistent records were re-recorded in the new structure.
-	recs, err := newLS.Records(context.Background(), "SYS1")
+	// The persistent record is on the new primary.
+	recs, err := cf.LockOn(cfres.Primary().Structure("IRLM")).Records(context.Background(), "SYS1")
 	if err != nil || len(recs) != 1 || recs[0].Resource != "A" {
 		t.Fatalf("records = %v err=%v", recs, err)
 	}
@@ -495,21 +513,17 @@ func TestRebindPreservesInterestAndRecords(t *testing.T) {
 	}
 }
 
-func TestRebindMigratesRetainedRecords(t *testing.T) {
-	h := newHarness(t, "SYS1", "SYS2")
+func TestRebuildKeepsRetainedRecords(t *testing.T) {
+	h, cfres := newRebuildHarness(t, "SYS1", "SYS2")
 	m1, m2 := h.mgrs["SYS1"], h.mgrs["SYS2"]
 	if err := m1.Lock(context.Background(), "TX1", "HELD", Exclusive, tmo); err != nil {
 		t.Fatal(err)
 	}
-	// SYS1 fails; its record is retained in the old structure.
+	// SYS1 fails; its record is retained.
 	h.plex.PartitionNow("SYS1")
-	h.fac.FailConnector("SYS1")
+	cfres.Front().FailConnector("SYS1")
 	// Rebuild onto a new facility before recovery has run.
-	fac2 := cf.New("CF02", vclock.Real())
-	newLS, _ := fac2.AllocateLockStructure("IRLM", 512)
-	if err := m2.Rebind(context.Background(), newLS); err != nil {
-		t.Fatal(err)
-	}
+	rebuild(t, cfres)
 	// Retained protection still applies on the new structure.
 	if err := m2.Lock(context.Background(), "TX2", "HELD", Exclusive, 60*time.Millisecond); !errors.Is(err, ErrRetained) {
 		t.Fatalf("err = %v, retained protection lost across rebuild", err)

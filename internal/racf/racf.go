@@ -92,11 +92,11 @@ type Stats struct {
 // Manager is one system's security manager.
 type Manager struct {
 	sys   string
+	cs    cf.Cache
 	vec   *cf.BitVector
 	store *cds.Store
 
 	mu    sync.Mutex
-	cs    cf.Cache
 	slots map[string]int // resource -> vector index
 	byIdx []string       // vector index -> resource
 	next  int
@@ -148,33 +148,6 @@ func New(ctx context.Context, sys string, cs cf.Cache, store *cds.Store, slots i
 // System returns the owning system name.
 func (m *Manager) System() string { return m.sys }
 
-// structure returns the current cache structure under the lock so a
-// concurrent Rebind is observed atomically.
-func (m *Manager) structure() cf.Cache {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cs
-}
-
-// Rebind moves the manager onto a rebuilt profile cache structure: the
-// connector re-attaches with a cleared local cache; subsequent checks
-// refill from the shared database (profiles are fully persistent).
-func (m *Manager) Rebind(ctx context.Context, cs cf.Cache) error {
-	if err := cs.Connect(ctx, m.sys, m.vec); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cs = cs
-	m.slots = make(map[string]int)
-	for i := range m.byIdx {
-		m.byIdx[i] = ""
-	}
-	m.local = make(map[string]Profile)
-	m.vec.ClearAll()
-	return nil
-}
-
 // Stats snapshots the counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -198,7 +171,7 @@ func (m *Manager) Define(ctx context.Context, p Profile) error {
 		return err
 	}
 	idx := m.slotFor(p.Resource)
-	if err := m.structure().WriteAndInvalidate(ctx, m.sys, p.Resource, raw, true, false, idx); err != nil {
+	if err := m.cs.WriteAndInvalidate(ctx, m.sys, p.Resource, raw, true, false, idx); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -259,7 +232,7 @@ func (m *Manager) profile(ctx context.Context, resource string) (Profile, error)
 	m.mu.Unlock()
 
 	idx := m.slotFor(resource)
-	res, err := m.structure().ReadAndRegister(ctx, m.sys, resource, idx)
+	res, err := m.cs.ReadAndRegister(ctx, m.sys, resource, idx)
 	if err != nil {
 		return Profile{}, err
 	}
@@ -285,7 +258,7 @@ func (m *Manager) profile(ctx context.Context, resource string) (Profile, error)
 	if !ok {
 		// Best-effort: a failed unregister only costs a spurious
 		// cross-invalidate on this vector slot later.
-		_ = m.structure().Unregister(ctx, m.sys, resource)
+		_ = m.cs.Unregister(ctx, m.sys, resource)
 		m.mu.Lock()
 		m.vec.Clear(idx)
 		m.mu.Unlock()

@@ -36,9 +36,6 @@ type Network struct {
 	nextSess uint64
 	rr       uint64                    // round-robin cursor for tied logon scores
 	weights  func() map[string]float64 // WLM advice (may be nil)
-	// shadow mirrors the registrations written to the list structure so
-	// the network image can be rebuilt into another CF.
-	shadow map[string]Instance // entryID -> instance
 }
 
 // Instance is one registered application instance.
@@ -65,7 +62,6 @@ func New(ctx context.Context, ls cf.List, weights func() map[string]float64) (*N
 		conn:     "VTAM",
 		sessions: make(map[string]Session),
 		weights:  weights,
-		shadow:   make(map[string]Instance),
 	}
 	if err := ls.Connect(ctx, n.conn, nil); err != nil {
 		return nil, err
@@ -73,32 +69,17 @@ func New(ctx context.Context, ls cf.List, weights func() map[string]float64) (*N
 	return n, nil
 }
 
-// structure returns the current list structure under the lock, so a
-// concurrent Rebind is observed atomically.
-func (n *Network) structure() cf.List {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ls
-}
-
-func (n *Network) listOf(ls cf.List, generic string) int {
+func (n *Network) listOf(generic string) int {
 	h := fnv.New32a()
 	h.Write([]byte(generic))
-	return int(h.Sum32() % uint32(ls.Lists()))
+	return int(h.Sum32() % uint32(n.ls.Lists()))
 }
 
 func entryID(generic, member string) string { return "GR." + generic + "." + member }
 
 // Register adds an instance under a generic name.
 func (n *Network) Register(ctx context.Context, generic, member, system string) error {
-	inst := Instance{Generic: generic, Member: member, System: system}
-	if err := n.writeInstance(ctx, inst); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.shadow[entryID(generic, member)] = inst
-	n.mu.Unlock()
-	return nil
+	return n.writeInstance(ctx, Instance{Generic: generic, Member: member, System: system})
 }
 
 func (n *Network) writeInstance(ctx context.Context, inst Instance) error {
@@ -106,16 +87,12 @@ func (n *Network) writeInstance(ctx context.Context, inst Instance) error {
 	if err != nil {
 		return err
 	}
-	ls := n.structure()
-	return ls.Write(ctx, n.conn, n.listOf(ls, inst.Generic), entryID(inst.Generic, inst.Member), inst.Generic, raw, cf.Keyed, cf.Cond{})
+	return n.ls.Write(ctx, n.conn, n.listOf(inst.Generic), entryID(inst.Generic, inst.Member), inst.Generic, raw, cf.Keyed, cf.Cond{})
 }
 
 // Deregister removes an instance (planned shutdown).
 func (n *Network) Deregister(ctx context.Context, generic, member string) error {
-	n.mu.Lock()
-	delete(n.shadow, entryID(generic, member))
-	n.mu.Unlock()
-	err := n.structure().Delete(ctx, n.conn, entryID(generic, member), cf.Cond{})
+	err := n.ls.Delete(ctx, n.conn, entryID(generic, member), cf.Cond{})
 	if errors.Is(err, cf.ErrEntryNotFound) {
 		return nil
 	}
@@ -125,8 +102,7 @@ func (n *Network) Deregister(ctx context.Context, generic, member string) error 
 // Instances lists the instances registered under a generic name.
 func (n *Network) Instances(generic string) ([]Instance, error) {
 	var out []Instance
-	ls := n.structure()
-	for _, e := range ls.Entries(n.listOf(ls, generic)) {
+	for _, e := range n.ls.Entries(n.listOf(generic)) {
 		if e.Key != generic {
 			continue
 		}
@@ -179,7 +155,6 @@ func (n *Network) Logon(ctx context.Context, generic string) (Session, error) {
 		return Session{}, err
 	}
 	n.mu.Lock()
-	n.shadow[entryID(generic, chosen.Member)] = chosen
 	n.nextSess++
 	sess := Session{
 		ID:      fmt.Sprintf("S%06d", n.nextSess),
@@ -220,7 +195,7 @@ func (n *Network) Logoff(ctx context.Context, sessionID string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSession, sessionID)
 	}
-	e, err := n.structure().Read(ctx, n.conn, entryID(sess.Generic, sess.Member), cf.Cond{})
+	e, err := n.ls.Read(ctx, n.conn, entryID(sess.Generic, sess.Member), cf.Cond{})
 	if err != nil {
 		return nil // instance gone (failed system cleanup)
 	}
@@ -231,9 +206,6 @@ func (n *Network) Logoff(ctx context.Context, sessionID string) error {
 	if inst.Sessions > 0 {
 		inst.Sessions--
 	}
-	n.mu.Lock()
-	n.shadow[entryID(inst.Generic, inst.Member)] = inst
-	n.mu.Unlock()
 	return n.writeInstance(ctx, inst)
 }
 
@@ -256,9 +228,8 @@ func (n *Network) Sessions(generic string) (map[string]int, error) {
 // xcf.Sysplex.OnSystemFailed. Subsequent logons bind to survivors.
 func (n *Network) CleanupSystem(ctx context.Context, sys string) {
 	// Remove registrations across all lists.
-	ls := n.structure()
-	for list := 0; list < ls.Lists(); list++ {
-		for _, e := range ls.Entries(list) {
+	for list := 0; list < n.ls.Lists(); list++ {
+		for _, e := range n.ls.Entries(list) {
 			var inst Instance
 			if err := json.Unmarshal(e.Data, &inst); err != nil {
 				continue
@@ -266,7 +237,7 @@ func (n *Network) CleanupSystem(ctx context.Context, sys string) {
 			if inst.System == sys {
 				// Best-effort cleanup of the failed system's instances;
 				// a leftover entry is re-swept on the next takeover.
-				_ = ls.Delete(ctx, n.conn, e.ID, cf.Cond{})
+				_ = n.ls.Delete(ctx, n.conn, e.ID, cf.Cond{})
 			}
 		}
 	}
@@ -276,34 +247,5 @@ func (n *Network) CleanupSystem(ctx context.Context, sys string) {
 			delete(n.sessions, id)
 		}
 	}
-	for id, inst := range n.shadow {
-		if inst.System == sys {
-			delete(n.shadow, id)
-		}
-	}
 	n.mu.Unlock()
-}
-
-// Rebind rebuilds the network image in a new list structure (CF
-// structure rebuild): the VTAM connector re-attaches and re-creates
-// every registration, including current session counts, from its local
-// shadow.
-func (n *Network) Rebind(ctx context.Context, ls cf.List) error {
-	if err := ls.Connect(ctx, n.conn, nil); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.ls = ls
-	insts := make([]Instance, 0, len(n.shadow))
-	for _, inst := range n.shadow {
-		insts = append(insts, inst)
-	}
-	n.mu.Unlock()
-	sort.Slice(insts, func(i, j int) bool { return insts[i].Member < insts[j].Member })
-	for _, inst := range insts {
-		if err := n.writeInstance(ctx, inst); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,16 +3,23 @@ package vtam
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/cfrm"
 	"sysplex/internal/vclock"
 )
 
 func newNetwork(t *testing.T, weights func() map[string]float64) *Network {
 	t.Helper()
-	fac := cf.New("CF01", vclock.Real())
-	ls, err := fac.AllocateListStructure("ISTGENERIC", 8, 1, 1000)
+	return newNetworkOn(t, cf.New("CF01", vclock.Real()), weights)
+}
+
+// newNetworkOn allocates the ISTGENERIC structure through front.
+func newNetworkOn(t *testing.T, front cf.Front, weights func() map[string]float64) *Network {
+	t.Helper()
+	ls, err := front.AllocateListStructure("ISTGENERIC", 8, 1, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +169,12 @@ func TestSessionsCountPerSystem(t *testing.T) {
 	}
 }
 
-func TestRebindRecreatesNetworkImage(t *testing.T) {
-	n := newNetwork(t, nil)
+func TestRebuildKeepsNetworkImage(t *testing.T) {
+	cfres, err := cfrm.New(cfrm.Policy{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newNetworkOn(t, cfres.Front(), nil)
 	n.Register(context.Background(), "CICS", "CICSA", "SYS1")
 	n.Register(context.Background(), "CICS", "CICSB", "SYS2")
 	n.Register(context.Background(), "IMS", "IMSA", "SYS3")
@@ -172,27 +183,25 @@ func TestRebindRecreatesNetworkImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Rebuild the list structure into a fresh facility.
-	fac2 := cf.New("CF02", vclock.Real())
-	ls2, err := fac2.AllocateListStructure("ISTGENERIC", 8, 1, 1000)
-	if err != nil {
+	cics, _ := n.Instances("CICS")
+	ims, _ := n.Instances("IMS")
+	// Rebuild the list structure into a fresh facility and retire the
+	// old one.
+	old := cfres.Primary()
+	if err := cfres.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Rebind(context.Background(), ls2); err != nil {
-		t.Fatal(err)
-	}
+	old.Fail()
 	// All registrations and session counts survive.
-	insts, _ := n.Instances("CICS")
-	if len(insts) != 2 {
-		t.Fatalf("instances = %v", insts)
+	if got, _ := n.Instances("CICS"); !reflect.DeepEqual(got, cics) {
+		t.Fatalf("CICS instances = %v, want %v", got, cics)
+	}
+	if got, _ := n.Instances("IMS"); !reflect.DeepEqual(got, ims) {
+		t.Fatalf("IMS instances = %v, want %v", got, ims)
 	}
 	sessions, _ := n.Sessions("CICS")
 	if sessions["SYS1"]+sessions["SYS2"] != 4 {
 		t.Fatalf("sessions = %v", sessions)
-	}
-	ims, _ := n.Instances("IMS")
-	if len(ims) != 1 {
-		t.Fatalf("IMS instances = %v", ims)
 	}
 	// New logons work against the new structure.
 	if _, err := n.Logon(context.Background(), "CICS"); err != nil {

@@ -960,8 +960,8 @@ func (p *Sysplex) CFRM() *cfrm.Manager { return p.cfres }
 //  3. under a duplexing policy, CFRM synchronously re-duplexes into the
 //     next candidate so the rebuild ends with full redundancy.
 //
-// Connectors never rebind: they hold the CFRM front, which re-targets
-// commands to the new pair. Transactions keep flowing throughout.
+// This is the only way a structure moves: exploiters hold the CFRM
+// front, which re-targets their commands. Transactions keep flowing.
 func (p *Sysplex) RebuildCouplingFacility() error {
 	p.mu.Lock()
 	if p.stopped {
