@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json test race check loc demo bench bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet fmt lint lint-json test race check loc demo bench bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
 
 all: check
 
@@ -10,10 +10,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing the files, when gofmt would change any
+# Go file in the tree (lint fixtures under testdata included).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
 # sysplexlint enforces the repo-specific concurrency and determinism
 # invariants (lock hierarchy with module-wide deadlock-cycle detection,
 # atomic-only fields, the simulated-clock rule, the duplexed-front
-# rule, dropped or never-waited CF command errors, context-first
+# rule, dropped CF command errors, context-first
 # command signatures, goroutine shutdown paths, wire-protocol table
 # exhaustiveness, and the suppression census). See DESIGN.md
 # "Interprocedural enforcement". The driver prints load+analyze wall
@@ -43,7 +48,7 @@ test:
 race:
 	$(GO) test -race ./internal/cf/... ./internal/cfrm/... ./internal/cflink/... ./internal/logr/... ./internal/xcf/... ./internal/db/... ./internal/txmgr/... ./internal/metrics/... ./internal/rmf/... ./internal/buffman/... ./internal/lockmgr/... ./internal/vtam/... ./internal/jes/... ./internal/racf/... .
 
-check: build vet lint test race
+check: build vet fmt lint test race
 
 # Non-test Go lines per top-level package (testdata excluded). The
 # ROADMAP wants the tree to end each round smaller; this makes "smaller"
@@ -88,8 +93,8 @@ bench-logr-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(StreamWrite|OffloadPass)$$' -benchtime 100x -benchmem -cpu 1,2 ./internal/logr
 
 # EXP-BATCH end to end over real unix-socket cflink servers: exercises
-# async dispatch, batch framing, and the bulk-release exploit path in
-# one short run so CI catches protocol or pipeline rot.
+# batch framing and the bulk-release exploit path (sync, batch1, batch8
+# and batch32) in one short run so CI catches protocol or pipeline rot.
 bench-batch-smoke:
 	$(GO) run ./cmd/sysplexbench -exp batch
 

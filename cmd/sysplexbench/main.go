@@ -52,7 +52,7 @@ type experiment struct {
 var experiments = []experiment{
 	{"cfscale", "CF command ops/s at 1-16 goroutines, simplex and duplexed", cfScale},
 	{"transport", "duplexed CF commands in process vs over unix and tcp cflink", transport},
-	{"batch", "bulk lock release over cflink: one command each vs batched vs async", batchBench},
+	{"batch", "bulk lock release over cflink: one command each vs batched", batchBench},
 	{"rmf", "RMF collector overhead on the duplexed lock path, A/B", rmfBench},
 	{"restart", "SIGKILL and cold restart, auditing every acknowledged unit", restartBench},
 }
@@ -539,10 +539,7 @@ func transport() error {
 //	batch1  — Batch envelopes carrying one release each, measuring the
 //	          envelope's own overhead against the sync fast path;
 //	batch8  — envelopes of 8;
-//	batch32 — envelopes of 32, the commit bulk-release shape;
-//	async32 — envelopes of 32 issued through the completion-vector
-//	          async interface with several in flight, overlapping
-//	          link round trips.
+//	batch32 — envelopes of 32, the commit bulk-release shape.
 //
 // Reported as released locks per second of release time. Batching N
 // releases into one envelope removes N-1 link crossings, so ops/sec
@@ -600,9 +597,6 @@ func batchBench() error {
 			return nil
 		}
 	}
-	async := d.NewAsync("bench", 16)
-	defer async.Close()
-
 	modes := []struct {
 		name    string
 		release func(base int) error
@@ -618,22 +612,6 @@ func batchBench() error {
 		{"batch1", batched(1)},
 		{"batch8", batched(8)},
 		{"batch32", batched(32)},
-		{"async32", func(base int) error {
-			comps := make([]*cf.Completion, 0, block/32)
-			for off := 0; off < block; off += 32 {
-				c, err := async.Run(ctx, "IRLM", relCmds(base, off, 32)...)
-				if err != nil {
-					return err
-				}
-				comps = append(comps, c)
-			}
-			for _, c := range comps {
-				if err := c.Wait(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 	}
 
 	fmt.Printf("CF op batching — duplexed lock bulk release over unix-socket cflink, %v of timed release per mode (GOMAXPROCS=%d):\n",

@@ -4,10 +4,9 @@
 // determinism, and wire-protocol invariants (interprocedural lock
 // hierarchy with module-wide deadlock-cycle detection, atomic-only
 // fields, the simulated-clock rule, the duplexed-front rule, dropped CF
-// command errors and unwaited completions, context-first command
-// signatures, goroutine shutdown paths, wire-table exhaustiveness, and
-// the suppression census). See DESIGN.md "Enforced invariants" and
-// "Interprocedural enforcement".
+// command errors, context-first command signatures, goroutine shutdown
+// paths, wire-table exhaustiveness, and the suppression census). See
+// DESIGN.md "Enforced invariants" and "Interprocedural enforcement".
 //
 // Packages are type-checked and analyzed in parallel dependency waves;
 // analyzer facts (per-function summaries) flow from each package to its

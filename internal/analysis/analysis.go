@@ -35,9 +35,7 @@
 //     *cf.Facility or concrete structure — the bypass that would
 //     silently forfeit failover.
 //   - cferr: CF command errors are never silently dropped; an ignored
-//     ErrCFDown skips the rebuild path. Async completion handles must
-//     be waited, returned, or escaped — a parked handle drops the
-//     command's eventual error.
+//     ErrCFDown skips the rebuild path.
 //   - ctxfirst: exported functions on the CF command path take
 //     context.Context as their first parameter, so deadlines and
 //     cancellation propagate end-to-end (DESIGN §10).

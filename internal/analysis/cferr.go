@@ -12,14 +12,6 @@ import (
 // failover/rebuild path and turns a recoverable outage into silent
 // data loss. A deliberate drop must be spelled `_ = cmd(...)` so the
 // decision is visible in review.
-// CFErr also reports a blanked *cf.Completion: an async command's
-// handle is the only place its error ever surfaces, so assigning it to
-// `_` drops the eventual CF error as surely as ignoring a synchronous
-// one — the handle must be kept and Wait/Err'd.
-// Finally, CFErr reports a *stored-but-never-waited* completion: a
-// local handle whose only uses are nil-comparisons (or a later `_ =`)
-// never has Done polled, Wait called, or Err read, and never escapes
-// to code that could — the same dropped error, one assignment later.
 var CFErr = &Analyzer{
 	Name: "cferr",
 	Doc:  "forbid silently dropped errors from cf/cfrm command calls",
@@ -48,36 +40,6 @@ func runCFErr(pass *Pass) error {
 			"%s drops the error from %s.%s: a CF command error (e.g. ErrCFDown) must be handled or explicitly discarded with `_ =`",
 			how, fn.Pkg().Name(), fn.Name())
 	}
-	// checkAssign flags `_` in the position of a *cf.Completion result:
-	// the handle carries the async command's outcome, so blanking it is
-	// a dropped CF error even when the synchronous error IS checked.
-	checkAssign := func(s *ast.AssignStmt) {
-		if len(s.Rhs) != 1 {
-			return
-		}
-		call, ok := s.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		fn := calleeFunc(pass, call)
-		if fn == nil || fn.Pkg() == nil || !cfErrTargetPkg(fn.Pkg().Path()) {
-			return
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Results().Len() != len(s.Lhs) {
-			return
-		}
-		for i := 0; i < sig.Results().Len(); i++ {
-			if !isCompletionPtr(sig.Results().At(i).Type()) {
-				continue
-			}
-			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-				pass.Reportf(call.Pos(),
-					"assignment discards the async completion handle from %s.%s: an unchecked completion drops the command's CF error; keep it and call Wait or Err",
-					fn.Pkg().Name(), fn.Name())
-			}
-		}
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch s := n.(type) {
@@ -89,136 +51,11 @@ func runCFErr(pass *Pass) error {
 				check(s.Call, "go statement")
 			case *ast.DeferStmt:
 				check(s.Call, "defer statement")
-			case *ast.AssignStmt:
-				checkAssign(s)
-			case *ast.FuncDecl:
-				if s.Body != nil {
-					checkUnwaited(pass, s.Body)
-				}
-			case *ast.FuncLit:
-				checkUnwaited(pass, s.Body)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkUnwaited reports local *cf.Completion variables that are stored
-// but never retrieved: every use is a nil-comparison or a blank
-// reassignment, so the handle's eventual error can never surface. Any
-// method call, call argument, return, send, field store, or other
-// escape counts as retrieval — code that holds the handle somewhere a
-// Wait can still happen is not flagged.
-func checkUnwaited(pass *Pass, body *ast.BlockStmt) {
-	// Candidate handles: completion-typed variables declared in this
-	// body by := or var.
-	cands := make(map[*types.Var]*ast.Ident)
-	ast.Inspect(body, func(n ast.Node) bool {
-		var idents []*ast.Ident
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // its own body gets its own walk
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					idents = append(idents, id)
-				}
-			}
-		case *ast.ValueSpec:
-			idents = n.Names
-		}
-		for _, id := range idents {
-			if id.Name == "_" {
-				continue // blanked handles are checkAssign's finding
-			}
-			if v, ok := pass.Info.Defs[id].(*types.Var); ok && isCompletionPtr(v.Type()) {
-				cands[v] = id
-			}
-		}
-		return true
-	})
-	if len(cands) == 0 {
-		return
-	}
-	// Parent links for classifying each use site.
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	retrieved := make(map[*types.Var]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.Info.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if _, cand := cands[v]; !cand || retrieved[v] {
-			return true
-		}
-		if completionRetrieval(id, parents) {
-			retrieved[v] = true
-		}
-		return true
-	})
-	for v, id := range cands {
-		if !retrieved[v] {
-			pass.Reportf(id.Pos(),
-				"completion handle %s is stored but never waited: no Done/Wait/Err call and it never escapes, so the async command's CF error is dropped",
-				v.Name())
-		}
-	}
-}
-
-// completionRetrieval classifies one use of a completion handle. Nil
-// comparisons and blank reassignments are not retrieval; everything
-// else (selector for a method call, call argument, return, store,
-// send, address-of) is.
-func completionRetrieval(id *ast.Ident, parents map[ast.Node]ast.Node) bool {
-	switch p := parents[id].(type) {
-	case *ast.BinaryExpr:
-		return false // comparisons read identity, not the result
-	case *ast.AssignStmt:
-		// A use on the RHS assigned into `_` is an explicit drop; into
-		// anything else it escapes.
-		for i, rhs := range p.Rhs {
-			if rhs == ast.Expr(id) && len(p.Lhs) == len(p.Rhs) {
-				if lhs, ok := p.Lhs[i].(*ast.Ident); ok && lhs.Name == "_" {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return true
-}
-
-// isCompletionPtr reports whether t is *cf.Completion (the async
-// dispatch handle from sysplex/internal/cf).
-func isCompletionPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Completion" && obj.Pkg() != nil &&
-		obj.Pkg().Path() == "sysplex/internal/cf"
 }
 
 // calleeFunc resolves a call's callee to its function or method object

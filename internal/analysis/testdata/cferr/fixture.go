@@ -15,60 +15,6 @@ func drops(l cf.Lock, ls cf.List) {
 	defer ls.ReleaseLock(context.Background(), 0, "SYS1")           // want `defer statement drops the error from cf.ReleaseLock`
 }
 
-func asyncDrops(d *cf.Duplexed, a *cf.AsyncCtx) {
-	_, _ = d.RunAsync(context.Background(), "IRLM")  // want `assignment discards the async completion handle from cf.RunAsync`
-	_, err := a.Run(context.Background(), "IRLM")    // want `assignment discards the async completion handle from cf.Run`
-	_ = err
-}
-
-func asyncHandled(d *cf.Duplexed, a *cf.AsyncCtx) error {
-	c, err := d.RunAsync(context.Background(), "IRLM")
-	if err != nil {
-		return err
-	}
-	if err := c.Wait(); err != nil {
-		return err
-	}
-	c2, err := a.Run(context.Background(), "IRLM")
-	if err != nil {
-		return err
-	}
-	return c2.Err()
-}
-
-// storedNeverWaited keeps the handle but never polls Done, calls Wait,
-// or reads Err — the async command's error is dropped one assignment
-// later than a blank would have dropped it.
-func storedNeverWaited(d *cf.Duplexed) error {
-	c, err := d.RunAsync(context.Background(), "IRLM") // want `completion handle c is stored but never waited`
-	if err != nil {
-		return err
-	}
-	if c != nil {
-		// An identity check reads the pointer, not the result.
-	}
-	_ = c
-	return nil
-}
-
-// escapedHandle sends the handle somewhere a Wait can still happen, so
-// it is not flagged.
-func escapedHandle(d *cf.Duplexed, sink chan *cf.Completion) error {
-	c, err := d.RunAsync(context.Background(), "IRLM")
-	if err != nil {
-		return err
-	}
-	sink <- c
-	return nil
-}
-
-// returnedHandle hands the completion to the caller — their
-// responsibility now.
-func returnedHandle(d *cf.Duplexed) (*cf.Completion, error) {
-	c, err := d.RunAsync(context.Background(), "IRLM")
-	return c, err
-}
-
 func handled(l cf.Lock, ls cf.List) error {
 	if err := l.Connect(context.Background(), "SYS1"); err != nil {
 		return err

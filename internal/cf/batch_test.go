@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestBatchMirrorsToBothReplicas(t *testing.T) {
@@ -132,97 +130,13 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-func TestAsyncCompletionVector(t *testing.T) {
-	d, _, _ := newPair(t)
-	ls, err := d.AllocateListStructure("WORKQ", 4, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Connect(context.Background(), "SYS1", nil); err != nil {
-		t.Fatal(err)
-	}
-	a := d.NewAsync("SYS1", 8)
-	defer a.Close()
-	if a.Vector().Len() != 8 {
-		t.Fatalf("vector len = %d", a.Vector().Len())
-	}
-	// A slot stays occupied until its completion is retrieved, so keep
-	// at most Slots() outstanding — the architectural backpressure.
-	var comps []*Completion
-	for i := 0; i < 20; i++ {
-		if len(comps) == a.Slots() {
-			if err := comps[0].Wait(); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			comps = comps[1:]
-		}
-		c, err := a.Run(context.Background(), "WORKQ",
-			Cmd{Kind: CmdListWrite, Conn: "SYS1", Idx: i % 4, Name: "id" + strconv.Itoa(i), Data: []byte("d")})
-		if err != nil {
-			t.Fatalf("Run %d: %v", i, err)
-		}
-		comps = append(comps, c)
-	}
-	for i, c := range comps {
-		if err := c.Wait(); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-		// After retrieval the outcome must stay readable.
-		if err := c.Err(); err != nil {
-			t.Fatalf("Err %d after Wait: %v", i, err)
-		}
-	}
-	if n := ls.TotalEntries(); n != 20 {
-		t.Fatalf("TotalEntries = %d, want 20", n)
-	}
-	if g := d.Metrics().Gauge("cfrm.async.inflight").Value(); g != 0 {
-		t.Fatalf("in-flight gauge = %d after drain, want 0", g)
-	}
-	if g := d.Metrics().Gauge("cfrm.async.inflight.SYS1").Value(); g != 0 {
-		t.Fatalf("per-owner in-flight gauge = %d after drain, want 0", g)
-	}
-}
-
-func TestAsyncCarriesPerSubErrors(t *testing.T) {
-	d, _, _ := newPair(t)
-	ls, err := d.AllocateListStructure("WORKQ", 2, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Connect(context.Background(), "SYS1", nil); err != nil {
-		t.Fatal(err)
-	}
-	c, err := d.RunAsync(context.Background(), "WORKQ",
-		Cmd{Kind: CmdListDelete, Conn: "SYS1", Name: "nope"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Wait(); !errors.Is(err, ErrEntryNotFound) {
-		t.Fatalf("Wait = %v, want ErrEntryNotFound", err)
-	}
-}
-
-func TestAsyncClosedRejectsNewWork(t *testing.T) {
-	d, _, _ := newPair(t)
-	if _, err := d.AllocateListStructure("WORKQ", 2, 0, 100); err != nil {
-		t.Fatal(err)
-	}
-	a := d.NewAsync("SYS1", 4)
-	a.Close()
-	if _, err := a.Run(context.Background(), "WORKQ",
-		Cmd{Kind: CmdListDelete, Conn: "SYS1", Name: "x"}); !errors.Is(err, ErrAsyncClosed) {
-		t.Fatalf("Run after Close = %v, want ErrAsyncClosed", err)
-	}
-}
-
 // TestStressCancelMidBatchFailover is the acceptance stress: workers
-// fire multi-entry list batches, some through the async interface, some
-// with contexts that get cancelled mid-flight, while the primary trips
-// dead mid-stream and the pipeline fails over. Afterwards every batch
-// must have applied completely or not at all (a cancellation lands
-// before the envelope touches a replica, or not at all), and the two
-// replicas of a second, non-failing front must be identical. Run with
-// -race.
+// fire multi-entry list batches, some with contexts that get cancelled
+// mid-flight, while the primary trips dead mid-stream and the pipeline
+// fails over. Afterwards every batch must have applied completely or
+// not at all (a cancellation lands before the envelope touches a
+// replica, or not at all), and the two replicas of a second,
+// non-failing front must be identical. Run with -race.
 func TestStressCancelMidBatchFailover(t *testing.T) {
 	const (
 		workers = 6
@@ -243,8 +157,6 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 			if failover {
 				pri.FailAfter(workers * batches / 3)
 			}
-			async := d.NewAsync("SYS1", 16)
-			defer async.Close()
 
 			outcome := make([][]error, workers) // nil = batch reported success
 			var wg sync.WaitGroup
@@ -269,16 +181,7 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 							ctx, cancel = context.WithCancel(ctx)
 							go func() { cancel() }()
 						}
-						var err error
-						if b%5 == 0 {
-							var c *Completion
-							if c, err = async.Run(ctx, "WORKQ", cmds...); err == nil {
-								err = c.Wait()
-							}
-						} else {
-							err = FirstErr(ls.Batch(ctx, cmds))
-						}
-						outcome[w][b] = err
+						outcome[w][b] = FirstErr(ls.Batch(ctx, cmds))
 						if cancel != nil {
 							cancel()
 						}
@@ -333,63 +236,5 @@ func TestStressCancelMidBatchFailover(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAsyncBackpressureBlocksAtSlotLimit pins the bounded-slot design:
-// with every slot in flight, Run blocks until a completion is
-// retrieved rather than growing an unbounded queue.
-func TestAsyncBackpressureBlocksAtSlotLimit(t *testing.T) {
-	d, _, _ := newPair(t)
-	ls, err := d.AllocateListStructure("WORKQ", 2, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Connect(context.Background(), "SYS1", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Stall the pipeline so submitted envelopes stay in flight.
-	unblock := make(chan struct{})
-	d.SetInject(func(ctx context.Context, op *Op) error {
-		<-unblock
-		return nil
-	})
-	a := d.NewAsync("SYS1", 2)
-	defer a.Close()
-	var comps [2]*Completion
-	for i := range comps {
-		c, err := a.Run(context.Background(), "WORKQ",
-			Cmd{Kind: CmdListWrite, Conn: "SYS1", Name: "id" + strconv.Itoa(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps[i] = c
-	}
-	started := make(chan struct{})
-	done := make(chan *Completion, 1)
-	go func() {
-		close(started)
-		c, err := a.Run(context.Background(), "WORKQ",
-			Cmd{Kind: CmdListWrite, Conn: "SYS1", Name: "id2"})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- c
-	}()
-	<-started
-	select {
-	case <-done:
-		t.Fatal("third Run returned with both slots in flight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(unblock)
-	d.SetInject(nil)
-	for _, c := range comps {
-		if err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := (<-done).Wait(); err != nil {
-		t.Fatal(err)
 	}
 }

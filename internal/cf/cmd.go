@@ -8,8 +8,8 @@
 // applies it to a concrete structure. Every layer consumes the
 // descriptor instead of restating the command: the typed fronts build
 // one per call (handle.go), the duplexed pipeline orders, counts, and
-// mirrors it (op.go), asynchronous dispatch queues it (async.go), and
-// the link encodes exactly the fields the table lists (cflink). A new
+// mirrors it (op.go), a batch envelope carries it (CmdBatch), and the
+// link encodes exactly the fields the table lists (cflink). A new
 // command is one Kind constant, one table row, and one typed method.
 package cf
 

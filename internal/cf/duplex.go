@@ -107,7 +107,6 @@ type Duplexed struct {
 	syncing   bool // Reduplex copy in progress
 	pairs     map[string]*pair
 	onEvent   func(DuplexEvent)
-	async     *AsyncCtx // RunAsync's shared dispatch context, lazily built
 }
 
 // pairStripes is the number of command-ordering stripes per pair.

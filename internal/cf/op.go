@@ -111,9 +111,8 @@ func (c *Cmd) stripe(key Fields) uint {
 	}
 }
 
-// Exec runs one descriptor against the named structure: the
-// synchronous sibling of RunAsync, for callers that hold descriptors
-// rather than a typed front.
+// Exec runs one descriptor against the named structure, for callers
+// that hold descriptors rather than a typed front.
 func (d *Duplexed) Exec(ctx context.Context, structure string, c Cmd) (Reply, error) {
 	p := d.pair(structure)
 	if p == nil {
@@ -124,7 +123,7 @@ func (d *Duplexed) Exec(ctx context.Context, structure string, c Cmd) (Reply, er
 
 // Exec runs one descriptor — a command or an envelope — through the
 // pipeline stages in their fixed order. The typed structure fronts and
-// asynchronous dispatch use it as their uniform entry point. The stages
+// Duplexed.Exec use it as their uniform entry point. The stages
 // are plain statements in one method and the descriptor and reply
 // travel by value, so the fast path adds no heap allocation over
 // applying the command directly.

@@ -9,11 +9,7 @@ import "sync/atomic"
 // signal), with no interrupt or software involvement on the target.
 //
 // For cache structures a set bit means "local copy valid"; for list
-// structures a set bit means "monitored list went non-empty". The same
-// idiom carries command completion for asynchronous dispatch: an
-// AsyncCtx owns a completion vector where a set bit means "slot's
-// command completed" (see async.go) — testing a bit is how the paper's
-// CPU observes async completion, with no interrupt either.
+// structures a set bit means "monitored list went non-empty".
 type BitVector struct {
 	words []atomic.Uint64
 	size  int

@@ -28,12 +28,6 @@ func WithSystem(name string) Option {
 	return func(c *Client) { c.system = name }
 }
 
-// WithClock injects the client-side clock used for the pipeline's
-// context gate and for RTT metrics. Defaults to vclock.Real().
-func WithClock(clock vclock.Clock) Option {
-	return func(c *Client) { c.clock = clock }
-}
-
 // Client is a coupling facility reached over a cflink transport. It
 // implements cf.Node, and its structure handles implement cf.Replica —
 // one Exec entry that ships any command descriptor — so a remote
@@ -85,6 +79,7 @@ type clientResp struct {
 // connection.
 func Dial(network, addr string, opts ...Option) (*Client, error) {
 	c := &Client{
+		clock:   vclock.Real(),
 		reg:     metrics.NewRegistry(),
 		pending: make(map[uint64]chan clientResp),
 		vectors: make(map[uint64]*cf.BitVector),
@@ -92,9 +87,6 @@ func Dial(network, addr string, opts ...Option) (*Client, error) {
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.clock == nil {
-		c.clock = vclock.Real()
 	}
 	c.mOps = c.reg.Counter("cflink.cmd.count")
 	c.mRTT = c.reg.Histogram("cflink.cmd.rtt")

@@ -444,7 +444,7 @@ type execFunc func(ctx context.Context, c cf.Cmd) (cf.Reply, error)
 
 func (f execFunc) Exec(ctx context.Context, c cf.Cmd) (cf.Reply, error) { return f(ctx, c) }
 
-// issueModes are the three ways a front takes a command.
+// issueModes are the two ways a front takes a command.
 var issueModes = []struct {
 	name  string
 	issue func(ctx context.Context, d *cf.Duplexed, c cf.Cmd) (cf.Reply, error)
@@ -454,13 +454,6 @@ var issueModes = []struct {
 	}},
 	{"batch", func(ctx context.Context, d *cf.Duplexed, c cf.Cmd) (cf.Reply, error) {
 		return soleSub(d.Exec(ctx, confStructure, cf.Cmd{Kind: cf.CmdBatch, Sub: []cf.Cmd{c}}))
-	}},
-	{"async", func(ctx context.Context, d *cf.Duplexed, c cf.Cmd) (cf.Reply, error) {
-		comp, err := d.RunAsync(ctx, confStructure, c)
-		if err != nil {
-			return cf.Reply{}, err
-		}
-		return soleSub(comp.Reply())
 	}},
 }
 
@@ -476,12 +469,12 @@ func soleSub(r cf.Reply, err error) (cf.Reply, error) {
 }
 
 // TestEveryMutatingKindBatchAndAsync is check (c): every mutating kind
-// of the table, issued as a one-command envelope through Batch and
-// through the async context, gives the outcome and leaves the state of
-// the synchronous call — on an in-process front, a duplexed pair and a
-// pair of cflink clients, for a successful command, a logically failing
-// one, a cancelled one (no effect anywhere), and one that hits a dead
-// primary (failed over and re-driven).
+// of the table, issued as a one-command envelope through Batch, gives
+// the outcome and leaves the state of the synchronous call — on an
+// in-process front, a duplexed pair and a pair of cflink clients, for a
+// successful command, a logically failing one, a cancelled one (no
+// effect anywhere), and one that hits a dead primary (failed over and
+// re-driven).
 func TestEveryMutatingKindBatchAndAsync(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

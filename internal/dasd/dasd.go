@@ -460,13 +460,6 @@ func (v *Volume) SetBroken(broken bool) {
 	v.mu.Unlock()
 }
 
-// Broken reports whether the device is hard-failed.
-func (v *Volume) Broken() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.broken
-}
-
 // ReserveHolder returns the current reserve holder ("" if none).
 func (v *Volume) ReserveHolder() string {
 	v.mu.Lock()

@@ -365,18 +365,6 @@ func (m *Manager) Stream(name string) (*Stream, error) {
 	return s, nil
 }
 
-// StreamNames lists this manager's connected streams, sorted.
-func (m *Manager) StreamNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.streams))
-	for n := range m.streams {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TakeoverFailed completes any offload a failed system left behind, on
 // every stream this manager is connected to. The failed system's
 // offload lock must already have been cleared (the CF purges a failed

@@ -130,9 +130,6 @@ type CFRMSection struct {
 	// (fixed buckets "1", "2_7", "8_31", "32_127", "128p" ->
 	// envelope count); empty buckets are omitted.
 	BatchOcc map[string]int64 `json:"batchocc,omitempty"`
-	// AsyncInFlight is the number of asynchronous commands in flight
-	// at interval end (a gauge, not a delta).
-	AsyncInFlight int64 `json:"asyncinflight,omitempty"`
 }
 
 // LoggerSection reports System Logger activity over the interval
@@ -206,11 +203,9 @@ type Clone struct {
 	FalseRate float64 `json:"falserate"`
 	// Batches/BatchOps are interval deltas of the system's batched CF
 	// envelopes and the subcommands they carried (attributed by the
-	// batch's connector name); AsyncInFlight is its asynchronous
-	// commands still in flight at interval end (a gauge).
-	Batches       int64 `json:"batches,omitempty"`
-	BatchOps      int64 `json:"batchops,omitempty"`
-	AsyncInFlight int64 `json:"asyncinflight,omitempty"`
+	// batch's connector name).
+	Batches  int64 `json:"batches,omitempty"`
+	BatchOps int64 `json:"batchops,omitempty"`
 	// Util is WLM's utilization estimate at interval end.
 	Util float64 `json:"util"`
 	// Goals is WLM goal attainment per service class.

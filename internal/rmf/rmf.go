@@ -215,8 +215,8 @@ func (m *Monitor) SampleOnce(ctx context.Context) (Record, error) {
 		Reduplexes: rmDelta["cfrm.reduplex.count"],
 		Fanout:     summarize(rmSnap.Histograms["cfrm.duplex.fanout"], m.prevRM.Histograms["cfrm.duplex.fanout"].Count),
 	}
-	// Batched/async dispatch: envelope deltas, ops-per-batch occupancy
-	// and the in-flight gauge (see DESIGN §13).
+	// Batched dispatch: envelope deltas and ops-per-batch occupancy
+	// (see DESIGN §13).
 	r.CFRM.Batches = rmDelta["cfrm.op.batch"]
 	r.CFRM.BatchOps = rmDelta["cfrm.batch.ops"]
 	if r.CFRM.Batches > 0 {
@@ -230,7 +230,6 @@ func (m *Monitor) SampleOnce(ctx context.Context) (Record, error) {
 			r.CFRM.BatchOcc[b] = n
 		}
 	}
-	r.CFRM.AsyncInFlight = rmSnap.Gauges["cfrm.async.inflight"]
 	m.prevRM = rmSnap
 
 	// Logger section.
@@ -325,7 +324,6 @@ func (m *Monitor) SampleOnce(ctx context.Context) (Record, error) {
 		// name), so the per-clone counters live on the CFRM registry.
 		c.Batches = rmDelta["cfrm.batch.count."+n]
 		c.BatchOps = rmDelta["cfrm.batch.ops."+n]
-		c.AsyncInFlight = rmSnap.Gauges["cfrm.async.inflight."+n]
 		if src.Util != nil {
 			c.Util = round2(src.Util())
 		}

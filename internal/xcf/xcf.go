@@ -180,18 +180,6 @@ func (p *Sysplex) OnSystemFailed(fn func(sys string)) {
 	p.mu.Unlock()
 }
 
-// SystemNames lists systems ever joined, sorted.
-func (p *Sysplex) SystemNames() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.states))
-	for s := range p.states {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ActiveSystems lists currently active systems, sorted.
 func (p *Sysplex) ActiveSystems() []string {
 	p.mu.Lock()
@@ -566,13 +554,6 @@ func (s *System) terminate() {
 		close(s.stop)
 	}
 	s.mu.Unlock()
-}
-
-// Stopped reports whether the system has been terminated or left.
-func (s *System) Stopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
 }
 
 func (s *System) enqueue(env envelope) {
