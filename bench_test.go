@@ -290,11 +290,10 @@ func BenchmarkFig2_DuplexedCacheReadParallel(b *testing.B) {
 
 // --- FIG3: scalability curves and §4 claims ---
 
-// BenchmarkFig3_Scalability regenerates the Figure 3 series on the DES
-// and reports the paper's §4 quantities as custom metrics.
+// BenchmarkFig3_Scalability regenerates the Figure 3 series from the
+// queueing model and reports the paper's §4 quantities as custom metrics.
 func BenchmarkFig3_Scalability(b *testing.B) {
 	params := scalemodel.DefaultParams()
-	params.SimTime = 2 * time.Second
 	for i := 0; i < b.N; i++ {
 		claims := scalemodel.Claims(params)
 		b.ReportMetric(100*claims.DataSharingCost, "%dscost(paper<18)")
@@ -303,12 +302,11 @@ func BenchmarkFig3_Scalability(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3_SysplexPoint measures one 8-system DES point.
+// BenchmarkFig3_SysplexPoint solves one 8-system point.
 func BenchmarkFig3_SysplexPoint(b *testing.B) {
 	params := scalemodel.DefaultParams()
-	params.SimTime = time.Second
 	for i := 0; i < b.N; i++ {
-		r := scalemodel.MeasureSysplex(8, params)
+		r := scalemodel.Sysplex(8, params)
 		b.ReportMetric(r.EffectiveCap, "effective-engines")
 	}
 }
@@ -363,11 +361,10 @@ func BenchmarkFig4_FullStackTxParallel(b *testing.B) {
 
 func BenchmarkExpDS_SkewComparison(b *testing.B) {
 	params := scalemodel.DefaultParams()
-	params.SimTime = time.Second
 	offered := 0.7 * 4 * 1000 / params.BaseServiceMS
 	for i := 0; i < b.N; i++ {
-		shared := scalemodel.MeasureSkew("sharing", 4, 0.6, offered, params)
-		part := scalemodel.MeasureSkew("partitioned", 4, 0.6, offered, params)
+		shared := scalemodel.Skew("sharing", 4, 0.6, offered, params)
+		part := scalemodel.Skew("partitioned", 4, 0.6, offered, params)
 		b.ReportMetric(shared.Throughput, "sharing-tps")
 		b.ReportMetric(part.Throughput, "partitioned-tps")
 		b.ReportMetric(shared.Throughput/part.Throughput, "sharing-advantage")
@@ -599,18 +596,17 @@ func BenchmarkAblation_CFLinkLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_DESCFOpCost shows how the §4 data-sharing cost
+// BenchmarkAblation_CFOpCost shows how the §4 data-sharing cost
 // scales with the per-command CF cost in the scalability model.
-func BenchmarkAblation_DESCFOpCost(b *testing.B) {
+func BenchmarkAblation_CFOpCost(b *testing.B) {
 	for _, micros := range []float64{4, 8, 16} {
 		micros := micros
 		b.Run(fmt.Sprintf("%gus", micros), func(b *testing.B) {
 			params := scalemodel.DefaultParams()
-			params.SimTime = time.Second
 			params.CFOpMicros = micros
 			for i := 0; i < b.N; i++ {
-				r1 := scalemodel.MeasureSysplex(1, params)
-				r2 := scalemodel.MeasureSysplex(2, params)
+				r1 := scalemodel.Sysplex(1, params)
+				r2 := scalemodel.Sysplex(2, params)
 				b.ReportMetric(100*(1-r2.EffectiveCap/(2*r1.EffectiveCap)), "%dscost")
 			}
 		})

@@ -10,7 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
+	"math"
 
 	"sysplex"
 	"sysplex/internal/partition"
@@ -20,22 +20,29 @@ import (
 )
 
 func main() {
-	desComparison()
+	modelComparison()
 	functionalComparison()
 	repartitionCost()
 }
 
-// desComparison reproduces the throughput/latency table on the DES.
-func desComparison() {
+// modelComparison solves the throughput/latency table from the
+// queueing model, for uniform load and growing skew.
+func modelComparison() {
 	params := scalemodel.DefaultParams()
-	params.SimTime = 3 * time.Second
 	const m = 4
 	offered := 0.7 * m * 1000 / params.BaseServiceMS
-	fmt.Printf("DES comparison: %d systems, offered %.0f tps, 60%% of accesses to one partition\n", m, offered)
-	for _, mode := range []string{"sharing", "partitioned"} {
-		r := scalemodel.MeasureSkew(mode, m, 0.6, offered, params)
-		fmt.Printf("  %-12s achieved %5.0f tps  resp %6.2fms  utilization [%3.0f%%..%3.0f%%]\n",
-			r.Mode, r.Throughput, r.MeanRespMS, 100*r.UtilMin, 100*r.UtilMax)
+	fmt.Printf("queueing model: %d systems, offered %.0f tps, a growing share of accesses to one partition\n", m, offered)
+	fmt.Printf("  %-12s %5s %8s %8s %9s  %s\n", "MODE", "SKEW", "OFFERED", "ACHIEVED", "RESP(ms)", "UTIL[min,max]")
+	for _, skew := range []float64{0.25, 0.4, 0.6, 0.8} {
+		for _, mode := range []string{"sharing", "partitioned"} {
+			r := scalemodel.Skew(mode, m, skew, offered, params)
+			resp := fmt.Sprintf("%.1f", r.MeanRespMS)
+			if math.IsInf(r.MeanRespMS, 1) {
+				resp = "unbounded"
+			}
+			fmt.Printf("  %-12s %5.2f %8.0f %8.0f %9s  [%3.0f%%, %3.0f%%]\n",
+				r.Mode, r.Skew, r.OfferedTPS, r.Throughput, resp, 100*r.UtilMin, 100*r.UtilMax)
+		}
 	}
 	fmt.Println()
 }

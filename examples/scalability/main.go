@@ -1,24 +1,23 @@
-// Scalability: regenerate Figure 3 of the paper on the discrete-event
-// simulator and verify the §4 claims. Prints the three curves (IDEAL,
-// TCMP, PARALLEL SYSPLEX) plus a crude terminal plot.
+// Scalability: regenerate Figure 3 of the paper from the solved
+// queueing model and check the §4 claims. Prints the three curves
+// (IDEAL, TCMP, PARALLEL SYSPLEX) plus a crude terminal plot, and exits
+// non-zero when a claim misses the paper's bound.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
-	"time"
 
 	"sysplex/internal/scalemodel"
 )
 
 func main() {
 	systems := flag.Int("systems", 16, "sysplex members to sweep")
-	window := flag.Duration("simtime", 3*time.Second, "DES measurement window per point")
 	flag.Parse()
 
 	params := scalemodel.DefaultParams()
-	params.SimTime = *window
 
 	points := scalemodel.Figure3(*systems, params)
 	fmt.Println("Figure 3 — effective capacity vs physical capacity (single-engine units)")
@@ -50,8 +49,12 @@ func main() {
 	}
 
 	claims := scalemodel.Claims(params)
-	fmt.Println("\n§4 claims, paper vs measured:")
-	fmt.Printf("  initial data-sharing cost (1→2 systems):  paper <18%%   measured %.1f%%\n", 100*claims.DataSharingCost)
-	fmt.Printf("  incremental cost per added system:        paper <0.5%%  measured %.2f%% (worst)\n", 100*claims.MaxIncrementalCost)
-	fmt.Printf("  32-system effective capacity:             near-linear  measured %.1f%% of ideal\n", 100*claims.Effective32)
+	fmt.Println("\n§4 claims, paper vs model:")
+	fmt.Printf("  initial data-sharing cost (1→2 systems):  paper <18%%   model %.1f%%\n", 100*claims.DataSharingCost)
+	fmt.Printf("  incremental cost per added system:        paper <0.5%%  model %.2f%% (worst)\n", 100*claims.MaxIncrementalCost)
+	fmt.Printf("  32-system effective capacity:             near-linear  model %.1f%% of ideal\n", 100*claims.Effective32)
+	if claims.DataSharingCost >= 0.18 || claims.MaxIncrementalCost >= 0.005 || claims.Effective32 < 0.8 {
+		fmt.Println("FAIL: a §4 claim misses the paper's bound")
+		os.Exit(1)
+	}
 }

@@ -1,8 +1,10 @@
 // Package scalemodel reproduces the paper's §4 scalability evaluation
 // (Figure 3) and the §2.3 data-sharing versus data-partitioning
-// comparison on the discrete-event simulator. The authors measured a
+// comparison from a solved queueing model. The authors measured a
 // 100% data-sharing CICS/DBCTL workload on S/390 9672 hardware [8,9];
-// our substitute measures a calibrated OLTP workload model on the DES:
+// our substitute solves a calibrated OLTP workload model — each
+// system's CPU and the shared CF as queueing centres, a closed network
+// by mean-value analysis (MVA) and open stations by Erlang C:
 //
 //   - IDEAL: effective capacity == physical capacity.
 //   - TCMP: a tightly coupled multiprocessor pays hardware MP overhead
@@ -14,17 +16,11 @@
 //     tiny per-peer term (cross-invalidate fan-out, contention growth),
 //     so the curve stays near-linear out to 32 systems.
 //
-// The §4 claims checked against the measurements: the 1→2 system
-// data-sharing enablement cost is below 18%, and each added system
-// costs below 0.5%.
+// The §4 claims checked against the model: the 1→2 system data-sharing
+// enablement cost is below 18%, and each added system costs below 0.5%.
 package scalemodel
 
-import (
-	"fmt"
-	"time"
-
-	"sysplex/internal/sim"
-)
+import "math"
 
 // Params calibrate the workload and hardware model.
 type Params struct {
@@ -59,9 +55,6 @@ type Params struct {
 	// ClientsPerCPU controls the closed-loop population (saturation
 	// drive).
 	ClientsPerCPU int
-	// SimTime is the measured window; Seed fixes the RNG.
-	SimTime time.Duration
-	Seed    int64
 }
 
 // DefaultParams returns the calibration used for EXPERIMENTS.md.
@@ -80,8 +73,6 @@ func DefaultParams() Params {
 		MPb:                   0.004,
 		CFProcessors:          8,
 		ClientsPerCPU:         4,
-		SimTime:               20 * time.Second,
-		Seed:                  1996,
 	}
 }
 
@@ -103,7 +94,7 @@ func mpInflation(c int, p Params) float64 {
 	return float64(c) / TCMPEffective(c, p)
 }
 
-// Result is one measured configuration.
+// Result is one solved configuration.
 type Result struct {
 	Systems      int
 	CPUs         int // total physical engines
@@ -114,102 +105,70 @@ type Result struct {
 	EffectiveCap float64 // relative to a 1-engine, no-overhead system
 }
 
-// MeasureSysplex runs the closed-loop OLTP workload on m data-sharing
+// Sysplex solves the closed-loop OLTP workload on m data-sharing
 // systems (m==1 runs without data sharing, the §4 baseline) and
-// returns the measured capacity.
-func MeasureSysplex(m int, p Params) Result {
+// returns its capacity.
+func Sysplex(m int, p Params) Result {
 	if m < 1 {
 		panic("scalemodel: need at least one system")
 	}
-	eng := sim.NewEngine(p.Seed + int64(m))
-	cpus := make([]*sim.Server, m)
-	for i := range cpus {
-		cpus[i] = sim.NewServer(eng, fmt.Sprintf("SYS%d.cpu", i), p.CPUsPerSystem)
+	// Per-transaction demands in µs. Only data sharing (m > 1) uses the
+	// CF: the requesting CPU waits out each synchronous command, so the
+	// command time is CPU demand too, and the CF processors serve it.
+	// Real contention adds negotiation CPU and a wait, charged at its
+	// expected count per transaction.
+	cpu := p.BaseServiceMS * 1e3 * mpInflation(p.CPUsPerSystem, p)
+	var cf, wait float64
+	if m > 1 {
+		peers := float64(m - 1)
+		contended := float64(p.LockOpsPerTx) * p.ContentionProbPerPeer * peers
+		cpu += float64(p.LockOpsPerTx)*p.CFOpMicros +
+			float64(p.CacheOpsPerTx)*(p.CFOpMicros+peers*p.XIMicrosPerPeer) +
+			contended*p.ContentionCPUMicros
+		cf = float64(p.LockOpsPerTx+p.CacheOpsPerTx) * p.CFOpMicros
+		wait = contended * p.ContentionDelayMicros
 	}
-	cf := sim.NewServer(eng, "CF", p.CFProcessors)
-
-	dataSharing := m > 1
-	inflate := mpInflation(p.CPUsPerSystem, p)
-	var completions int64
-	var respTally sim.Tally
-
-	// perTxCPU computes this transaction's CPU demand; contention is
-	// sampled per lock op.
-	perTxCPU := func() (time.Duration, time.Duration, int) {
-		base := p.BaseServiceMS * 1e3 * inflate // µs
-		cfOps := 0
-		extraDelay := 0.0
-		if dataSharing {
-			cfOps = p.LockOpsPerTx + p.CacheOpsPerTx
-			base += float64(p.LockOpsPerTx) * p.CFOpMicros
-			base += float64(p.CacheOpsPerTx) * (p.CFOpMicros + float64(m-1)*p.XIMicrosPerPeer)
-			pc := p.ContentionProbPerPeer * float64(m-1)
-			for i := 0; i < p.LockOpsPerTx; i++ {
-				if eng.Rand().Float64() < pc {
-					base += p.ContentionCPUMicros
-					extraDelay += p.ContentionDelayMicros
-				}
-			}
-		}
-		return time.Duration(base * float64(time.Microsecond)),
-			time.Duration(extraDelay * float64(time.Microsecond)), cfOps
-	}
-
-	// Closed-loop clients per system.
-	for s := 0; s < m; s++ {
-		srv := cpus[s]
-		for cl := 0; cl < p.ClientsPerCPU*p.CPUsPerSystem; cl++ {
-			var submit func()
-			submit = func() {
-				start := eng.Now()
-				cpuTime, delay, cfOps := perTxCPU()
-				srv.Visit(cpuTime, func() {
-					finish := func() {
-						completions++
-						respTally.Add(eng.Now().Seconds() - start.Seconds())
-						eng.Schedule(0, submit)
-					}
-					// CF occupancy: the commands also consume CF processor
-					// capacity (the requesting CPU time already includes the
-					// synchronous wait).
-					if cfOps > 0 {
-						cf.Visit(time.Duration(float64(cfOps)*p.CFOpMicros)*time.Microsecond, func() {
-							if delay > 0 {
-								eng.Schedule(delay, finish)
-							} else {
-								finish()
-							}
-						})
-					} else if delay > 0 {
-						eng.Schedule(delay, finish)
-					} else {
-						finish()
-					}
-				})
-			}
-			eng.Schedule(0, submit)
-		}
-	}
-	eng.Run(p.SimTime)
-
-	elapsed := p.SimTime.Seconds()
-	tput := float64(completions) / elapsed
-	var cpuUtil float64
-	for _, c := range cpus {
-		cpuUtil += c.Utilization()
-	}
-	cpuUtil /= float64(m)
+	x, resp := mva(m, float64(p.ClientsPerCPU*p.CPUsPerSystem), cpu, p.CPUsPerSystem, cf, p.CFProcessors, wait)
+	tput := float64(m) * x * 1e6
 	// Normalization: ideal single-engine capacity with no overheads.
 	idealPerEngine := 1000.0 / p.BaseServiceMS // tx/sec per engine
 	return Result{
 		Systems:      m,
 		CPUs:         m * p.CPUsPerSystem,
 		Throughput:   tput,
-		CPUUtil:      cpuUtil,
-		CFUtil:       cf.Utilization(),
-		MeanRespMS:   respTally.Mean() * 1e3,
+		CPUUtil:      x * cpu / float64(p.CPUsPerSystem),
+		CFUtil:       float64(m) * x * cf / float64(p.CFProcessors),
+		MeanRespMS:   resp / 1e3,
 		EffectiveCap: tput / idealPerEngine,
 	}
+}
+
+// mva solves m identical classes of n clients by Bard–Schweitzer
+// approximate MVA and returns one class's throughput and mean response
+// time. Each class queues at its own c-way CPU (demand cpu) and at the
+// k-way CF every class shares (demand cf), and spends z in pure delay.
+// A multi-server station is Seidmann's approximation: one server of
+// demand D/c plus a delay of D·(c−1)/c. The classes are identical, so
+// the fixed point is a scalar iteration on one of them; exact
+// multiclass MVA would visit every population vector.
+func mva(m int, n, cpu float64, c int, cf float64, k int, z float64) (x, resp float64) {
+	dCPU, dCF := cpu/float64(c), cf/float64(k)
+	z += cpu - dCPU + cf - dCF
+	qCPU, qCF := n/2, n/2 // one class's mean queue at each centre
+	for i := 0; i < 10000; i++ {
+		// An arrival sees its own class's queues with itself removed,
+		// (n−1)/n of them, and every other class's CF queue in full.
+		rCPU := dCPU * (1 + qCPU*(n-1)/n)
+		rCF := dCF * (1 + float64(m)*qCF - qCF/n)
+		resp = rCPU + rCF + z
+		next := n / resp
+		qCPU, qCF = next*rCPU, next*rCF
+		if math.Abs(next-x) <= 1e-12*next {
+			return next, resp
+		}
+		x = next
+	}
+	return x, resp
 }
 
 // Figure3Point is one row of the reproduced Figure 3.
@@ -217,7 +176,7 @@ type Figure3Point struct {
 	CPUs    int
 	Ideal   float64
 	TCMP    float64 // analytic hardware model (capped at 10 engines = max TCMP)
-	Sysplex float64 // measured on the DES (m systems × CPUsPerSystem)
+	Sysplex float64 // solved closed network (m systems × CPUsPerSystem)
 }
 
 // Figure3 computes the three curves of Figure 3 for 1..maxSystems
@@ -227,7 +186,7 @@ type Figure3Point struct {
 func Figure3(maxSystems int, p Params) []Figure3Point {
 	out := make([]Figure3Point, 0, maxSystems)
 	for m := 1; m <= maxSystems; m++ {
-		r := MeasureSysplex(m, p)
+		r := Sysplex(m, p)
 		out = append(out, Figure3Point{
 			CPUs:    r.CPUs,
 			Ideal:   float64(r.CPUs),
@@ -238,8 +197,8 @@ func Figure3(maxSystems int, p Params) []Figure3Point {
 	return out
 }
 
-// ScalingClaims are the §4 quantitative claims extracted from a set of
-// measurements.
+// ScalingClaims are the §4 quantitative claims extracted from the
+// solved configurations.
 type ScalingClaims struct {
 	// DataSharingCost is the relative capacity cost of moving from one
 	// non-data-sharing system to two data-sharing systems
@@ -253,10 +212,10 @@ type ScalingClaims struct {
 	Effective32 float64
 }
 
-// Claims measures the configurations needed for the §4 claims.
+// Claims solves the configurations needed for the §4 claims.
 func Claims(p Params) ScalingClaims {
-	r1 := MeasureSysplex(1, p)
-	r2 := MeasureSysplex(2, p)
+	r1 := Sysplex(1, p)
+	r2 := Sysplex(2, p)
 	claims := ScalingClaims{
 		DataSharingCost: 1 - r2.EffectiveCap/(2*r1.EffectiveCap/float64(1)),
 	}
@@ -264,7 +223,7 @@ func Claims(p Params) ScalingClaims {
 	worst := 0.0
 	var last Result
 	for m := 3; m <= 32; m++ {
-		r := MeasureSysplex(m, p)
+		r := Sysplex(m, p)
 		// Per-system incremental overhead: the shortfall of this step's
 		// growth versus perfectly linear growth from the previous point.
 		incr := 1 - (r.EffectiveCap/prev.EffectiveCap)/(float64(m)/float64(m-1))
@@ -286,104 +245,68 @@ type SkewResult struct {
 	Skew       float64 // fraction of transactions hitting the hot partition
 	OfferedTPS float64
 	Throughput float64
-	MeanRespMS float64
-	P99RespMS  float64
+	MeanRespMS float64 // +Inf when a station is saturated
 	UtilMin    float64
 	UtilMax    float64
 }
 
-// MeasureSkew runs an open-loop workload at offeredTPS across m
-// systems. In "sharing" mode, arrivals are balanced onto the least
-// utilized system (any system can touch any data). In "partitioned"
-// mode each transaction must execute on the system that owns its data;
-// skew concentrates ownership: the hot partition receives `skew` of
-// all transactions while the rest spread evenly.
-func MeasureSkew(mode string, m int, skew, offeredTPS float64, p Params) SkewResult {
-	eng := sim.NewEngine(p.Seed + 7)
-	cpus := make([]*sim.Server, m)
-	for i := range cpus {
-		cpus[i] = sim.NewServer(eng, fmt.Sprintf("SYS%d", i), p.CPUsPerSystem)
-	}
-	inflate := mpInflation(p.CPUsPerSystem, p)
-	svc := time.Duration(p.BaseServiceMS * inflate * float64(time.Millisecond))
+// Skew solves an open workload offered at offeredTPS across m systems.
+// In "sharing" mode any system can run any transaction and WLM balances
+// arrivals, so the m systems act as one pooled station of m·c engines,
+// each transaction carrying the data-sharing toll. In "partitioned"
+// mode each transaction must execute on the system that owns its data:
+// the hot partition receives `skew` of all transactions while the rest
+// spread evenly, and each system is its own c-engine station.
+func Skew(mode string, m int, skew, offeredTPS float64, p Params) SkewResult {
+	c := p.CPUsPerSystem
+	svc := p.BaseServiceMS * mpInflation(c, p) / 1e3 // seconds
+	r := SkewResult{Mode: mode, Skew: skew, OfferedTPS: offeredTPS}
 	if mode == "sharing" {
-		// Data-sharing toll on every transaction.
-		ds := float64(p.LockOpsPerTx+p.CacheOpsPerTx) * p.CFOpMicros
-		svc += time.Duration(ds * float64(time.Microsecond))
+		svc += float64(p.LockOpsPerTx+p.CacheOpsPerTx) * p.CFOpMicros / 1e6
+		x, resp, util := station(m*c, svc, offeredTPS)
+		r.Throughput, r.MeanRespMS, r.UtilMin, r.UtilMax = x, resp*1e3, util, util
+		return r
 	}
-	var completions int64
-	var resp sim.Tally
-	interarrival := time.Duration(float64(time.Second) / offeredTPS)
-
-	var arrive func()
-	arrive = func() {
-		// Which partition does this tx touch?
-		target := 0
-		if eng.Rand().Float64() >= skew {
-			if m > 1 {
-				target = 1 + eng.Rand().Intn(m-1)
-			}
-		}
-		var srv *sim.Server
-		if mode == "sharing" {
-			// Dynamic balancing: shortest queue (WLM recommendation),
-			// random among ties so equal systems share new work.
-			best := cpus[0].QueueLen() + cpus[0].Busy()
-			ties := []*sim.Server{cpus[0]}
-			for _, c := range cpus[1:] {
-				d := c.QueueLen() + c.Busy()
-				switch {
-				case d < best:
-					best = d
-					ties = ties[:0]
-					ties = append(ties, c)
-				case d == best:
-					ties = append(ties, c)
-				}
-			}
-			srv = ties[eng.Rand().Intn(len(ties))]
-		} else {
-			srv = cpus[target] // data-to-system affinity
-		}
-		start := eng.Now()
-		srv.Visit(svc, func() {
-			completions++
-			resp.Add(eng.Now().Seconds() - start.Seconds())
-		})
-		eng.Schedule(eng.Exp(interarrival), arrive)
-	}
-	eng.Schedule(0, arrive)
-	eng.Run(p.SimTime)
-
-	utilMin, utilMax := 2.0, -1.0
-	for _, c := range cpus {
-		u := c.Utilization()
-		if u < utilMin {
-			utilMin = u
-		}
-		if u > utilMax {
-			utilMax = u
+	loads := make([]float64, m)
+	loads[0] = offeredTPS
+	if m > 1 {
+		loads[0] = skew * offeredTPS
+		for i := 1; i < m; i++ {
+			loads[i] = (1 - skew) * offeredTPS / float64(m-1)
 		}
 	}
-	return SkewResult{
-		Mode:       mode,
-		Skew:       skew,
-		OfferedTPS: offeredTPS,
-		Throughput: float64(completions) / p.SimTime.Seconds(),
-		MeanRespMS: resp.Mean() * 1e3,
-		P99RespMS:  approxP99(resp) * 1e3,
-		UtilMin:    utilMin,
-		UtilMax:    utilMax,
+	r.UtilMin, r.UtilMax = 2, -1
+	var busy float64 // Σ throughput × response: Little's law population
+	for _, lambda := range loads {
+		x, resp, util := station(c, svc, lambda)
+		r.Throughput += x
+		busy += x * resp
+		r.UtilMin, r.UtilMax = math.Min(r.UtilMin, util), math.Max(r.UtilMax, util)
 	}
+	r.MeanRespMS = busy / r.Throughput * 1e3
+	return r
 }
 
-// approxP99 estimates the 99th percentile from mean and max (the Tally
-// keeps no histogram; mean + 3σ capped at max is adequate for the
-// comparison tables).
-func approxP99(t sim.Tally) float64 {
-	v := t.Mean() + 3*t.StdDev()
-	if v > t.Max() {
-		v = t.Max()
+// station solves an open c-server station with Poisson arrivals at
+// rate lambda and fixed service time svc: Erlang C with the
+// Allen–Cunneen factor (c_a²+c_s²)/2 = 1/2, so the wait is half of
+// M/M/c's. A saturated station (lambda ≥ c/svc) completes work at its
+// capacity, is busy all the time, and its queue grows without bound.
+func station(c int, svc, lambda float64) (x, resp, util float64) {
+	capacity := float64(c) / svc
+	if lambda >= capacity {
+		return capacity, math.Inf(1), 1
 	}
-	return v
+	a := lambda * svc
+	return lambda, svc + erlangC(c, a)/(capacity-lambda)/2, a / float64(c)
+}
+
+// erlangC is the probability that an arrival waits at an M/M/c station
+// offered a < c erlangs, from the Erlang B recursion.
+func erlangC(c int, a float64) float64 {
+	b := 1.0
+	for k := 1; k <= c; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	return b / (1 - a/float64(c)*(1-b))
 }

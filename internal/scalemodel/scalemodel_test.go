@@ -1,15 +1,9 @@
 package scalemodel
 
 import (
+	"math"
 	"testing"
-	"time"
 )
-
-func testParams() Params {
-	p := DefaultParams()
-	p.SimTime = 3 * time.Second
-	return p
-}
 
 func TestTCMPEffectiveShape(t *testing.T) {
 	p := DefaultParams()
@@ -40,7 +34,7 @@ func TestTCMPEffectiveShape(t *testing.T) {
 }
 
 func TestSingleSystemBaseline(t *testing.T) {
-	r := MeasureSysplex(1, testParams())
+	r := Sysplex(1, DefaultParams())
 	// One engine, no data sharing: effective capacity ≈ 1.
 	if r.EffectiveCap < 0.9 || r.EffectiveCap > 1.05 {
 		t.Fatalf("1-system effective capacity = %g, want ≈1", r.EffectiveCap)
@@ -54,7 +48,7 @@ func TestSingleSystemBaseline(t *testing.T) {
 }
 
 func TestDataSharingCostWithinPaperBound(t *testing.T) {
-	c := Claims(testParams())
+	c := Claims(DefaultParams())
 	if c.DataSharingCost <= 0 {
 		t.Fatalf("data sharing should cost something: %g", c.DataSharingCost)
 	}
@@ -64,7 +58,7 @@ func TestDataSharingCostWithinPaperBound(t *testing.T) {
 }
 
 func TestIncrementalCostWithinPaperBound(t *testing.T) {
-	c := Claims(testParams())
+	c := Claims(DefaultParams())
 	if c.MaxIncrementalCost >= 0.005 {
 		t.Fatalf("worst incremental cost = %.3f%%, paper bound is <0.5%%", 100*c.MaxIncrementalCost)
 	}
@@ -75,7 +69,7 @@ func TestIncrementalCostWithinPaperBound(t *testing.T) {
 }
 
 func TestFigure3CurvesOrdering(t *testing.T) {
-	p := testParams()
+	p := DefaultParams()
 	points := Figure3(8, p)
 	if len(points) != 8 {
 		t.Fatalf("points = %d", len(points))
@@ -111,30 +105,21 @@ func TestFigure3CurvesOrdering(t *testing.T) {
 	}
 }
 
-func TestMeasurementDeterminism(t *testing.T) {
-	p := testParams()
-	a := MeasureSysplex(4, p)
-	b := MeasureSysplex(4, p)
-	if a.Throughput != b.Throughput {
-		t.Fatalf("non-deterministic: %g vs %g", a.Throughput, b.Throughput)
-	}
-}
-
 func TestSkewShowsDataSharingAdvantage(t *testing.T) {
-	p := testParams()
+	p := DefaultParams()
 	const m = 4
 	// Capacity per system ≈ 1000/BaseServiceMS; offer 70% of aggregate,
 	// with 60% of transactions hitting one partition.
 	offered := 0.7 * float64(m) * 1000 / p.BaseServiceMS
-	shared := MeasureSkew("sharing", m, 0.6, offered, p)
-	part := MeasureSkew("partitioned", m, 0.6, offered, p)
+	shared := Skew("sharing", m, 0.6, offered, p)
+	part := Skew("partitioned", m, 0.6, offered, p)
 
 	// Data sharing absorbs the skew: throughput ≈ offered.
 	if shared.Throughput < 0.95*offered {
 		t.Fatalf("sharing throughput = %g of %g offered", shared.Throughput, offered)
 	}
-	// The partitioned owner saturates: significant loss of completions
-	// within the window and far worse response times.
+	// The partitioned owner saturates: completions fall short of the
+	// offered load and response times are far worse.
 	if part.Throughput >= 0.95*offered {
 		t.Fatalf("partitioned throughput = %g, expected saturation below offered %g", part.Throughput, offered)
 	}
@@ -154,22 +139,86 @@ func TestUniformLoadParity(t *testing.T) {
 	// Without skew and at moderate load, both designs deliver the
 	// offered throughput — the paper's argument is about dynamics, not
 	// steady uniform load.
-	p := testParams()
+	p := DefaultParams()
 	const m = 4
 	offered := 0.6 * float64(m) * 1000 / p.BaseServiceMS
-	shared := MeasureSkew("sharing", m, 1.0/float64(m), offered, p)
-	part := MeasureSkew("partitioned", m, 1.0/float64(m), offered, p)
+	shared := Skew("sharing", m, 1.0/float64(m), offered, p)
+	part := Skew("partitioned", m, 1.0/float64(m), offered, p)
 	if part.Throughput < 0.95*offered || shared.Throughput < 0.95*offered {
 		t.Fatalf("parity broken: shared=%g partitioned=%g offered=%g",
 			shared.Throughput, part.Throughput, offered)
 	}
 }
 
-func TestMeasureSysplexPanicsOnZero(t *testing.T) {
+func TestSysplexPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	MeasureSysplex(0, testParams())
+	Sysplex(0, DefaultParams())
+}
+
+// TestPinnedToRecordedNumbers holds the model to the numbers recorded in
+// EXPERIMENTS.md by the event-driven simulator it replaced: the FIG3
+// SYSPLEX column and the EXP-DS ACHIEVED column.
+func TestPinnedToRecordedNumbers(t *testing.T) {
+	p := DefaultParams()
+	fig3 := map[int]float64{
+		1: 1.00, 2: 1.78, 4: 3.56, 5: 4.45, 8: 7.11, 12: 10.64,
+		16: 14.15, 20: 17.64, 24: 21.12, 28: 24.58, 32: 28.02,
+	}
+	for _, pt := range Figure3(32, p) {
+		want, ok := fig3[pt.CPUs]
+		if ok && math.Abs(pt.Sysplex-want) > 0.02*want {
+			t.Errorf("FIG3 at %d CPUs: sysplex %.3f, recorded %.2f (±2%%)", pt.CPUs, pt.Sysplex, want)
+		}
+	}
+	achieved := []struct {
+		mode string
+		skew float64
+		tps  float64
+	}{
+		{"sharing", 0.25, 1390}, {"partitioned", 0.25, 1383},
+		{"sharing", 0.40, 1399}, {"partitioned", 0.40, 1318},
+		{"sharing", 0.60, 1378}, {"partitioned", 0.60, 1042},
+		{"sharing", 0.80, 1391}, {"partitioned", 0.80, 775},
+	}
+	offered := 0.7 * 4 * 1000 / p.BaseServiceMS
+	for _, c := range achieved {
+		r := Skew(c.mode, 4, c.skew, offered, p)
+		if math.Abs(r.Throughput-c.tps) > 0.03*c.tps {
+			t.Errorf("EXP-DS %s skew %.2f: %.0f tps, recorded %.0f (±3%%)", c.mode, c.skew, r.Throughput, c.tps)
+		}
+	}
+}
+
+func TestClosedFormCases(t *testing.T) {
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	// One queue, no delay: every client is always queued there, so the
+	// station is never idle and X = 1/D for any population.
+	for _, n := range []float64{1, 4, 32} {
+		if x, _ := mva(1, n, 2000, 1, 0, 1, 0); !near(x, 1.0/2000) {
+			t.Errorf("mva single queue, N=%g: X = %g, want %g", n, x, 1.0/2000)
+		}
+	}
+	// One server: the probability of waiting is the utilisation.
+	for _, a := range []float64{0.1, 0.5, 0.9} {
+		if got := erlangC(1, a); !near(got, a) {
+			t.Errorf("erlangC(1, %g) = %g", a, got)
+		}
+	}
+	// An unsaturated single partition is M/D/1: S + ρS/(2(1−ρ)).
+	p := DefaultParams()
+	s := p.BaseServiceMS
+	for _, rho := range []float64{0.3, 0.7, 0.95} {
+		r := Skew("partitioned", 1, 1, rho*1000/s, p)
+		if want := s + rho*s/(2*(1-rho)); !near(r.MeanRespMS, want) {
+			t.Errorf("single partition at ρ=%g: resp %.6fms, want %.6fms", rho, r.MeanRespMS, want)
+		}
+	}
+	// A saturated partition completes at capacity with unbounded response.
+	if r := Skew("partitioned", 1, 1, 2*1000/s, p); r.Throughput != 1000/s || !math.IsInf(r.MeanRespMS, 1) || r.UtilMax != 1 {
+		t.Errorf("saturated partition = %+v", r)
+	}
 }

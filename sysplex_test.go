@@ -177,12 +177,10 @@ func TestFigure2DataSharing(t *testing.T) {
 	}
 }
 
-// --- FIG3: scalability (measured on the DES; full curves in the bench) ---
+// --- FIG3: scalability (solved queueing model; full curves in the bench) ---
 
 func TestFigure3ScalabilityClaims(t *testing.T) {
-	params := scalemodel.DefaultParams()
-	params.SimTime = 3 * time.Second
-	claims := scalemodel.Claims(params)
+	claims := scalemodel.Claims(scalemodel.DefaultParams())
 	if claims.DataSharingCost >= 0.18 {
 		t.Fatalf("1→2 data-sharing cost %.1f%% ≥ paper bound 18%%", 100*claims.DataSharingCost)
 	}
@@ -507,19 +505,6 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if stats[0].Region.Submitted != 1 || stats[0].DB.Commits == 0 {
 		t.Fatalf("stats[0] = %+v", stats[0])
-	}
-}
-
-// TestDataSharingVsPartitioningFunctional exercises the §2.3 argument
-// on the functional stacks: the shared-nothing owner serves shipped
-// work for hot keys while the sysplex runs the same accesses anywhere.
-func TestDataSharingVsPartitioningFunctional(t *testing.T) {
-	params := scalemodel.DefaultParams()
-	params.SimTime = 2 * time.Second
-	shared := scalemodel.MeasureSkew("sharing", 4, 0.6, 0.7*4*1000/params.BaseServiceMS, params)
-	part := scalemodel.MeasureSkew("partitioned", 4, 0.6, 0.7*4*1000/params.BaseServiceMS, params)
-	if shared.Throughput <= part.Throughput {
-		t.Fatalf("sharing %.0f tps <= partitioned %.0f tps under skew", shared.Throughput, part.Throughput)
 	}
 }
 
