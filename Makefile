@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-json test race check loc demo bench bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke
+.PHONY: all build vet fmt lint lint-json test race check loc demo bench bench-cf bench-cf-smoke bench-logr-smoke bench-batch-smoke restart examples-smoke fuzz-smoke
 
 all: check
 
@@ -115,4 +115,18 @@ examples-smoke:
 	@for ex in $(EXAMPLES); do \
 		echo "== examples/$$ex"; \
 		timeout 60 $(GO) run ./examples/$$ex >/dev/null || exit 1; \
+	done
+
+# The record codec's fuzz targets for 5 s each: cflink's frame and
+# command codec over internal/wire, and one target per record on it
+# (VTAM instance, txmgr XCF message, db log record, logr envelope). Each
+# round-trips its record and feeds arbitrary bytes to the decoder, which
+# must fail by name and never panic.
+FUZZ_TARGETS := cflink:FuzzDecoder cflink:FuzzFrame cflink:FuzzRoundTrip vtam:FuzzInstance \
+	txmgr:FuzzMsg db:FuzzLogRecord logr:FuzzEnvelope
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "== internal/$$pkg $$fn"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s ./internal/$$pkg || exit 1; \
 	done

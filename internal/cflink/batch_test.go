@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 func TestBatchOverWire(t *testing.T) {
@@ -88,19 +89,19 @@ func rawCommandConn(t *testing.T, network, addr, system string) net.Conn {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	var e encoder
-	e.b = append(e.b, magic[0], magic[1], magic[2], magic[3])
-	e.u8(connCommand)
-	e.string(system)
-	if err := writeFrame(conn, e.b); err != nil {
+	var e wire.Encoder
+	e.Buf = append(e.Buf, magic[0], magic[1], magic[2], magic[3])
+	e.U8(connCommand)
+	e.Str(system)
+	if err := writeFrame(conn, e.Buf); err != nil {
 		t.Fatalf("handshake write: %v", err)
 	}
 	hello, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("handshake read: %v", err)
 	}
-	d := &decoder{b: hello}
-	if code := d.u8(); code != codeOK {
+	d := wire.NewDecoder(hello)
+	if code := d.U8(); code != codeOK {
 		t.Fatalf("handshake code = %d", code)
 	}
 	return conn
@@ -108,17 +109,17 @@ func rawCommandConn(t *testing.T, network, addr, system string) net.Conn {
 
 // readReply reads one response frame and returns its request ID, status
 // code, and the remaining payload decoder.
-func readReply(t *testing.T, conn net.Conn) (uint64, uint8, *decoder) {
+func readReply(t *testing.T, conn net.Conn) (uint64, uint8, *wire.Decoder) {
 	t.Helper()
 	payload, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("read reply: %v", err)
 	}
-	d := &decoder{b: payload}
-	reqID := d.uvarint()
-	code := d.u8()
-	if d.err != nil {
-		t.Fatalf("reply header: %v", d.err)
+	d := wire.NewDecoder(payload)
+	reqID := d.Uvarint()
+	code := d.U8()
+	if d.Err() != nil {
+		t.Fatalf("reply header: %v", d.Err())
 	}
 	return reqID, code, d
 }
@@ -133,13 +134,13 @@ func TestBatchTruncatedCountMalformed(t *testing.T) {
 	}
 	conn := rawCommandConn(t, network, addr, "SYSA")
 
-	var e encoder
-	e.uvarint(7) // request ID
-	e.u8(opExec)
-	e.string("WORKQ")
-	e.u8(uint8(cf.CmdBatch))
-	e.uvarint(500) // promises 500 subcommands, carries none
-	if err := writeFrame(conn, e.b); err != nil {
+	var e wire.Encoder
+	e.Uvarint(7) // request ID
+	e.U8(opExec)
+	e.Str("WORKQ")
+	e.U8(uint8(cf.CmdBatch))
+	e.Uvarint(500) // promises 500 subcommands, carries none
+	if err := writeFrame(conn, e.Buf); err != nil {
 		t.Fatal(err)
 	}
 	reqID, code, _ := readReply(t, conn)
@@ -148,17 +149,17 @@ func TestBatchTruncatedCountMalformed(t *testing.T) {
 	}
 
 	// The session must still be alive.
-	var e2 encoder
-	e2.uvarint(8)
-	e2.u8(opStructureNames)
-	if err := writeFrame(conn, e2.b); err != nil {
+	var e2 wire.Encoder
+	e2.Uvarint(8)
+	e2.U8(opStructureNames)
+	if err := writeFrame(conn, e2.Buf); err != nil {
 		t.Fatal(err)
 	}
 	reqID, code, d := readReply(t, conn)
 	if reqID != 8 || code != codeOK {
 		t.Fatalf("follow-up reply = id %d code %d", reqID, code)
 	}
-	names := d.strings()
+	names := d.Strings()
 	if len(names) != 1 || names[0] != "WORKQ" {
 		t.Fatalf("names = %v", names)
 	}
@@ -173,10 +174,10 @@ func TestDuplicateRequestIDsBothAnswered(t *testing.T) {
 	conn := rawCommandConn(t, network, addr, "SYSA")
 
 	for i := 0; i < 2; i++ {
-		var e encoder
-		e.uvarint(42)
-		e.u8(opStructureNames)
-		if err := writeFrame(conn, e.b); err != nil {
+		var e wire.Encoder
+		e.Uvarint(42)
+		e.U8(opStructureNames)
+		if err := writeFrame(conn, e.Buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,14 +187,14 @@ func TestDuplicateRequestIDsBothAnswered(t *testing.T) {
 			t.Fatalf("reply %d = id %d code %d, want id 42 codeOK", i, reqID, code)
 		}
 	}
-	var e encoder
-	e.uvarint(43)
-	e.u8(opFailed)
-	if err := writeFrame(conn, e.b); err != nil {
+	var e wire.Encoder
+	e.Uvarint(43)
+	e.U8(opFailed)
+	if err := writeFrame(conn, e.Buf); err != nil {
 		t.Fatal(err)
 	}
 	reqID, code, d := readReply(t, conn)
-	if reqID != 43 || code != codeOK || d.bool() {
+	if reqID != 43 || code != codeOK || d.Bool() {
 		t.Fatalf("post-duplicate request: id %d code %d", reqID, code)
 	}
 }
@@ -208,11 +209,11 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			env.Sub = append(env.Sub, fillCmd(k, "SYSA"))
 		}
 	}
-	var e encoder
-	e.cmd(&env, vecs.id)
-	d := &decoder{b: e.b}
-	got := d.cmd(vecs.vec, false)
-	if err := d.finish(); err != nil {
+	var e wire.Encoder
+	encodeCmd(&e, &env, vecs.id)
+	d := wire.NewDecoder(e.Buf)
+	got := decodeCmd(d, vecs.vec, false)
+	if err := d.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
 	if !reflect.DeepEqual(got, env) {

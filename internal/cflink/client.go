@@ -2,6 +2,7 @@ package cflink
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/metrics"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 )
 
 // ErrClientClosed fails commands issued after Close.
@@ -98,11 +100,11 @@ func Dial(network, addr string, opts ...Option) (*Client, error) {
 	// Handshake deadlines are real time: they bound a half-open peer at
 	// the link protocol level, below the simulated sysplex clock.
 	cmd.SetDeadline(time.Now().Add(handshakeTimeout)) // lintwall: link handshake bound, not sysplex time
-	var e encoder
-	e.b = append(e.b, magic[:]...)
-	e.u8(connCommand)
-	e.string(c.system)
-	if err := writeFrame(cmd, e.b); err != nil {
+	var e wire.Encoder
+	e.Buf = append(e.Buf, magic[:]...)
+	e.U8(connCommand)
+	e.Str(c.system)
+	if err := writeFrame(cmd, e.Buf); err != nil {
 		cmd.Close()
 		return nil, fmt.Errorf("cflink: handshake: %w", err)
 	}
@@ -111,16 +113,16 @@ func Dial(network, addr string, opts ...Option) (*Client, error) {
 		cmd.Close()
 		return nil, fmt.Errorf("cflink: handshake: %w", err)
 	}
-	d := &decoder{b: payload}
-	code := d.u8()
+	d := wire.NewDecoder(payload)
+	code := d.U8()
 	if code != codeOK {
-		detail := d.string()
+		detail := d.Str()
 		cmd.Close()
 		return nil, fmt.Errorf("cflink: handshake rejected: %w", decodeErr(code, detail))
 	}
-	c.name = d.string()
-	token := d.uvarint()
-	if err := d.finish(); err != nil {
+	c.name = d.Str()
+	token := d.Uvarint()
+	if err := d.Finish(); err != nil {
 		cmd.Close()
 		return nil, fmt.Errorf("cflink: handshake: %w", err)
 	}
@@ -133,11 +135,11 @@ func Dial(network, addr string, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("cflink: dial notify %s %s: %w", network, addr, err)
 	}
 	nc.SetDeadline(time.Now().Add(handshakeTimeout)) // lintwall: link handshake bound, not sysplex time
-	var ne encoder
-	ne.b = append(ne.b, magic[:]...)
-	ne.u8(connNotify)
-	ne.uvarint(token)
-	if err := writeFrame(nc, ne.b); err != nil {
+	var ne wire.Encoder
+	ne.Buf = append(ne.Buf, magic[:]...)
+	ne.U8(connNotify)
+	ne.Uvarint(token)
+	if err := writeFrame(nc, ne.Buf); err != nil {
 		cmd.Close()
 		nc.Close()
 		return nil, fmt.Errorf("cflink: notify handshake: %w", err)
@@ -200,9 +202,8 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		d := &decoder{b: payload}
-		reqID := d.uvarint()
-		if d.err != nil {
+		reqID, n := binary.Uvarint(payload)
+		if n <= 0 {
 			c.fail(ErrMalformed)
 			return
 		}
@@ -211,7 +212,7 @@ func (c *Client) readLoop() {
 		delete(c.pending, reqID)
 		c.pmu.Unlock()
 		if ch != nil {
-			ch <- clientResp{payload: payload[d.off:]}
+			ch <- clientResp{payload: payload[n:]}
 		}
 	}
 }
@@ -229,11 +230,11 @@ func (c *Client) notifyLoop() {
 			c.fail(err)
 			return
 		}
-		d := &decoder{b: payload}
-		vecID := d.uvarint()
-		bit := d.varint()
-		set := d.bool()
-		if d.finish() != nil {
+		d := wire.NewDecoder(payload)
+		vecID := d.Uvarint()
+		bit := d.Varint()
+		set := d.Bool()
+		if d.Finish() != nil {
 			c.fail(ErrMalformed)
 			return
 		}
@@ -284,7 +285,7 @@ func (c *Client) registerVector(v *cf.BitVector) uint64 {
 // response or with the link dying, which fails the command with
 // cf.ErrCFDown — exactly the signal the duplexed front's failover path
 // expects from a dead CF.
-func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)) (*decoder, error) {
+func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *wire.Encoder)) (*wire.Decoder, error) {
 	if c.failed.Load() {
 		return nil, cf.ErrCFDown
 	}
@@ -297,13 +298,13 @@ func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	var e encoder
-	e.uvarint(id)
-	e.u8(op)
+	var e wire.Encoder
+	e.Uvarint(id)
+	e.U8(op)
 	if build != nil {
 		build(&e)
 	}
-	if len(e.b) > MaxFrame {
+	if len(e.Buf) > MaxFrame {
 		// An oversized request never reaches the wire: fail the one
 		// command cleanly instead of killing the session (writeFrame
 		// would surface this as a transport death). Batches are the one
@@ -311,11 +312,11 @@ func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)
 		c.pmu.Lock()
 		delete(c.pending, id)
 		c.pmu.Unlock()
-		return nil, fmt.Errorf("%w: %d byte request", ErrFrameTooBig, len(e.b))
+		return nil, fmt.Errorf("%w: %d byte request", ErrFrameTooBig, len(e.Buf))
 	}
 	start := c.clock.Now()
 	c.wmu.Lock()
-	err := writeFrame(c.cmd, e.b)
+	err := writeFrame(c.cmd, e.Buf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.pmu.Lock()
@@ -330,11 +331,11 @@ func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)
 		return nil, resp.err
 	}
 	c.mRTT.Observe(c.clock.Since(start))
-	d := &decoder{b: resp.payload}
-	code := d.u8()
+	d := wire.NewDecoder(resp.payload)
+	code := d.U8()
 	if code != codeOK {
-		detail := d.string()
-		if err := d.finish(); err != nil {
+		detail := d.Str()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		return nil, decodeErr(code, detail)
@@ -347,17 +348,17 @@ func (c *Client) roundTrip(ctx context.Context, op uint8, build func(e *encoder)
 // caller deadline to honour, and the round trip is bounded by the link
 // lifetime (a dead link fails it with cf.ErrCFDown). The response
 // decoder is returned with the status already checked.
-func (c *Client) node(op uint8, build func(e *encoder)) (*decoder, error) {
+func (c *Client) node(op uint8, build func(e *wire.Encoder)) (*wire.Decoder, error) {
 	return c.roundTrip(context.Background(), op, build)
 }
 
 // nodeCall is node for operations whose response carries no fields.
-func (c *Client) nodeCall(op uint8, build func(e *encoder)) error {
+func (c *Client) nodeCall(op uint8, build func(e *wire.Encoder)) error {
 	d, err := c.node(op, build)
 	if err != nil {
 		return err
 	}
-	return d.finish()
+	return d.Finish()
 }
 
 // ---- cf.Node ----
@@ -369,8 +370,8 @@ func (c *Client) StructureNames() []string {
 	if err != nil {
 		return nil
 	}
-	names := d.strings()
-	if d.finish() != nil {
+	names := d.Strings()
+	if d.Finish() != nil {
 		return nil
 	}
 	return names
@@ -386,8 +387,8 @@ func (c *Client) Failed() bool {
 	if err != nil {
 		return true
 	}
-	failed := d.bool()
-	return d.finish() != nil || failed
+	failed := d.Bool()
+	return d.Finish() != nil || failed
 }
 
 // Fail breaks the remote facility (failure injection over the wire:
@@ -397,26 +398,26 @@ func (c *Client) Fail() { _ = c.nodeCall(opFail, nil) }
 
 // FailAfter arms remote failure injection after n more commands begin.
 func (c *Client) FailAfter(n int) {
-	_ = c.nodeCall(opFailAfter, func(e *encoder) { e.int(n) })
+	_ = c.nodeCall(opFailAfter, func(e *wire.Encoder) { e.Int(n) })
 }
 
 // SetSyncLatency injects per-command service time on the remote
 // facility (on top of the real link round trip this client pays).
 func (c *Client) SetSyncLatency(d time.Duration) {
-	_ = c.nodeCall(opSetSyncLatency, func(e *encoder) { e.varint(int64(d)) })
+	_ = c.nodeCall(opSetSyncLatency, func(e *wire.Encoder) { e.Varint(int64(d)) })
 }
 
 // Deallocate frees a remote structure.
 func (c *Client) Deallocate(name string) error {
-	return c.nodeCall(opDeallocate, func(e *encoder) { e.string(name) })
+	return c.nodeCall(opDeallocate, func(e *wire.Encoder) { e.Str(name) })
 }
 
 // AllocateLockStructure allocates a lock structure and returns its
 // remote handle.
 func (c *Client) AllocateLockStructure(name string, entries int) (cf.Lock, error) {
-	err := c.nodeCall(opAllocLock, func(e *encoder) {
-		e.string(name)
-		e.int(entries)
+	err := c.nodeCall(opAllocLock, func(e *wire.Encoder) {
+		e.Str(name)
+		e.Int(entries)
 	})
 	if err != nil {
 		return nil, err
@@ -427,9 +428,9 @@ func (c *Client) AllocateLockStructure(name string, entries int) (cf.Lock, error
 // AllocateCacheStructure allocates a cache structure and returns its
 // remote handle.
 func (c *Client) AllocateCacheStructure(name string, maxEntries int) (cf.Cache, error) {
-	err := c.nodeCall(opAllocCache, func(e *encoder) {
-		e.string(name)
-		e.int(maxEntries)
+	err := c.nodeCall(opAllocCache, func(e *wire.Encoder) {
+		e.Str(name)
+		e.Int(maxEntries)
 	})
 	if err != nil {
 		return nil, err
@@ -440,11 +441,11 @@ func (c *Client) AllocateCacheStructure(name string, maxEntries int) (cf.Cache, 
 // AllocateListStructure allocates a list structure and returns its
 // remote handle.
 func (c *Client) AllocateListStructure(name string, nLists, nLocks, maxEntries int) (cf.List, error) {
-	err := c.nodeCall(opAllocList, func(e *encoder) {
-		e.string(name)
-		e.int(nLists)
-		e.int(nLocks)
-		e.int(maxEntries)
+	err := c.nodeCall(opAllocList, func(e *wire.Encoder) {
+		e.Str(name)
+		e.Int(nLists)
+		e.Int(nLocks)
+		e.Int(maxEntries)
 	})
 	if err != nil {
 		return nil, err
@@ -456,14 +457,14 @@ func (c *Client) AllocateListStructure(name string, nLists, nLocks, maxEntries i
 // nil when absent (or the link is down — a dead node has no reachable
 // structures).
 func (c *Client) Structure(name string) cf.Replica {
-	d, err := c.node(opStructInfo, func(e *encoder) { e.string(name) })
+	d, err := c.node(opStructInfo, func(e *wire.Encoder) { e.Str(name) })
 	if err != nil {
 		return nil
 	}
-	exists := d.bool()
-	model := cf.Model(d.int())
-	size := d.int()
-	if d.finish() != nil || !exists {
+	exists := d.Bool()
+	model := cf.Model(d.Int())
+	size := d.Int()
+	if d.Finish() != nil || !exists {
 		return nil
 	}
 	return &remoteStruct{c: c, name: name, model: model, size: size}
@@ -473,7 +474,7 @@ func (c *Client) Structure(name string) cf.Replica {
 // and its reconnects refused. A healthy sysplex member calls this to
 // cut a sick peer off from shared state before taking over its work.
 func (c *Client) Fence(system string) error {
-	return c.nodeCall(opFence, func(e *encoder) { e.string(system) })
+	return c.nodeCall(opFence, func(e *wire.Encoder) { e.Str(system) })
 }
 
 // remoteStruct is the wire handle of one structure replica: the
@@ -493,11 +494,11 @@ func (r *remoteStruct) ReplicaModel() cf.Model { return r.model }
 func (r *remoteStruct) ReplicaSize() int       { return r.size }
 
 func (r *remoteStruct) ReplicaDisconnect(conn string) {
-	_ = r.c.nodeCall(opStructDisconnect, func(e *encoder) { e.string(r.name); e.string(conn) })
+	_ = r.c.nodeCall(opStructDisconnect, func(e *wire.Encoder) { e.Str(r.name); e.Str(conn) })
 }
 
 func (r *remoteStruct) ReplicaFailConnector(conn string) {
-	_ = r.c.nodeCall(opStructFailConn, func(e *encoder) { e.string(r.name); e.string(conn) })
+	_ = r.c.nodeCall(opStructFailConn, func(e *wire.Encoder) { e.Str(r.name); e.Str(conn) })
 }
 
 // ReplicaCloneInto always fails with cf.ErrCloneUnsupported: cloning
@@ -522,15 +523,15 @@ func (r *remoteStruct) Exec(ctx context.Context, c cf.Cmd) (cf.Reply, error) {
 	if err := c.Validate(r.model); err != nil {
 		return cf.Reply{}, err
 	}
-	d, err := r.c.roundTrip(ctx, opExec, func(e *encoder) {
-		e.string(r.name)
-		e.cmd(&c, r.c.registerVector)
+	d, err := r.c.roundTrip(ctx, opExec, func(e *wire.Encoder) {
+		e.Str(r.name)
+		encodeCmd(e, &c, r.c.registerVector)
 	})
 	if err != nil {
 		return cf.Reply{}, err
 	}
-	rep := d.reply(&c)
-	if err := d.finish(); err != nil {
+	rep := decodeReply(d, &c)
+	if err := d.Finish(); err != nil {
 		return cf.Reply{}, err
 	}
 	return rep, nil

@@ -27,14 +27,15 @@
 // driven by the cf command table: a descriptor is its kind byte
 // followed by exactly the fields the table lists for that kind, in
 // field-set bit order, and a reply is the reply fields the table lists
-// (encoder.cmd / encoder.reply). A batch envelope is the descriptor
+// (encodeCmd / encodeReply). A batch envelope is the descriptor
 // whose one field is its subcommand list. Adding a command to the
 // table puts it on the wire; there is nothing to extend here.
 //
-// Scalar fields are uvarints (zigzag varints where signed); strings and
-// byte blocks are length-prefixed. The codec never panics on malformed
-// input: truncated, oversized, or corrupt frames fail with an error
-// (fuzzed in codec_fuzz_test.go).
+// Fields are in the tree's one record codec, internal/wire: uvarints
+// (zigzag varints where signed), length-prefixed strings and byte
+// blocks. Decoding never panics on malformed input: truncated,
+// oversized, or corrupt frames fail with an error (fuzzed in
+// codec_fuzz_test.go).
 package cflink
 
 import (
@@ -44,6 +45,7 @@ import (
 	"io"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 // MaxFrame bounds one frame's payload. Large enough for any structure
@@ -54,7 +56,7 @@ const MaxFrame = 1 << 20
 // Frame-level errors.
 var (
 	ErrFrameTooBig = errors.New("cflink: frame exceeds MaxFrame")
-	ErrMalformed   = errors.New("cflink: malformed frame")
+	ErrMalformed   = wire.ErrMalformed
 )
 
 // magic opens every session's first frame on both connection kinds; its
@@ -210,226 +212,70 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// encoder appends wire-format fields to a payload buffer. It cannot
-// fail; size limits are enforced at frame-write time.
-type encoder struct {
-	b []byte
-}
-
-func (e *encoder) u8(v uint8)       { e.b = append(e.b, v) }
-func (e *encoder) bool(v bool)      { e.b = append(e.b, boolByte(v)) }
-func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *encoder) int(v int)        { e.varint(int64(v)) }
-
-func (e *encoder) bytes(v []byte) {
-	e.uvarint(uint64(len(v)))
-	e.b = append(e.b, v...)
-}
-
-func (e *encoder) string(v string) {
-	e.uvarint(uint64(len(v)))
-	e.b = append(e.b, v...)
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// decoder consumes wire-format fields from a payload. Errors are
-// sticky: after the first malformed field every subsequent read returns
-// a zero value, so decode call sites check err once at the end. It
-// never panics and never reads past the payload.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrMalformed
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) int() int { return int(d.varint()) }
-
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, d.b[d.off:])
-	d.off += int(n)
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return v
-}
-
-// finish reports a decode error if any field was malformed or trailing
-// bytes remain (a frame must be consumed exactly).
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.b)-d.off)
-	}
-	return nil
-}
-
-// stringSlice encoding: uvarint count, then each string.
-
-func (e *encoder) strings(v []string) {
-	e.uvarint(uint64(len(v)))
-	for _, s := range v {
-		e.string(s)
-	}
-}
-
-func (d *decoder) strings() []string {
-	n := d.count(MaxFrame)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.string())
-	}
-	return out
-}
-
 // LockRecord encoding.
 
-func (e *encoder) lockRecord(r cf.LockRecord) {
-	e.string(r.Connector)
-	e.string(r.Resource)
-	e.int(int(r.Mode))
+func encodeLockRecord(e *wire.Encoder, r cf.LockRecord) {
+	e.Str(r.Connector)
+	e.Str(r.Resource)
+	e.Int(int(r.Mode))
 }
 
-func (d *decoder) lockRecord() cf.LockRecord {
+func decodeLockRecord(d *wire.Decoder) cf.LockRecord {
 	return cf.LockRecord{
-		Connector: d.string(),
-		Resource:  d.string(),
-		Mode:      cf.LockMode(d.int()),
+		Connector: d.Str(),
+		Resource:  d.Str(),
+		Mode:      cf.LockMode(d.Int()),
 	}
 }
 
-func (e *encoder) lockRecords(rs []cf.LockRecord) {
-	e.uvarint(uint64(len(rs)))
+func encodeLockRecords(e *wire.Encoder, rs []cf.LockRecord) {
+	e.Uvarint(uint64(len(rs)))
 	for _, r := range rs {
-		e.lockRecord(r)
+		encodeLockRecord(e, r)
 	}
 }
 
-func (d *decoder) lockRecords() []cf.LockRecord {
-	n := d.count(MaxFrame)
-	if d.err != nil {
-		return nil
-	}
+func decodeLockRecords(d *wire.Decoder) []cf.LockRecord {
+	n := d.Count(MaxFrame)
 	out := make([]cf.LockRecord, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, d.lockRecord())
+		out = append(out, decodeLockRecord(d))
 	}
 	return out
 }
 
 // ListEntry encoding.
 
-func (e *encoder) listEntry(le cf.ListEntry) {
-	e.string(le.ID)
-	e.string(le.Key)
-	e.bytes(le.Data)
-	e.string(le.Adjunct)
-	e.int(le.List)
+func encodeListEntry(e *wire.Encoder, le cf.ListEntry) {
+	e.Str(le.ID)
+	e.Str(le.Key)
+	e.Bytes(le.Data)
+	e.Str(le.Adjunct)
+	e.Int(le.List)
 }
 
-func (d *decoder) listEntry() cf.ListEntry {
+func decodeListEntry(d *wire.Decoder) cf.ListEntry {
 	return cf.ListEntry{
-		ID:      d.string(),
-		Key:     d.string(),
-		Data:    d.bytes(),
-		Adjunct: d.string(),
-		List:    d.int(),
+		ID:      d.Str(),
+		Key:     d.Str(),
+		Data:    d.Bytes(),
+		Adjunct: d.Str(),
+		List:    d.Int(),
 	}
 }
 
-func (e *encoder) listEntries(es []cf.ListEntry) {
-	e.uvarint(uint64(len(es)))
+func encodeListEntries(e *wire.Encoder, es []cf.ListEntry) {
+	e.Uvarint(uint64(len(es)))
 	for _, le := range es {
-		e.listEntry(le)
+		encodeListEntry(e, le)
 	}
 }
 
-func (d *decoder) listEntries() []cf.ListEntry {
-	n := d.count(MaxFrame)
-	if d.err != nil {
-		return nil
-	}
+func decodeListEntries(d *wire.Decoder) []cf.ListEntry {
+	n := d.Count(MaxFrame)
 	out := make([]cf.ListEntry, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, d.listEntry())
+		out = append(out, decodeListEntry(d))
 	}
 	return out
 }
@@ -440,28 +286,28 @@ func (d *decoder) listEntries() []cf.ListEntry {
 // need link context and follow the rows (see cmd).
 var cmdCodec = [...]struct {
 	f   cf.Fields
-	enc func(*encoder, *cf.Cmd)
-	dec func(*decoder, *cf.Cmd)
+	enc func(*wire.Encoder, *cf.Cmd)
+	dec func(*wire.Decoder, *cf.Cmd)
 }{
-	{cf.FConn, func(e *encoder, c *cf.Cmd) { e.string(c.Conn) }, func(d *decoder, c *cf.Cmd) { c.Conn = d.string() }},
-	{cf.FName, func(e *encoder, c *cf.Cmd) { e.string(c.Name) }, func(d *decoder, c *cf.Cmd) { c.Name = d.string() }},
-	{cf.FKey, func(e *encoder, c *cf.Cmd) { e.string(c.Key) }, func(d *decoder, c *cf.Cmd) { c.Key = d.string() }},
-	{cf.FIdx, func(e *encoder, c *cf.Cmd) { e.int(c.Idx) }, func(d *decoder, c *cf.Cmd) { c.Idx = d.int() }},
-	{cf.FVecIdx, func(e *encoder, c *cf.Cmd) { e.int(c.VecIdx) }, func(d *decoder, c *cf.Cmd) { c.VecIdx = d.int() }},
-	{cf.FMode, func(e *encoder, c *cf.Cmd) { e.int(int(c.Mode)) }, func(d *decoder, c *cf.Cmd) { c.Mode = cf.LockMode(d.int()) }},
-	{cf.FOrder, func(e *encoder, c *cf.Cmd) { e.int(int(c.Order)) }, func(d *decoder, c *cf.Cmd) { c.Order = cf.Order(d.int()) }},
-	{cf.FVersion, func(e *encoder, c *cf.Cmd) { e.uvarint(c.Version) }, func(d *decoder, c *cf.Cmd) { c.Version = d.uvarint() }},
-	{cf.FCond, func(e *encoder, c *cf.Cmd) { e.bool(c.Cond.Use); e.int(c.Cond.LockIndex) },
-		func(d *decoder, c *cf.Cmd) { c.Cond = cf.Cond{Use: d.bool(), LockIndex: d.int()} }},
-	{cf.FFlags, func(e *encoder, c *cf.Cmd) { e.bool(c.Cache); e.bool(c.Changed) },
-		func(d *decoder, c *cf.Cmd) { c.Cache, c.Changed = d.bool(), d.bool() }},
-	{cf.FData, func(e *encoder, c *cf.Cmd) { e.bytes(c.Data) }, func(d *decoder, c *cf.Cmd) { c.Data = d.bytes() }},
+	{cf.FConn, func(e *wire.Encoder, c *cf.Cmd) { e.Str(c.Conn) }, func(d *wire.Decoder, c *cf.Cmd) { c.Conn = d.Str() }},
+	{cf.FName, func(e *wire.Encoder, c *cf.Cmd) { e.Str(c.Name) }, func(d *wire.Decoder, c *cf.Cmd) { c.Name = d.Str() }},
+	{cf.FKey, func(e *wire.Encoder, c *cf.Cmd) { e.Str(c.Key) }, func(d *wire.Decoder, c *cf.Cmd) { c.Key = d.Str() }},
+	{cf.FIdx, func(e *wire.Encoder, c *cf.Cmd) { e.Int(c.Idx) }, func(d *wire.Decoder, c *cf.Cmd) { c.Idx = d.Int() }},
+	{cf.FVecIdx, func(e *wire.Encoder, c *cf.Cmd) { e.Int(c.VecIdx) }, func(d *wire.Decoder, c *cf.Cmd) { c.VecIdx = d.Int() }},
+	{cf.FMode, func(e *wire.Encoder, c *cf.Cmd) { e.Int(int(c.Mode)) }, func(d *wire.Decoder, c *cf.Cmd) { c.Mode = cf.LockMode(d.Int()) }},
+	{cf.FOrder, func(e *wire.Encoder, c *cf.Cmd) { e.Int(int(c.Order)) }, func(d *wire.Decoder, c *cf.Cmd) { c.Order = cf.Order(d.Int()) }},
+	{cf.FVersion, func(e *wire.Encoder, c *cf.Cmd) { e.Uvarint(c.Version) }, func(d *wire.Decoder, c *cf.Cmd) { c.Version = d.Uvarint() }},
+	{cf.FCond, func(e *wire.Encoder, c *cf.Cmd) { e.Bool(c.Cond.Use); e.Int(c.Cond.LockIndex) },
+		func(d *wire.Decoder, c *cf.Cmd) { c.Cond = cf.Cond{Use: d.Bool(), LockIndex: d.Int()} }},
+	{cf.FFlags, func(e *wire.Encoder, c *cf.Cmd) { e.Bool(c.Cache); e.Bool(c.Changed) },
+		func(d *wire.Decoder, c *cf.Cmd) { c.Cache, c.Changed = d.Bool(), d.Bool() }},
+	{cf.FData, func(e *wire.Encoder, c *cf.Cmd) { e.Bytes(c.Data) }, func(d *wire.Decoder, c *cf.Cmd) { c.Data = d.Bytes() }},
 }
 
-// cmd encodes one descriptor. A connector's bit vector crosses as
+// encodeCmd encodes one descriptor. A connector's bit vector crosses as
 // (wire ID, length): vecID registers the real vector on the client.
-func (e *encoder) cmd(c *cf.Cmd, vecID func(*cf.BitVector) uint64) {
-	e.u8(uint8(c.Kind))
+func encodeCmd(e *wire.Encoder, c *cf.Cmd, vecID func(*cf.BitVector) uint64) {
+	e.U8(uint8(c.Kind))
 	// An unknown kind has no fields and encodes as the bare byte; the
 	// decoder rejects it.
 	in, _, _ := c.Kind.Fields()
@@ -475,27 +321,27 @@ func (e *encoder) cmd(c *cf.Cmd, vecID func(*cf.BitVector) uint64) {
 		if c.Vector != nil {
 			n = c.Vector.Len()
 		}
-		e.uvarint(vecID(c.Vector))
-		e.int(n)
+		e.Uvarint(vecID(c.Vector))
+		e.Int(n)
 	}
 	if in&cf.FSub != 0 {
-		e.uvarint(uint64(len(c.Sub)))
+		e.Uvarint(uint64(len(c.Sub)))
 		for i := range c.Sub {
-			e.cmd(&c.Sub[i], vecID)
+			encodeCmd(e, &c.Sub[i], vecID)
 		}
 	}
 }
 
-// cmd decodes one descriptor; vec resolves a vector's wire ID to the
+// decodeCmd decodes one descriptor; vec resolves a vector's wire ID to the
 // server's shadow of it. An unknown kind byte, an envelope inside an
 // envelope, or a subcommand count beyond cf.MaxBatchOps (or beyond
 // what the remaining payload could hold) is malformed — rejected before
 // anything is allocated for it.
-func (d *decoder) cmd(vec func(id uint64, length int) *cf.BitVector, nested bool) cf.Cmd {
-	c := cf.Cmd{Kind: cf.Kind(d.u8())}
+func decodeCmd(d *wire.Decoder, vec func(id uint64, length int) *cf.BitVector, nested bool) cf.Cmd {
+	c := cf.Cmd{Kind: cf.Kind(d.U8())}
 	in, _, ok := c.Kind.Fields()
 	if !ok || (nested && c.Kind == cf.CmdBatch) {
-		d.fail()
+		d.Fail()
 		return c
 	}
 	for i := range cmdCodec {
@@ -504,30 +350,18 @@ func (d *decoder) cmd(vec func(id uint64, length int) *cf.BitVector, nested bool
 		}
 	}
 	if in&cf.FVector != 0 {
-		if id, n := d.uvarint(), d.int(); d.err == nil {
+		if id, n := d.Uvarint(), d.Int(); d.Err() == nil {
 			c.Vector = vec(id, n)
 		}
 	}
 	if in&cf.FSub != 0 {
-		n := d.count(cf.MaxBatchOps)
+		n := d.Count(cf.MaxBatchOps)
 		c.Sub = make([]cf.Cmd, 0, n)
 		for i := 0; i < n; i++ {
-			c.Sub = append(c.Sub, d.cmd(vec, true))
+			c.Sub = append(c.Sub, decodeCmd(d, vec, true))
 		}
 	}
 	return c
-}
-
-// count decodes an element count, rejecting one beyond max or beyond
-// what the remaining payload could hold (every element costs ≥ 1 byte)
-// before the caller allocates for it.
-func (d *decoder) count(max uint64) int {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)-d.off) || n > max {
-		d.fail()
-		return 0
-	}
-	return int(n)
 }
 
 // replyCodec is the wire form of each reply field. A reply is the rows
@@ -535,25 +369,25 @@ func (d *decoder) count(max uint64) int {
 // request, so no kind byte is repeated.
 var replyCodec = [...]struct {
 	f   cf.Fields
-	enc func(*encoder, *cf.Reply)
-	dec func(*decoder, *cf.Reply)
+	enc func(*wire.Encoder, *cf.Reply)
+	dec func(*wire.Decoder, *cf.Reply)
 }{
-	{cf.RFlag, func(e *encoder, r *cf.Reply) { e.bool(r.Flag) }, func(d *decoder, r *cf.Reply) { r.Flag = d.bool() }},
-	{cf.RCounts, func(e *encoder, r *cf.Reply) { e.int(r.N); e.int(r.M) }, func(d *decoder, r *cf.Reply) { r.N, r.M = d.int(), d.int() }},
-	{cf.RVersion, func(e *encoder, r *cf.Reply) { e.uvarint(r.Version) }, func(d *decoder, r *cf.Reply) { r.Version = d.uvarint() }},
-	{cf.RText, func(e *encoder, r *cf.Reply) { e.string(r.Text) }, func(d *decoder, r *cf.Reply) { r.Text = d.string() }},
-	{cf.RData, func(e *encoder, r *cf.Reply) { e.bytes(r.Data) }, func(d *decoder, r *cf.Reply) { r.Data = d.bytes() }},
-	{cf.RNames, func(e *encoder, r *cf.Reply) { e.strings(r.Names) }, func(d *decoder, r *cf.Reply) { r.Names = d.strings() }},
-	{cf.RRecords, func(e *encoder, r *cf.Reply) { e.lockRecords(r.Records) }, func(d *decoder, r *cf.Reply) { r.Records = d.lockRecords() }},
-	{cf.REntry, func(e *encoder, r *cf.Reply) { e.listEntry(r.Entry) }, func(d *decoder, r *cf.Reply) { r.Entry = d.listEntry() }},
-	{cf.REntries, func(e *encoder, r *cf.Reply) { e.listEntries(r.Entries) }, func(d *decoder, r *cf.Reply) { r.Entries = d.listEntries() }},
+	{cf.RFlag, func(e *wire.Encoder, r *cf.Reply) { e.Bool(r.Flag) }, func(d *wire.Decoder, r *cf.Reply) { r.Flag = d.Bool() }},
+	{cf.RCounts, func(e *wire.Encoder, r *cf.Reply) { e.Int(r.N); e.Int(r.M) }, func(d *wire.Decoder, r *cf.Reply) { r.N, r.M = d.Int(), d.Int() }},
+	{cf.RVersion, func(e *wire.Encoder, r *cf.Reply) { e.Uvarint(r.Version) }, func(d *wire.Decoder, r *cf.Reply) { r.Version = d.Uvarint() }},
+	{cf.RText, func(e *wire.Encoder, r *cf.Reply) { e.Str(r.Text) }, func(d *wire.Decoder, r *cf.Reply) { r.Text = d.Str() }},
+	{cf.RData, func(e *wire.Encoder, r *cf.Reply) { e.Bytes(r.Data) }, func(d *wire.Decoder, r *cf.Reply) { r.Data = d.Bytes() }},
+	{cf.RNames, func(e *wire.Encoder, r *cf.Reply) { e.Strings(r.Names) }, func(d *wire.Decoder, r *cf.Reply) { r.Names = d.Strings() }},
+	{cf.RRecords, func(e *wire.Encoder, r *cf.Reply) { encodeLockRecords(e, r.Records) }, func(d *wire.Decoder, r *cf.Reply) { r.Records = decodeLockRecords(d) }},
+	{cf.REntry, func(e *wire.Encoder, r *cf.Reply) { encodeListEntry(e, r.Entry) }, func(d *wire.Decoder, r *cf.Reply) { r.Entry = decodeListEntry(d) }},
+	{cf.REntries, func(e *wire.Encoder, r *cf.Reply) { encodeListEntries(e, r.Entries) }, func(d *wire.Decoder, r *cf.Reply) { r.Entries = decodeListEntries(d) }},
 }
 
-// reply encodes the reply to c. An envelope's reply is one status byte
+// encodeReply encodes the reply to c. An envelope's reply is one status byte
 // per subcommand — codeOK followed by that subcommand's reply, or an
 // error code and its detail string — so errors.Is works per subcommand
 // across the wire.
-func (e *encoder) reply(c *cf.Cmd, r *cf.Reply) {
+func encodeReply(e *wire.Encoder, c *cf.Cmd, r *cf.Reply) {
 	_, out, _ := c.Kind.Fields()
 	for i := range replyCodec {
 		if out&replyCodec[i].f != 0 {
@@ -561,23 +395,23 @@ func (e *encoder) reply(c *cf.Cmd, r *cf.Reply) {
 		}
 	}
 	if out&cf.RSub != 0 {
-		e.uvarint(uint64(len(r.Errs)))
+		e.Uvarint(uint64(len(r.Errs)))
 		for i, err := range r.Errs {
 			if err != nil {
 				code, detail := encodeErr(err)
-				e.u8(code)
-				e.string(detail)
+				e.U8(code)
+				e.Str(detail)
 				continue
 			}
-			e.u8(codeOK)
+			e.U8(codeOK)
 			if r.Sub != nil {
-				e.reply(&c.Sub[i], &r.Sub[i])
+				encodeReply(e, &c.Sub[i], &r.Sub[i])
 			}
 		}
 	}
 }
 
-func (d *decoder) reply(c *cf.Cmd) cf.Reply {
+func decodeReply(d *wire.Decoder, c *cf.Cmd) cf.Reply {
 	var r cf.Reply
 	_, out, _ := c.Kind.Fields()
 	for i := range replyCodec {
@@ -587,21 +421,21 @@ func (d *decoder) reply(c *cf.Cmd) cf.Reply {
 	}
 	if out&cf.RSub != 0 {
 		// One status per subcommand sent, no more and no fewer.
-		if n := d.count(cf.MaxBatchOps); n != len(c.Sub) {
-			d.fail()
+		if n := d.Count(cf.MaxBatchOps); n != len(c.Sub) {
+			d.Fail()
 			return r
 		}
 		r.Errs = make([]error, len(c.Sub))
 		for i := range c.Sub {
-			if code := d.u8(); code != codeOK {
-				r.Errs[i] = decodeErr(code, d.string())
+			if code := d.U8(); code != codeOK {
+				r.Errs[i] = decodeErr(code, d.Str())
 			} else if _, sout, _ := c.Sub[i].Kind.Fields(); sout != 0 {
 				// As on the server, the reply slice exists only when a
 				// subcommand has result fields to put in it.
 				if r.Sub == nil {
 					r.Sub = make([]cf.Reply, len(c.Sub))
 				}
-				r.Sub[i] = d.reply(&c.Sub[i])
+				r.Sub[i] = decodeReply(d, &c.Sub[i])
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 // FuzzDecoder throws arbitrary bytes at every decode shape the protocol
@@ -15,18 +16,18 @@ import (
 // read, never a giant allocation from a forged element count.
 func FuzzDecoder(f *testing.F) {
 	vecs := newVecMap()
-	var seed encoder
-	seed.uvarint(12)
-	seed.u8(opExec)
-	seed.string("MSGQ")
-	seed.cmd(&cf.Cmd{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 3, Name: "id-1", Key: "key",
+	var seed wire.Encoder
+	seed.Uvarint(12)
+	seed.U8(opExec)
+	seed.Str("MSGQ")
+	encodeCmd(&seed, &cf.Cmd{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 3, Name: "id-1", Key: "key",
 		Data: []byte("data"), Order: cf.Keyed, Cond: cf.Cond{Use: true, LockIndex: 1}}, vecs.id)
-	f.Add(seed.b)
+	f.Add(seed.Buf)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	var counts encoder
-	counts.uvarint(1 << 50)
-	f.Add(counts.b)
+	var counts wire.Encoder
+	counts.Uvarint(1 << 50)
+	f.Add(counts.Buf)
 	// Batch envelope seeds: a well-formed two-subcommand batch, the
 	// same one truncated mid-subcommand, and a forged count that
 	// promises more subcommands than the payload carries (the classic
@@ -35,80 +36,80 @@ func FuzzDecoder(f *testing.F) {
 		{Kind: cf.CmdLockRelease, Idx: 5, Conn: "SYSA", Mode: cf.Exclusive},
 		{Kind: cf.CmdListWrite, Conn: "SYSA", Idx: 1, Name: "id", Key: "key", Data: []byte("rec"), Order: cf.Keyed, Cond: cf.Cond{Use: true}},
 	}}
-	var bseed encoder
-	bseed.cmd(&batch, vecs.id)
-	f.Add(bseed.b)
-	f.Add(bseed.b[:len(bseed.b)/2])
-	var bcount encoder
-	bcount.u8(uint8(cf.CmdBatch))
-	bcount.uvarint(uint64(cf.MaxBatchOps) + 1)
-	bcount.u8(uint8(cf.CmdLockRelease))
-	f.Add(bcount.b)
-	var berrs encoder
-	berrs.reply(&batch, &cf.Reply{Errs: []error{nil, cf.ErrEntryNotFound}})
-	f.Add(berrs.b)
+	var bseed wire.Encoder
+	encodeCmd(&bseed, &batch, vecs.id)
+	f.Add(bseed.Buf)
+	f.Add(bseed.Buf[:len(bseed.Buf)/2])
+	var bcount wire.Encoder
+	bcount.U8(uint8(cf.CmdBatch))
+	bcount.Uvarint(uint64(cf.MaxBatchOps) + 1)
+	bcount.U8(uint8(cf.CmdLockRelease))
+	f.Add(bcount.Buf)
+	var berrs wire.Encoder
+	encodeReply(&berrs, &batch, &cf.Reply{Errs: []error{nil, cf.ErrEntryNotFound}})
+	f.Add(berrs.Buf)
 	// One descriptor and one reply per row of the command table, so a
 	// new command is fuzzed from the day it is added.
 	for _, k := range allKinds() {
 		c, r := fillCmd(k, "SYSA"), fillReply(k)
-		var ce, re encoder
-		ce.cmd(&c, vecs.id)
-		re.reply(&c, &r)
-		f.Add(ce.b)
-		f.Add(re.b)
+		var ce, re wire.Encoder
+		encodeCmd(&ce, &c, vecs.id)
+		encodeReply(&re, &c, &r)
+		f.Add(ce.Buf)
+		f.Add(re.Buf)
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// Request-header shape.
-		d := &decoder{b: payload}
-		d.uvarint()
-		d.u8()
-		d.string()
-		_ = d.finish()
+		d := wire.NewDecoder(payload)
+		d.Uvarint()
+		d.U8()
+		d.Str()
+		_ = d.Finish()
 
 		// Every composite decoder.
-		for _, dec := range []func(d *decoder){
-			func(d *decoder) { d.strings() },
-			func(d *decoder) { d.lockRecords() },
-			func(d *decoder) { d.listEntries() },
-			func(d *decoder) { d.listEntry() },
-			func(d *decoder) { d.lockRecord() },
-			func(d *decoder) { d.bytes() },
-			func(d *decoder) { d.varint(); d.uvarint(); d.bool() },
-			func(d *decoder) {
-				if c := d.cmd(vecs.vec, false); len(c.Sub) > cf.MaxBatchOps {
+		for _, dec := range []func(d *wire.Decoder){
+			func(d *wire.Decoder) { d.Strings() },
+			func(d *wire.Decoder) { decodeLockRecords(d) },
+			func(d *wire.Decoder) { decodeListEntries(d) },
+			func(d *wire.Decoder) { decodeListEntry(d) },
+			func(d *wire.Decoder) { decodeLockRecord(d) },
+			func(d *wire.Decoder) { d.Bytes() },
+			func(d *wire.Decoder) { d.Varint(); d.Uvarint(); d.Bool() },
+			func(d *wire.Decoder) {
+				if c := decodeCmd(d, vecs.vec, false); len(c.Sub) > cf.MaxBatchOps {
 					t.Fatalf("cmd decoded %d subcommands > MaxBatchOps", len(c.Sub))
 				}
 			},
-			func(d *decoder) {
+			func(d *wire.Decoder) {
 				// The payload as the reply to every kind of request.
 				for _, k := range allKinds() {
 					c := fillCmd(k, "SYSA")
-					dd := &decoder{b: d.b}
-					if r := dd.reply(&c); len(r.Errs) > len(c.Sub) || len(r.Sub) > len(c.Sub) {
+					dd := wire.NewDecoder(payload)
+					if r := decodeReply(dd, &c); len(r.Errs) > len(c.Sub) || len(r.Sub) > len(c.Sub) {
 						t.Fatalf("reply decoded %d statuses, %d replies for %d subcommands", len(r.Errs), len(r.Sub), len(c.Sub))
 					}
 				}
 			},
 		} {
-			dd := &decoder{b: payload}
+			dd := wire.NewDecoder(payload)
 			dec(dd)
-			_ = dd.finish()
+			_ = dd.Finish()
 		}
 
 		// Response-envelope shape: code then either detail or results.
-		rd := &decoder{b: payload}
-		code := rd.u8()
+		rd := wire.NewDecoder(payload)
+		code := rd.U8()
 		if code != codeOK {
-			detail := rd.string()
-			if rd.err == nil {
+			detail := rd.Str()
+			if rd.Err() == nil {
 				_ = decodeErr(code, detail)
 			}
 		} else {
-			rd.bytes()
-			rd.bool()
-			rd.uvarint()
-			_ = rd.finish()
+			rd.Bytes()
+			rd.Bool()
+			rd.Uvarint()
+			_ = rd.Finish()
 		}
 	})
 }
@@ -146,45 +147,45 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add("", "", int64(-1), []byte{}, false, int64(0))
 
 	f.Fuzz(func(t *testing.T, s1, s2 string, i1 int64, b []byte, flag bool, i2 int64) {
-		var e encoder
-		e.string(s1)
-		e.string(s2)
-		e.varint(i1)
-		e.bytes(b)
-		e.bool(flag)
-		e.uvarint(uint64(i2))
-		e.lockRecord(cf.LockRecord{Connector: s1, Resource: s2, Mode: cf.LockMode(i1)})
-		e.listEntry(cf.ListEntry{ID: s1, Key: s2, Data: b, Adjunct: s2, List: int(i1)})
+		var e wire.Encoder
+		e.Str(s1)
+		e.Str(s2)
+		e.Varint(i1)
+		e.Bytes(b)
+		e.Bool(flag)
+		e.Uvarint(uint64(i2))
+		encodeLockRecord(&e, cf.LockRecord{Connector: s1, Resource: s2, Mode: cf.LockMode(i1)})
+		encodeListEntry(&e, cf.ListEntry{ID: s1, Key: s2, Data: b, Adjunct: s2, List: int(i1)})
 
-		d := &decoder{b: e.b}
-		if got := d.string(); got != s1 {
+		d := wire.NewDecoder(e.Buf)
+		if got := d.Str(); got != s1 {
 			t.Fatalf("string = %q, want %q", got, s1)
 		}
-		if got := d.string(); got != s2 {
+		if got := d.Str(); got != s2 {
 			t.Fatalf("string = %q, want %q", got, s2)
 		}
-		if got := d.varint(); got != i1 {
+		if got := d.Varint(); got != i1 {
 			t.Fatalf("varint = %d, want %d", got, i1)
 		}
-		got := d.bytes()
+		got := d.Bytes()
 		if !bytes.Equal(got, b) && !(len(got) == 0 && len(b) == 0) {
 			t.Fatalf("bytes = %v, want %v", got, b)
 		}
-		if d.bool() != flag {
+		if d.Bool() != flag {
 			t.Fatal("bool mismatch")
 		}
-		if got := d.uvarint(); got != uint64(i2) {
+		if got := d.Uvarint(); got != uint64(i2) {
 			t.Fatalf("uvarint = %d, want %d", got, uint64(i2))
 		}
-		rec := d.lockRecord()
+		rec := decodeLockRecord(d)
 		if rec.Connector != s1 || rec.Resource != s2 || rec.Mode != cf.LockMode(i1) {
 			t.Fatalf("lockRecord = %+v", rec)
 		}
-		le := d.listEntry()
+		le := decodeListEntry(d)
 		if le.ID != s1 || le.Key != s2 || le.Adjunct != s2 || le.List != int(i1) {
 			t.Fatalf("listEntry = %+v", le)
 		}
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			t.Fatalf("finish: %v", err)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -56,56 +57,56 @@ func TestFrameTruncated(t *testing.T) {
 }
 
 func TestScalarRoundTrip(t *testing.T) {
-	var e encoder
-	e.u8(7)
-	e.bool(true)
-	e.bool(false)
-	e.uvarint(0)
-	e.uvarint(1 << 62)
-	e.varint(-1234567)
-	e.int(42)
-	e.string("")
-	e.string("IGWLOCK00")
-	e.bytes(nil)
-	e.bytes([]byte{1, 2, 3})
-	e.strings([]string{"SYSA", "SYSB"})
+	var e wire.Encoder
+	e.U8(7)
+	e.Bool(true)
+	e.Bool(false)
+	e.Uvarint(0)
+	e.Uvarint(1 << 62)
+	e.Varint(-1234567)
+	e.Int(42)
+	e.Str("")
+	e.Str("IGWLOCK00")
+	e.Bytes(nil)
+	e.Bytes([]byte{1, 2, 3})
+	e.Strings([]string{"SYSA", "SYSB"})
 
-	d := &decoder{b: e.b}
-	if got := d.u8(); got != 7 {
+	d := wire.NewDecoder(e.Buf)
+	if got := d.U8(); got != 7 {
 		t.Fatalf("u8 = %d", got)
 	}
-	if !d.bool() || d.bool() {
+	if !d.Bool() || d.Bool() {
 		t.Fatal("bool round trip")
 	}
-	if got := d.uvarint(); got != 0 {
+	if got := d.Uvarint(); got != 0 {
 		t.Fatalf("uvarint(0) = %d", got)
 	}
-	if got := d.uvarint(); got != 1<<62 {
+	if got := d.Uvarint(); got != 1<<62 {
 		t.Fatalf("uvarint(1<<62) = %d", got)
 	}
-	if got := d.varint(); got != -1234567 {
+	if got := d.Varint(); got != -1234567 {
 		t.Fatalf("varint = %d", got)
 	}
-	if got := d.int(); got != 42 {
+	if got := d.Int(); got != 42 {
 		t.Fatalf("int = %d", got)
 	}
-	if got := d.string(); got != "" {
+	if got := d.Str(); got != "" {
 		t.Fatalf("string(empty) = %q", got)
 	}
-	if got := d.string(); got != "IGWLOCK00" {
+	if got := d.Str(); got != "IGWLOCK00" {
 		t.Fatalf("string = %q", got)
 	}
-	if got := d.bytes(); got != nil {
+	if got := d.Bytes(); got != nil {
 		t.Fatalf("bytes(nil) = %v", got)
 	}
-	if got := d.bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
+	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("bytes = %v", got)
 	}
-	ss := d.strings()
+	ss := d.Strings()
 	if len(ss) != 2 || ss[0] != "SYSA" || ss[1] != "SYSB" {
 		t.Fatalf("strings = %v", ss)
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
 }
@@ -122,16 +123,16 @@ func TestCompositeRoundTrip(t *testing.T) {
 	// The conditional-execution field travels as part of a descriptor.
 	cond := cf.Cmd{Kind: cf.CmdListPop, Conn: "SYSA", Cond: cf.Cond{Use: true, LockIndex: 5}}
 
-	var e encoder
-	e.lockRecords(recs)
-	e.listEntries(entries)
-	e.cmd(&cond, nil)
+	var e wire.Encoder
+	encodeLockRecords(&e, recs)
+	encodeListEntries(&e, entries)
+	encodeCmd(&e, &cond, nil)
 
-	d := &decoder{b: e.b}
-	gotRecs := d.lockRecords()
-	gotEntries := d.listEntries()
-	gotCond := d.cmd(nil, false)
-	if err := d.finish(); err != nil {
+	d := wire.NewDecoder(e.Buf)
+	gotRecs := decodeLockRecords(d)
+	gotEntries := decodeListEntries(d)
+	gotCond := decodeCmd(d, nil, false)
+	if err := d.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
 	if fmt.Sprint(gotRecs) != fmt.Sprint(recs) {
@@ -156,21 +157,21 @@ func TestDecoderTruncation(t *testing.T) {
 	// Build a payload of every field kind, then decode every prefix of
 	// it: each must fail cleanly via finish(), never panic, never read
 	// out of bounds.
-	var e encoder
-	e.string("structure")
-	e.lockRecords([]cf.LockRecord{{Connector: "SYSA", Resource: "R", Mode: cf.Share}})
-	e.listEntries([]cf.ListEntry{{ID: "x", Data: []byte("d")}})
-	e.strings([]string{"a", "b"})
-	e.varint(-9)
-	whole := e.b
+	var e wire.Encoder
+	e.Str("structure")
+	encodeLockRecords(&e, []cf.LockRecord{{Connector: "SYSA", Resource: "R", Mode: cf.Share}})
+	encodeListEntries(&e, []cf.ListEntry{{ID: "x", Data: []byte("d")}})
+	e.Strings([]string{"a", "b"})
+	e.Varint(-9)
+	whole := e.Buf
 	for cut := 0; cut < len(whole); cut++ {
-		d := &decoder{b: whole[:cut]}
-		d.string()
-		d.lockRecords()
-		d.listEntries()
-		d.strings()
-		d.varint()
-		if err := d.finish(); err == nil {
+		d := wire.NewDecoder(whole[:cut])
+		d.Str()
+		decodeLockRecords(d)
+		decodeListEntries(d)
+		d.Strings()
+		d.Varint()
+		if err := d.Finish(); err == nil {
 			t.Fatalf("decode of %d/%d bytes finished clean, want error", cut, len(whole))
 		}
 	}
@@ -179,18 +180,18 @@ func TestDecoderTruncation(t *testing.T) {
 func TestDecoderCountOverflow(t *testing.T) {
 	// A corrupt element count larger than the remaining payload must be
 	// rejected before allocation.
-	var e encoder
-	e.uvarint(1 << 40)
-	for _, dec := range []func(d *decoder){
-		func(d *decoder) { d.strings() },
-		func(d *decoder) { d.lockRecords() },
-		func(d *decoder) { d.listEntries() },
-		func(d *decoder) { d.bytes() },
-		func(d *decoder) { d.string() },
+	var e wire.Encoder
+	e.Uvarint(1 << 40)
+	for _, dec := range []func(d *wire.Decoder){
+		func(d *wire.Decoder) { d.Strings() },
+		func(d *wire.Decoder) { decodeLockRecords(d) },
+		func(d *wire.Decoder) { decodeListEntries(d) },
+		func(d *wire.Decoder) { d.Bytes() },
+		func(d *wire.Decoder) { d.Str() },
 	} {
-		d := &decoder{b: e.b}
+		d := wire.NewDecoder(e.Buf)
 		dec(d)
-		if d.err == nil {
+		if d.Err() == nil {
 			t.Fatal("oversized count accepted")
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 // The conformance suite iterates the cf command table, so a new row is
@@ -118,63 +119,63 @@ func TestCodecEveryKind(t *testing.T) {
 	vecs := newVecMap()
 	for _, k := range allKinds() {
 		c, r := fillCmd(k, "SYS1"), fillReply(k)
-		var ce, re encoder
-		ce.cmd(&c, vecs.id)
-		re.reply(&c, &r)
+		var ce, re wire.Encoder
+		encodeCmd(&ce, &c, vecs.id)
+		encodeReply(&re, &c, &r)
 
-		d := &decoder{b: ce.b}
-		if got := d.cmd(vecs.vec, false); d.finish() != nil || !reflect.DeepEqual(got, c) {
-			t.Errorf("%v: descriptor round trip: %+v (err %v), want %+v", k, got, d.err, c)
+		d := wire.NewDecoder(ce.Buf)
+		if got := decodeCmd(d, vecs.vec, false); d.Finish() != nil || !reflect.DeepEqual(got, c) {
+			t.Errorf("%v: descriptor round trip: %+v (err %v), want %+v", k, got, d.Err(), c)
 		}
-		d = &decoder{b: re.b}
-		got := d.reply(&c)
-		if err := d.finish(); err != nil || !sameReply(got, r) {
+		d = wire.NewDecoder(re.Buf)
+		got := decodeReply(d, &c)
+		if err := d.Finish(); err != nil || !sameReply(got, r) {
 			t.Errorf("%v: reply round trip: %+v (err %v), want %+v", k, got, err, r)
 		}
-		for n := 0; n < len(ce.b); n++ {
-			d := &decoder{b: ce.b[:n]}
-			d.cmd(vecs.vec, false)
-			if d.finish() == nil {
-				t.Errorf("%v: descriptor truncated to %d of %d bytes decoded cleanly", k, n, len(ce.b))
+		for n := 0; n < len(ce.Buf); n++ {
+			d := wire.NewDecoder(ce.Buf[:n])
+			decodeCmd(d, vecs.vec, false)
+			if d.Finish() == nil {
+				t.Errorf("%v: descriptor truncated to %d of %d bytes decoded cleanly", k, n, len(ce.Buf))
 			}
 		}
-		for n := 0; n < len(re.b); n++ {
-			d := &decoder{b: re.b[:n]}
-			d.reply(&c)
-			if d.finish() == nil {
-				t.Errorf("%v: reply truncated to %d of %d bytes decoded cleanly", k, n, len(re.b))
+		for n := 0; n < len(re.Buf); n++ {
+			d := wire.NewDecoder(re.Buf[:n])
+			decodeReply(d, &c)
+			if d.Finish() == nil {
+				t.Errorf("%v: reply truncated to %d of %d bytes decoded cleanly", k, n, len(re.Buf))
 			}
 		}
 		// A trailing byte is as malformed as a missing one.
-		d = &decoder{b: append(append([]byte(nil), ce.b...), 0)}
-		d.cmd(vecs.vec, false)
-		if d.finish() == nil {
+		d = wire.NewDecoder(append(append([]byte(nil), ce.Buf...), 0))
+		decodeCmd(d, vecs.vec, false)
+		if d.Finish() == nil {
 			t.Errorf("%v: descriptor with a trailing byte decoded cleanly", k)
 		}
 	}
 
 	last := allKinds()[len(allKinds())-1]
 	for _, b := range []byte{0, byte(last) + 1, 255} {
-		d := &decoder{b: []byte{b}}
-		if d.cmd(vecs.vec, false); d.finish() == nil {
+		d := wire.NewDecoder([]byte{b})
+		if decodeCmd(d, vecs.vec, false); d.Finish() == nil {
 			t.Errorf("unknown kind byte %d decoded cleanly", b)
 		}
 	}
 	nested := cf.Cmd{Kind: cf.CmdBatch, Sub: []cf.Cmd{{Kind: cf.CmdBatch, Sub: []cf.Cmd{fillCmd(cf.CmdListPop, "SYS1")}}}}
-	var ne encoder
-	ne.cmd(&nested, vecs.id)
-	d := &decoder{b: ne.b}
-	if d.cmd(vecs.vec, false); d.finish() == nil {
+	var ne wire.Encoder
+	encodeCmd(&ne, &nested, vecs.id)
+	d := wire.NewDecoder(ne.Buf)
+	if decodeCmd(d, vecs.vec, false); d.Finish() == nil {
 		t.Error("an envelope inside an envelope decoded cleanly")
 	}
 	over := cf.Cmd{Kind: cf.CmdBatch, Sub: make([]cf.Cmd, cf.MaxBatchOps+1)}
 	for i := range over.Sub {
 		over.Sub[i] = cf.Cmd{Kind: cf.CmdListTotalEntries}
 	}
-	var oe encoder
-	oe.cmd(&over, vecs.id)
-	d = &decoder{b: oe.b}
-	if c := d.cmd(vecs.vec, false); d.finish() == nil || len(c.Sub) != 0 {
+	var oe wire.Encoder
+	encodeCmd(&oe, &over, vecs.id)
+	d = wire.NewDecoder(oe.Buf)
+	if c := decodeCmd(d, vecs.vec, false); d.Finish() == nil || len(c.Sub) != 0 {
 		t.Errorf("an envelope of %d subcommands decoded (%d kept)", len(over.Sub), len(c.Sub))
 	}
 }
@@ -575,13 +576,13 @@ func TestValidateBatchBothEnds(t *testing.T) {
 	id := uint64(0)
 	for name, cmds := range bad {
 		id++
-		var e encoder
-		e.uvarint(id)
-		e.u8(opExec)
-		e.string("IRLM")
+		var e wire.Encoder
+		e.Uvarint(id)
+		e.U8(opExec)
+		e.Str("IRLM")
 		env := cf.Cmd{Kind: cf.CmdBatch, Sub: cmds}
-		e.cmd(&env, newVecMap().id)
-		if err := writeFrame(conn, e.b); err != nil {
+		encodeCmd(&e, &env, newVecMap().id)
+		if err := writeFrame(conn, e.Buf); err != nil {
 			t.Fatal(err)
 		}
 		if reqID, code, _ := readReply(t, conn); reqID != id || code == codeOK {

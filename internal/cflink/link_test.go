@@ -14,6 +14,7 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/cfrm"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 )
 
 // startServer serves a fresh facility named name on a unix socket in
@@ -80,11 +81,11 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	var e encoder
-	e.b = append(e.b, 'C', 'F', 'L', '2')
-	e.u8(connCommand)
-	e.string("SYSA")
-	if err := writeFrame(conn, e.b); err != nil {
+	var e wire.Encoder
+	e.Buf = append(e.Buf, 'C', 'F', 'L', '2')
+	e.U8(connCommand)
+	e.Str("SYSA")
+	if err := writeFrame(conn, e.Buf); err != nil {
 		t.Fatalf("hello write: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 // handshakeTimeout bounds how long a fresh connection may take to send
@@ -154,25 +155,25 @@ func (s *Server) handshake(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	d := &decoder{b: payload}
+	d := wire.NewDecoder(payload)
 	var m [4]byte
-	m[0], m[1], m[2], m[3] = d.u8(), d.u8(), d.u8(), d.u8()
-	kind := d.u8()
-	if d.err != nil || m != magic {
+	m[0], m[1], m[2], m[3] = d.U8(), d.U8(), d.U8(), d.U8()
+	kind := d.U8()
+	if d.Err() != nil || m != magic {
 		conn.Close()
 		return
 	}
 	switch kind {
 	case connCommand:
-		system := d.string()
-		if d.finish() != nil {
+		system := d.Str()
+		if d.Finish() != nil {
 			conn.Close()
 			return
 		}
 		s.startSession(conn, system)
 	case connNotify:
-		token := d.uvarint()
-		if d.finish() != nil {
+		token := d.Uvarint()
+		if d.Finish() != nil {
 			conn.Close()
 			return
 		}
@@ -188,11 +189,11 @@ func (s *Server) startSession(conn net.Conn, system string) {
 	s.mu.Lock()
 	if s.closed || (system != "" && s.fenced[system]) {
 		s.mu.Unlock()
-		var e encoder
+		var e wire.Encoder
 		code, detail := encodeErr(errFenced)
-		e.u8(code)
-		e.string(detail)
-		writeFrame(conn, e.b)
+		e.U8(code)
+		e.Str(detail)
+		writeFrame(conn, e.Buf)
 		conn.Close()
 		return
 	}
@@ -209,11 +210,11 @@ func (s *Server) startSession(conn net.Conn, system string) {
 	s.sessions[ses.id] = ses
 	s.mu.Unlock()
 
-	var e encoder
-	e.u8(codeOK)
-	e.string(s.fac.Name())
-	e.uvarint(ses.id)
-	if writeFrame(conn, e.b) != nil {
+	var e wire.Encoder
+	e.U8(codeOK)
+	e.Str(s.fac.Name())
+	e.Uvarint(ses.id)
+	if writeFrame(conn, e.Buf) != nil {
 		ses.close()
 		return
 	}
@@ -238,9 +239,9 @@ func (s *Server) attachNotify(conn net.Conn, token uint64) {
 	}
 	ses.notifyConn = conn
 	ses.nmu.Unlock()
-	var e encoder
-	e.u8(codeOK)
-	if writeFrame(conn, e.b) != nil {
+	var e wire.Encoder
+	e.U8(codeOK)
+	if writeFrame(conn, e.Buf) != nil {
 		ses.close()
 		return
 	}
@@ -322,10 +323,10 @@ func (ses *session) serve() {
 		if err != nil {
 			return
 		}
-		d := &decoder{b: payload}
-		reqID := d.uvarint()
-		op := d.u8()
-		if d.err != nil {
+		d := wire.NewDecoder(payload)
+		reqID := d.Uvarint()
+		op := d.U8()
+		if d.Err() != nil {
 			// No usable request ID to answer on — protocol is broken.
 			return
 		}
@@ -336,21 +337,21 @@ func (ses *session) serve() {
 // reply sends one response frame: on success codeOK then the result
 // fields body appends (body may be nil), on failure err's status code
 // and rendered message.
-func (ses *session) reply(reqID uint64, body func(e *encoder), err error) {
-	var e encoder
-	e.uvarint(reqID)
+func (ses *session) reply(reqID uint64, body func(e *wire.Encoder), err error) {
+	var e wire.Encoder
+	e.Uvarint(reqID)
 	if err != nil {
 		code, detail := encodeErr(err)
-		e.u8(code)
-		e.string(detail)
+		e.U8(code)
+		e.Str(detail)
 	} else {
-		e.u8(codeOK)
+		e.U8(codeOK)
 		if body != nil {
 			body(&e)
 		}
 	}
 	ses.wmu.Lock()
-	werr := writeFrame(ses.cmd, e.b)
+	werr := writeFrame(ses.cmd, e.Buf)
 	ses.wmu.Unlock()
 	if werr != nil {
 		ses.close()
@@ -402,11 +403,11 @@ func (ses *session) notifyWriter(conn net.Conn) {
 		case <-ses.done:
 			return
 		}
-		var e encoder
-		e.uvarint(f.vec)
-		e.varint(f.bit)
-		e.bool(f.set)
-		if writeFrame(conn, e.b) != nil {
+		var e wire.Encoder
+		e.Uvarint(f.vec)
+		e.Varint(f.bit)
+		e.Bool(f.set)
+		if writeFrame(conn, e.Buf) != nil {
 			ses.close()
 			return
 		}
@@ -420,7 +421,7 @@ func (ses *session) notifyWriter(conn net.Conn) {
 // later must not produce a half-applied command on the CF — once a
 // frame is on the wire the command runs to completion and the client
 // learns the outcome (or loses the link and treats the CF as down).
-func (ses *session) dispatch(reqID uint64, op uint8, d *decoder) {
+func (ses *session) dispatch(reqID uint64, op uint8, d *wire.Decoder) {
 	body, err := ses.execute(op, d)
 	ses.reply(reqID, body, err)
 }
@@ -428,16 +429,16 @@ func (ses *session) dispatch(reqID uint64, op uint8, d *decoder) {
 // execute runs one decoded request and returns the encoder of its
 // result fields. Every arm consumes its frame exactly (d.finish) before
 // acting, so a malformed request has no effect.
-func (ses *session) execute(op uint8, d *decoder) (func(e *encoder), error) {
+func (ses *session) execute(op uint8, d *wire.Decoder) (func(e *wire.Encoder), error) {
 	fac := ses.srv.fac
 	switch op {
 	// Every structure command: decode → table lookup and apply (the
 	// replica's Exec) → encode. The descriptor's kind picks both the
 	// request and the reply layout.
 	case opExec:
-		name := d.string()
-		cmd := d.cmd(ses.vector, false)
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		cmd := decodeCmd(d, ses.vector, false)
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		r := fac.Structure(name)
@@ -448,88 +449,88 @@ func (ses *session) execute(op uint8, d *decoder) (func(e *encoder), error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(e *encoder) { e.reply(&cmd, &rep) }, nil
+		return func(e *wire.Encoder) { encodeReply(e, &cmd, &rep) }, nil
 
 	// Node-level operations.
 	case opStructureNames:
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		names := fac.StructureNames()
-		return func(e *encoder) { e.strings(names) }, nil
+		return func(e *wire.Encoder) { e.Strings(names) }, nil
 	case opFailed:
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		failed := fac.Failed()
-		return func(e *encoder) { e.bool(failed) }, nil
+		return func(e *wire.Encoder) { e.Bool(failed) }, nil
 	case opFail:
-		if err := d.finish(); err != nil {
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		fac.Fail()
 		return nil, nil
 	case opFailAfter:
-		n := d.int()
-		if err := d.finish(); err != nil {
+		n := d.Int()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		fac.FailAfter(n)
 		return nil, nil
 	case opSetSyncLatency:
-		ns := d.varint()
-		if err := d.finish(); err != nil {
+		ns := d.Varint()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		fac.SetSyncLatency(time.Duration(ns))
 		return nil, nil
 	case opDeallocate:
-		name := d.string()
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		return nil, fac.Deallocate(name)
 	case opAllocLock:
-		name, entries := d.string(), d.int()
-		if err := d.finish(); err != nil {
+		name, entries := d.Str(), d.Int()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		_, err := fac.AllocateLockStructure(name, entries)
 		return nil, err
 	case opAllocCache:
-		name, maxEntries := d.string(), d.int()
-		if err := d.finish(); err != nil {
+		name, maxEntries := d.Str(), d.Int()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		_, err := fac.AllocateCacheStructure(name, maxEntries)
 		return nil, err
 	case opAllocList:
-		name, nLists, nLocks, maxEntries := d.string(), d.int(), d.int(), d.int()
-		if err := d.finish(); err != nil {
+		name, nLists, nLocks, maxEntries := d.Str(), d.Int(), d.Int(), d.Int()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		_, err := fac.AllocateListStructure(name, nLists, nLocks, maxEntries)
 		return nil, err
 	case opStructInfo:
-		name := d.string()
-		if err := d.finish(); err != nil {
+		name := d.Str()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		r := fac.Structure(name)
 		if r == nil {
-			return func(e *encoder) { e.bool(false); e.int(0); e.int(0) }, nil
+			return func(e *wire.Encoder) { e.Bool(false); e.Int(0); e.Int(0) }, nil
 		}
-		return func(e *encoder) { e.bool(true); e.int(int(r.ReplicaModel())); e.int(r.ReplicaSize()) }, nil
+		return func(e *wire.Encoder) { e.Bool(true); e.Int(int(r.ReplicaModel())); e.Int(r.ReplicaSize()) }, nil
 	case opFence:
-		system := d.string()
-		if err := d.finish(); err != nil {
+		system := d.Str()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		ses.srv.Fence(system)
 		return nil, nil
 	case opStructDisconnect, opStructFailConn:
-		name, conn := d.string(), d.string()
-		if err := d.finish(); err != nil {
+		name, conn := d.Str(), d.Str()
+		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		r := fac.Structure(name)

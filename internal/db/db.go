@@ -17,7 +17,6 @@ package db
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -31,6 +30,7 @@ import (
 	"sysplex/internal/lockmgr"
 	"sysplex/internal/logr"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 )
 
 // Errors returned by the engine.
@@ -40,24 +40,49 @@ var (
 	ErrValueTooBig = errors.New("db: record too large")
 )
 
-// Log record kinds.
+// Log record kinds: a LogRecord's Kind byte.
+//
+// lintwire: table logkinds
 const (
-	recUpdate = "update"
-	recCommit = "commit"
-	recEnd    = "end" // all of the transaction's page changes are applied
+	recUpdate byte = 1
+	recCommit byte = 2
+	recEnd    byte = 3 // all of the transaction's page changes are applied
 )
 
 // LogRecord is one write-ahead-log entry. Update records carry both the
 // before image (undo) and after image (redo) of a record-level change.
 type LogRecord struct {
-	Tx     string `json:"tx"`
-	Sys    string `json:"sys,omitempty"` // writing system (the streams merge all systems)
-	Kind   string `json:"kind"`
-	Table  string `json:"table,omitempty"`
-	Key    string `json:"key,omitempty"`
-	Before []byte `json:"before,omitempty"`
-	After  []byte `json:"after,omitempty"`
-	Delete bool   `json:"delete,omitempty"`
+	Tx     string
+	Sys    string // writing system (the streams merge all systems)
+	Kind   byte
+	Table  string
+	Key    string
+	Before []byte
+	After  []byte
+	Delete bool
+}
+
+// A log record's image on its stream: layout byte, then every field in
+// declaration order as wire fields.
+const logLayout = 1
+
+func (r *LogRecord) encode() []byte {
+	e := wire.Record(logLayout, 16+len(r.Tx)+len(r.Sys)+len(r.Table)+len(r.Key)+len(r.Before)+len(r.After))
+	e.Str(r.Tx)
+	e.Str(r.Sys)
+	e.U8(r.Kind)
+	e.Str(r.Table)
+	e.Str(r.Key)
+	e.Bytes(r.Before)
+	e.Bytes(r.After)
+	e.Bool(r.Delete)
+	return e.Buf
+}
+
+func decodeLogRecord(raw []byte) (LogRecord, error) {
+	d := wire.OpenRecord(raw, logLayout)
+	r := LogRecord{Tx: d.Str(), Sys: d.Str(), Kind: d.U8(), Table: d.Str(), Key: d.Str(), Before: d.Bytes(), After: d.Bytes(), Delete: d.Bool()}
+	return r, d.Finish()
 }
 
 // Config wires an Engine to its substrates.
@@ -603,11 +628,7 @@ func (e *Engine) appendLog(ctx context.Context, recs ...*LogRecord) error {
 			}
 			stream = meta.stream
 		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		if _, err := stream.Write(ctx, raw); err != nil {
+		if _, err := stream.Write(ctx, r.encode()); err != nil {
 			return err
 		}
 	}
@@ -890,9 +911,9 @@ func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 			if !ok {
 				break
 			}
-			var r LogRecord
-			if err := json.Unmarshal(srec.Data, &r); err != nil {
-				return rep, fmt.Errorf("db: corrupt log record on stream %s: %v", s.Name(), err)
+			r, err := decodeLogRecord(srec.Data)
+			if err != nil {
+				return rep, fmt.Errorf("db: corrupt log record on stream %s: %w", s.Name(), err)
 			}
 			switch r.Kind {
 			case recCommit:
@@ -974,9 +995,9 @@ func (e *Engine) streamLogRecords(ctx context.Context, failedSys string) ([]LogR
 			if !ok {
 				break
 			}
-			var r LogRecord
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("db: corrupt log record on stream %s: %v", s.Name(), err)
+			r, err := decodeLogRecord(rec.Data)
+			if err != nil {
+				return nil, fmt.Errorf("db: corrupt log record on stream %s: %w", s.Name(), err)
 			}
 			if r.Sys != failedSys {
 				continue

@@ -3,7 +3,6 @@ package db
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -510,8 +509,9 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	// streams, not replace them: COMMIT+END of each transaction, in
 	// order.
 	var txs []string
+	kinds := map[byte]string{recCommit: "commit", recEnd: "end"}
 	for _, r := range syncRecords(t, e2) {
-		txs = append(txs, r.Tx+"/"+r.Kind)
+		txs = append(txs, r.Tx+"/"+kinds[r.Kind])
 	}
 	want := []string{tx.ID() + "/commit", tx.ID() + "/end", tx2.ID() + "/commit", tx2.ID() + "/end"}
 	if fmt.Sprint(txs) != fmt.Sprint(want) {
@@ -532,8 +532,8 @@ func syncRecords(t *testing.T, e *Engine) []LogRecord {
 		if !ok {
 			return out
 		}
-		var r LogRecord
-		if err := json.Unmarshal(srec.Data, &r); err != nil {
+		r, err := decodeLogRecord(srec.Data)
+		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, r)

@@ -43,6 +43,7 @@ import (
 	"sysplex/internal/metrics"
 	"sysplex/internal/timer"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 )
 
 // Errors returned by the logger.
@@ -56,12 +57,14 @@ var (
 	// over a populated offload chain hides the chain from every browse
 	// and lets the next pass overwrite it from block 0.
 	ErrCTLLayout = errors.New("logr: CTL image is not in the current layout")
-	// ErrBlockLayout reports an offload block not in the packed layout below.
+	// ErrBlockLayout reports an offload or staging block not in the packed
+	// layout below, or a packed envelope not in the envelope layout.
 	ErrBlockLayout = errors.New("logr: offload block is not in the current layout")
 )
 
 // An offload block: layout byte, big-endian uint16 record count, then each
-// envelope behind its big-endian uint16 length; the rest is zero.
+// envelope behind its big-endian uint16 length; the rest is zero. A
+// staging block is the same layout with a count of 1.
 const (
 	blockLayout = 1
 	blockHeader = 1 + 2
@@ -69,9 +72,11 @@ const (
 	maxEnvelope = dasd.BlockSize - blockHeader - envLength // the largest envelope one block holds
 )
 
-// MaxRecord bounds a payload so its envelope (fields, key, int64 stamp, a
-// system name of up to 8 bytes, base64 payload) fits one offload block.
-const MaxRecord = (maxEnvelope - len(`{"k":"","s":"","t":,"d":""}`) - keyWidth - 8 - 20) / 4 * 3
+// MaxRecord bounds a payload so its envelope fits one offload block: the
+// layout byte, the key and a system name of up to 8 bytes each behind a
+// one-byte length, the stamp as a varint, and the payload behind a
+// two-byte length.
+const MaxRecord = maxEnvelope - (1 + 1 + keyWidth + 1 + 8 + binary.MaxVarintLen64 + 2)
 
 // list/lock layout inside the stream's CF structure.
 const (
@@ -138,12 +143,30 @@ type Record struct {
 }
 
 // envelope is the stored form of a record, identical in interim
-// storage and in offload dataset blocks.
+// storage and in offload and staging blocks.
 type envelope struct {
-	K string `json:"k"`
-	S string `json:"s"`
-	T int64  `json:"t"`
-	D []byte `json:"d,omitempty"`
+	K string // stream key
+	S string // writing system
+	T int64  // sysplex timestamp, Unix nanoseconds
+	D []byte // payload
+}
+
+// An envelope's image: layout byte, then K, S, T and D as wire fields.
+const envLayout = 1
+
+func (e envelope) encode() []byte {
+	w := wire.Record(envLayout, 2+keyWidth+1+len(e.S)+binary.MaxVarintLen64+2+len(e.D))
+	w.Str(e.K)
+	w.Str(e.S)
+	w.Varint(e.T)
+	w.Bytes(e.D)
+	return w.Buf
+}
+
+func decodeEnvelope(raw []byte) (envelope, error) {
+	d := wire.OpenRecord(raw, envLayout)
+	env := envelope{K: d.Str(), S: d.Str(), T: d.Varint(), D: d.Bytes()}
+	return env, d.Finish()
 }
 
 func (e envelope) record() Record {
@@ -506,18 +529,15 @@ func (s *Stream) Write(ctx context.Context, data []byte) (Record, error) {
 		s.passMu.RLock()
 		stamp := m.timer.Stamp()
 		key := keyFor(stamp)
-		env, err := json.Marshal(envelope{K: key, S: m.sys, T: stamp.UnixNano(), D: data})
-		if err == nil && !fits(nil, env) {
-			err = fmt.Errorf("%w: %d-byte envelope, an offload block holds %d", ErrRecordTooBig, len(env), maxEnvelope)
-		}
-		if err != nil {
+		env := envelope{K: key, S: m.sys, T: stamp.UnixNano(), D: data}.encode()
+		if !fits(nil, env) {
 			s.passMu.RUnlock()
-			return Record{}, err
+			return Record{}, fmt.Errorf("%w: %d-byte envelope, an offload block holds %d", ErrRecordTooBig, len(env), maxEnvelope)
 		}
 		if s.testStamped != nil {
 			s.testStamped(key)
 		}
-		err = s.list.Write(ctx, m.sys, listInterim, key, key, env, cf.Keyed, cond)
+		err := s.list.Write(ctx, m.sys, listInterim, key, key, env, cf.Keyed, cond)
 		s.passMu.RUnlock()
 		switch {
 		case err == nil:
@@ -698,8 +718,9 @@ func (s *Stream) scanStaging() {
 				continue
 			}
 			last[i] = b
-			if env, derr := decodeEnvelope(raw); derr == nil && env.K > maxKey[i] {
-				maxKey[i] = env.K
+			envs, _ := blockEnvelopes(raw)
+			for _, env := range envs {
+				maxKey[i] = max(maxKey[i], env.K)
 			}
 		}
 	}
@@ -711,9 +732,9 @@ func (s *Stream) scanStaging() {
 }
 
 // appendStaging makes one acknowledged record durable: append its
-// envelope to the active staging dataset and group-commit. Runs after
-// the CF interim write succeeds and before the ack returns to the
-// caller.
+// envelope, packed alone in a block, to the active staging dataset and
+// group-commit. Runs after the CF interim write succeeds and before the
+// ack returns to the caller.
 func (s *Stream) appendStaging(env []byte) error {
 	m := s.mgr
 	s.stgMu.Lock()
@@ -726,7 +747,7 @@ func (s *Stream) appendStaging(env []byte) error {
 	ds, blk := s.stg[s.stgAct], s.stgNext
 	s.stgNext++
 	s.stgMu.Unlock()
-	if err := ds.Write(m.sys, blk, env); err != nil {
+	if err := ds.Write(m.sys, blk, packEnvelope(nil, env)); err != nil {
 		return err
 	}
 	s.stagingAppends.Inc()
@@ -756,18 +777,17 @@ func (s *Stream) compactStagingLocked() error {
 			if rerr != nil {
 				continue
 			}
-			env, derr := decodeEnvelope(raw)
-			if derr != nil {
-				continue
+			envs, _ := blockEnvelopes(raw)
+			for _, env := range envs {
+				if c.HighKey != "" && env.K <= c.HighKey {
+					continue // on the synced offload chain already
+				}
+				if seen[env.K] {
+					continue
+				}
+				seen[env.K] = true
+				keep = append(keep, env)
 			}
-			if c.HighKey != "" && env.K <= c.HighKey {
-				continue // on the synced offload chain already
-			}
-			if seen[env.K] {
-				continue
-			}
-			seen[env.K] = true
-			keep = append(keep, env)
 		}
 	}
 	sort.Slice(keep, func(i, j int) bool { return keep[i].K < keep[j].K })
@@ -778,9 +798,7 @@ func (s *Stream) compactStagingLocked() error {
 	for b := 0; b < dst.Blocks(); b++ {
 		var data []byte
 		if b < len(keep) {
-			if data, err = json.Marshal(keep[b]); err != nil {
-				return err
-			}
+			data = packEnvelope(nil, keep[b].encode())
 		}
 		if err := dst.Write(m.sys, b, data); err != nil {
 			return err
@@ -880,27 +898,30 @@ func (s *Stream) recoverCold(ctx context.Context) error {
 			if rerr != nil {
 				continue // torn: mid-append at the power cut, never acknowledged
 			}
-			env, derr := decodeEnvelope(raw)
+			if len(raw) == 0 || raw[0] == 0 {
+				continue // never written, or scrubbed by a compaction
+			}
+			staged, derr := blockEnvelopes(raw)
 			if derr != nil {
-				continue // empty block or partial flush
+				// Another layout, such as the bare JSON envelope earlier
+				// builds staged: skipping it would drop acknowledged records.
+				return fmt.Errorf("logr: %s block %d: %w", name, b, derr)
 			}
-			if c.HighKey != "" && env.K <= c.HighKey {
-				continue
+			for _, env := range staged {
+				if c.HighKey != "" && env.K <= c.HighKey {
+					continue
+				}
+				if seen[env.K] {
+					continue
+				}
+				seen[env.K] = true
+				envs = append(envs, env)
 			}
-			if seen[env.K] {
-				continue
-			}
-			seen[env.K] = true
-			envs = append(envs, env)
 		}
 	}
 	sort.Slice(envs, func(i, j int) bool { return envs[i].K < envs[j].K })
 	for _, env := range envs {
-		raw, merr := json.Marshal(env)
-		if merr != nil {
-			return merr
-		}
-		if err := s.list.Write(ctx, m.sys, listInterim, env.K, env.K, raw, cf.Keyed, cf.Cond{}); err != nil {
+		if err := s.list.Write(ctx, m.sys, listInterim, env.K, env.K, env.encode(), cf.Keyed, cf.Cond{}); err != nil {
 			return err
 		}
 	}
@@ -1244,7 +1265,7 @@ func (s *Stream) Browse(ctx context.Context) (*Cursor, error) {
 		}
 		env, err := decodeEnvelope(e.Data)
 		if err != nil {
-			return nil, fmt.Errorf("logr: %s interim %s: %v", s.spec.Name, e.ID, err)
+			return nil, fmt.Errorf("logr: %s interim %s: %w", s.spec.Name, e.ID, err)
 		}
 		recs = append(recs, env.record())
 	}
@@ -1267,15 +1288,15 @@ func packEnvelope(blk, env []byte) []byte {
 	return append(blk, env...)
 }
 
-// unpackBlock appends one offload block's records to recs, taking only
-// those above recs' last key and at or below highKey: a redo of a crashed
-// pass may pack records that a durable frontier from before the crash does
-// not name, and after a cold restart the next pass writes them again.
-func unpackBlock(recs []Record, raw []byte, highKey string) ([]Record, error) {
+// blockEnvelopes decodes the envelopes packed in an offload or staging
+// block. Each carries its length, so a payload ending in zero bytes
+// survives the block's zero padding.
+func blockEnvelopes(raw []byte) ([]envelope, error) {
 	if len(raw) < blockHeader || raw[0] != blockLayout {
 		return nil, fmt.Errorf("%w: starts %q", ErrBlockLayout, raw[:min(len(raw), 8)])
 	}
 	n, p := int(binary.BigEndian.Uint16(raw[1:])), raw[blockHeader:]
+	envs := make([]envelope, 0, n)
 	for i := 1; i <= n; i++ {
 		if len(p) < envLength || len(p) < envLength+int(binary.BigEndian.Uint16(p)) {
 			return nil, fmt.Errorf("%w: record %d of %d overruns the block", ErrBlockLayout, i, n)
@@ -1283,26 +1304,29 @@ func unpackBlock(recs []Record, raw []byte, highKey string) ([]Record, error) {
 		l := envLength + int(binary.BigEndian.Uint16(p))
 		env, err := decodeEnvelope(p[envLength:l])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: record %d of %d: %w", ErrBlockLayout, i, n, err)
 		}
+		envs = append(envs, env)
+		p = p[l:]
+	}
+	return envs, nil
+}
+
+// unpackBlock appends one offload block's records to recs, taking only
+// those above recs' last key and at or below highKey: a redo of a crashed
+// pass may pack records that a durable frontier from before the crash does
+// not name, and after a cold restart the next pass writes them again.
+func unpackBlock(recs []Record, raw []byte, highKey string) ([]Record, error) {
+	envs, err := blockEnvelopes(raw)
+	if err != nil {
+		return nil, err
+	}
+	for _, env := range envs {
 		if env.K <= highKey && (len(recs) == 0 || env.K > recs[len(recs)-1].Key) {
 			recs = append(recs, env.record())
 		}
-		p = p[l:]
 	}
 	return recs, nil
-}
-
-func decodeEnvelope(raw []byte) (envelope, error) {
-	end := len(raw)
-	for end > 0 && raw[end-1] == 0 {
-		end-- // DASD blocks are zero-padded
-	}
-	var env envelope
-	if err := json.Unmarshal(raw[:end], &env); err != nil {
-		return envelope{}, err
-	}
-	return env, nil
 }
 
 // Stats is a point-in-time stream summary.

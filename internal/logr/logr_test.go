@@ -220,16 +220,16 @@ func TestMaxRecordOffloads(t *testing.T) {
 
 // TestOffloadBlockLayout: the offload block codec round-trips up to a
 // frontier key, and a block in another layout — the one-record JSON
-// blocks earlier builds wrote, or a length that overruns the block —
-// fails Browse by name.
+// blocks earlier builds wrote, a packed block of the JSON envelopes
+// later ones wrote, or a length that overruns the block — fails Browse
+// by name.
 func TestOffloadBlockLayout(t *testing.T) {
 	ctx := context.Background()
 	var blk []byte
 	var keys []string
 	for i := 0; i < 3; i++ {
 		keys = append(keys, keyFor(time.Unix(1700000000+int64(i), 0)))
-		env := fmt.Sprintf(`{"k":%q,"s":"SYS1","t":%d,"d":"eA=="}`, keys[i], i)
-		blk = packEnvelope(blk, []byte(env))
+		blk = packEnvelope(blk, envelope{K: keys[i], S: "SYS1", T: int64(i), D: []byte("x")}.encode())
 	}
 	for upTo := 0; upTo < 3; upTo++ {
 		recs, err := unpackBlock(nil, blk, keys[upTo])
@@ -259,7 +259,7 @@ func TestOffloadBlockLayout(t *testing.T) {
 	overrun := append([]byte(nil), good...)
 	overrun[blockHeader], overrun[blockHeader+1] = 0xff, 0xff
 	old := fmt.Sprintf(`{"k":%q,"s":"SYS1","t":1,"d":"eA=="}`, keys[0])
-	for name, raw := range map[string][]byte{"one-record JSON": []byte(old), "overrun": overrun} {
+	for name, raw := range map[string][]byte{"one-record JSON": []byte(old), "packed JSON envelope": packEnvelope(nil, []byte(old)), "overrun": overrun} {
 		if err := ds.Write("SYS1", 0, raw); err != nil {
 			t.Fatal(err)
 		}

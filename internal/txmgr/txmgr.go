@@ -12,7 +12,6 @@ package txmgr
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"sysplex/internal/lockmgr"
 	"sysplex/internal/metrics"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 	"sysplex/internal/wlm"
 	"sysplex/internal/xcf"
 )
@@ -248,31 +248,65 @@ func (r *Region) bump(fn func(*Stats)) {
 
 // --- function shipping over XCF ---
 
-type wireKind string
+type wireKind uint8
 
+// lintwire: table txkinds
 const (
-	kindRun   wireKind = "run"
-	kindResp  wireKind = "resp"
-	kindQuery wireKind = "query"
-	kindQResp wireKind = "qresp"
+	kindRun   wireKind = 1
+	kindResp  wireKind = 2
+	kindQuery wireKind = 3
+	kindQResp wireKind = 4
 )
 
 type wireMsg struct {
-	Kind    wireKind `json:"kind"`
-	Req     uint64   `json:"req"`
-	Program string   `json:"program,omitempty"`
-	Input   []byte   `json:"input,omitempty"`
-	Output  []byte   `json:"output,omitempty"`
-	Error   string   `json:"error,omitempty"`
+	Kind    wireKind
+	Req     uint64
+	Program string
+	Input   []byte
+	Output  []byte
+	Error   string
 
 	// decision-support sub-query fields
-	Table  string `json:"table,omitempty"`
-	Lo     int    `json:"lo,omitempty"`
-	Hi     int    `json:"hi,omitempty"`
-	Op     string `json:"op,omitempty"`
-	Prefix string `json:"prefix,omitempty"`
-	Count  int64  `json:"count,omitempty"`
-	Sum    int64  `json:"sum,omitempty"`
+	Table  string
+	Lo     int
+	Hi     int
+	Op     string
+	Prefix string
+	Count  int64
+	Sum    int64
+}
+
+// A message's XCF payload: layout byte, then every field in declaration
+// order as wire fields.
+const msgLayout = 1
+
+func (m *wireMsg) encode() []byte {
+	e := wire.Record(msgLayout, 32+len(m.Program)+len(m.Input)+len(m.Output)+len(m.Error)+len(m.Table)+len(m.Op)+len(m.Prefix))
+	e.U8(uint8(m.Kind))
+	e.Uvarint(m.Req)
+	e.Str(m.Program)
+	e.Bytes(m.Input)
+	e.Bytes(m.Output)
+	e.Str(m.Error)
+	e.Str(m.Table)
+	e.Int(m.Lo)
+	e.Int(m.Hi)
+	e.Str(m.Op)
+	e.Str(m.Prefix)
+	e.Varint(m.Count)
+	e.Varint(m.Sum)
+	return e.Buf
+}
+
+func decodeMsg(raw []byte) (wireMsg, error) {
+	d := wire.OpenRecord(raw, msgLayout)
+	m := wireMsg{
+		Kind: wireKind(d.U8()), Req: d.Uvarint(),
+		Program: d.Str(), Input: d.Bytes(), Output: d.Bytes(), Error: d.Str(),
+		Table: d.Str(), Lo: d.Int(), Hi: d.Int(), Op: d.Str(), Prefix: d.Str(),
+		Count: d.Varint(), Sum: d.Varint(),
+	}
+	return m, d.Finish()
 }
 
 type wireResp struct {
@@ -306,11 +340,7 @@ func (r *Region) call(ctx context.Context, target string, msg wireMsg) (wireResp
 		delete(r.pending, msg.Req)
 		r.mu.Unlock()
 	}()
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		return wireResp{}, err
-	}
-	if err := r.sys.Send(target, service, raw); err != nil {
+	if err := r.sys.Send(target, service, msg.encode()); err != nil {
 		return wireResp{}, err
 	}
 	select {
@@ -327,8 +357,8 @@ func (r *Region) call(ctx context.Context, target string, msg wireMsg) (wireResp
 // runs on its own goroutine so the XCF dispatcher is never blocked by
 // database lock waits.
 func (r *Region) handleMessage(from string, payload []byte) {
-	var msg wireMsg
-	if err := json.Unmarshal(payload, &msg); err != nil {
+	msg, err := decodeMsg(payload)
+	if err != nil {
 		return
 	}
 	switch msg.Kind {
@@ -363,11 +393,7 @@ func (r *Region) handleMessage(from string, payload []byte) {
 }
 
 func (r *Region) reply(to string, msg wireMsg) {
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
-	r.sys.Send(to, service, raw)
+	r.sys.Send(to, service, msg.encode())
 }
 
 // --- decision support: parallel sub-queries (§2.3) ---

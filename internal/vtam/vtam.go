@@ -9,7 +9,6 @@ package vtam
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,6 +16,7 @@ import (
 	"sync"
 
 	"sysplex/internal/cf"
+	"sysplex/internal/wire"
 )
 
 // Errors returned by the network.
@@ -40,10 +40,33 @@ type Network struct {
 
 // Instance is one registered application instance.
 type Instance struct {
-	Generic  string `json:"generic"`
-	Member   string `json:"member"`
-	System   string `json:"system"`
-	Sessions int    `json:"sessions"`
+	Generic  string
+	Member   string
+	System   string
+	Sessions int
+}
+
+// An instance's list-entry image: layout byte, then Generic, Member and
+// System as wire strings and Sessions as a wire int. Logon decodes every
+// registration of its generic name, so this is a per-transaction record.
+const instanceLayout = 1
+
+func (inst Instance) encode() []byte {
+	e := wire.Record(instanceLayout, 8+len(inst.Generic)+len(inst.Member)+len(inst.System))
+	e.Str(inst.Generic)
+	e.Str(inst.Member)
+	e.Str(inst.System)
+	e.Int(inst.Sessions)
+	return e.Buf
+}
+
+func decodeInstance(raw []byte) (Instance, error) {
+	d := wire.OpenRecord(raw, instanceLayout)
+	inst := Instance{Generic: d.Str(), Member: d.Str(), System: d.Str(), Sessions: d.Int()}
+	if err := d.Finish(); err != nil {
+		return Instance{}, fmt.Errorf("vtam: instance record: %w", err)
+	}
+	return inst, nil
 }
 
 // Session is a bound user session.
@@ -83,11 +106,7 @@ func (n *Network) Register(ctx context.Context, generic, member, system string) 
 }
 
 func (n *Network) writeInstance(ctx context.Context, inst Instance) error {
-	raw, err := json.Marshal(inst)
-	if err != nil {
-		return err
-	}
-	return n.ls.Write(ctx, n.conn, n.listOf(inst.Generic), entryID(inst.Generic, inst.Member), inst.Generic, raw, cf.Keyed, cf.Cond{})
+	return n.ls.Write(ctx, n.conn, n.listOf(inst.Generic), entryID(inst.Generic, inst.Member), inst.Generic, inst.encode(), cf.Keyed, cf.Cond{})
 }
 
 // Deregister removes an instance (planned shutdown).
@@ -106,8 +125,8 @@ func (n *Network) Instances(generic string) ([]Instance, error) {
 		if e.Key != generic {
 			continue
 		}
-		var inst Instance
-		if err := json.Unmarshal(e.Data, &inst); err != nil {
+		inst, err := decodeInstance(e.Data)
+		if err != nil {
 			continue
 		}
 		out = append(out, inst)
@@ -199,8 +218,8 @@ func (n *Network) Logoff(ctx context.Context, sessionID string) error {
 	if err != nil {
 		return nil // instance gone (failed system cleanup)
 	}
-	var inst Instance
-	if err := json.Unmarshal(e.Data, &inst); err != nil {
+	inst, err := decodeInstance(e.Data)
+	if err != nil {
 		return err
 	}
 	if inst.Sessions > 0 {
@@ -230,8 +249,8 @@ func (n *Network) CleanupSystem(ctx context.Context, sys string) {
 	// Remove registrations across all lists.
 	for list := 0; list < n.ls.Lists(); list++ {
 		for _, e := range n.ls.Entries(list) {
-			var inst Instance
-			if err := json.Unmarshal(e.Data, &inst); err != nil {
+			inst, err := decodeInstance(e.Data)
+			if err != nil {
 				continue
 			}
 			if inst.System == sys {

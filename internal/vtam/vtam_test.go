@@ -9,6 +9,7 @@ import (
 	"sysplex/internal/cf"
 	"sysplex/internal/cfrm"
 	"sysplex/internal/vclock"
+	"sysplex/internal/wire"
 )
 
 func newNetwork(t *testing.T, weights func() map[string]float64) *Network {
@@ -207,4 +208,39 @@ func TestRebuildKeepsNetworkImage(t *testing.T) {
 	if _, err := n.Logon(context.Background(), "CICS"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLogoffRejectsOldImage: a registration in the JSON layout earlier
+// builds wrote fails Logoff by name instead of decoding to garbage.
+func TestLogoffRejectsOldImage(t *testing.T) {
+	ctx := context.Background()
+	n := newNetwork(t, nil)
+	n.Register(ctx, "CICS", "CICSA", "SYS1")
+	s, err := n.Logon(ctx, "CICS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`{"generic":"CICS","member":"CICSA","system":"SYS1","sessions":1}`)
+	if err := n.ls.Write(ctx, n.conn, n.listOf("CICS"), entryID("CICS", "CICSA"), "CICS", old, cf.Keyed, cf.Cond{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Logoff(ctx, s.ID); !errors.Is(err, wire.ErrLayout) {
+		t.Fatalf("logoff over a JSON registration: %v, want wire.ErrLayout", err)
+	}
+}
+
+// FuzzInstance round-trips a registration image and feeds arbitrary
+// bytes to its decoder, which must fail by name and never panic.
+func FuzzInstance(f *testing.F) {
+	f.Add("CICS", "CICSA", "SYS1", 3, Instance{Generic: "IMS", Member: "IMSA", System: "SYS2", Sessions: 7}.encode())
+	f.Add("", "", "", -1, []byte(`{"generic":"CICS","member":"CICSA","system":"SYS1","sessions":1}`))
+	f.Fuzz(func(t *testing.T, generic, member, system string, sessions int, raw []byte) {
+		want := Instance{Generic: generic, Member: member, System: system, Sessions: sessions}
+		if got, err := decodeInstance(want.encode()); err != nil || got != want {
+			t.Fatalf("round trip: %+v, %v; want %+v", got, err, want)
+		}
+		if _, err := decodeInstance(raw); err != nil && !errors.Is(err, wire.ErrLayout) && !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("decode error %v is neither ErrLayout nor ErrMalformed", err)
+		}
+	})
 }
