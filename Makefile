@@ -85,7 +85,7 @@ bench-cf-smoke:
 # The System Logger's mainline write (BenchmarkStreamWrite: before any
 # offload pass, and with 205 entry IDs pending from one) and its offload
 # pass (BenchmarkOffloadPass: 200 records a pass) for a few iterations:
-# B/op and allocs/op of a log write — 2.4 of them per OLTP transaction —
+# B/op and allocs/op of a log write — 1.6 of them per OLTP transaction —
 # and of a pass (B/op over 200 is bytes per offloaded record) are in
 # every CI log beside the alloc guards TestWriteAllocsIndependentOfPending
 # and TestOffloadBytesPerRecord.
@@ -121,9 +121,10 @@ examples-smoke:
 # command codec over internal/wire, and one target per record on it
 # (VTAM instance, txmgr XCF message, db log record, logr envelope). Each
 # round-trips its record and feeds arbitrary bytes to the decoder, which
-# must fail by name and never panic.
+# must fail by name and never panic. FuzzPage holds db's in-place page
+# reads and rebuilds to the same rule over any image decodePage accepts.
 FUZZ_TARGETS := cflink:FuzzDecoder cflink:FuzzFrame cflink:FuzzRoundTrip vtam:FuzzInstance \
-	txmgr:FuzzMsg db:FuzzLogRecord logr:FuzzEnvelope
+	txmgr:FuzzMsg db:FuzzLogRecord db:FuzzPage logr:FuzzEnvelope
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t#*:}; \

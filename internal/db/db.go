@@ -6,19 +6,23 @@
 //     structure underneath);
 //   - page coherency and store-in committed-page caching through the
 //     group buffer pool (CF cache structure underneath);
-//   - a write-ahead log any peer can read for redo recovery of a
+//   - a redo-only write-ahead log any peer can read for recovery of a
 //     failed system while that system's retained locks protect the
-//     affected records: a set of sysplex-merged System Logger log
-//     streams — one update stream per table plus one sync stream
-//     carrying COMMIT/END — in CF interim storage with DASD offload;
+//     affected records: one sysplex-merged System Logger log stream,
+//     in CF interim storage with DASD offload, where each transaction's
+//     COMMIT record carries its after images and an END record follows
+//     once they are applied;
 //   - page-range scans supporting the decision-support "split a query
 //     into sub-queries" pattern of §2.3.
 package db
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,44 +48,76 @@ var (
 //
 // lintwire: table logkinds
 const (
-	recUpdate byte = 1
-	recCommit byte = 2
+	recUpdate byte = 1 // after images that did not fit the COMMIT record
+	recCommit byte = 2 // the commit point, with the remaining after images
 	recEnd    byte = 3 // all of the transaction's page changes are applied
 )
 
-// LogRecord is one write-ahead-log entry. Update records carry both the
-// before image (undo) and after image (redo) of a record-level change.
+// LogRecord is one write-ahead-log entry. The log is redo-only: changes
+// reach pages only after COMMIT, so a record carries after images and
+// no before images.
 type LogRecord struct {
 	Tx     string
-	Sys    string // writing system (the streams merge all systems)
+	Sys    string // writing system (the stream merges all systems)
 	Kind   byte
+	Images []Image // COMMIT and UPDATE only
+}
+
+// Image is the after image of one record-level change.
+type Image struct {
 	Table  string
 	Key    string
-	Before []byte
 	After  []byte
 	Delete bool
 }
 
-// A log record's image on its stream: layout byte, then every field in
-// declaration order as wire fields.
-const logLayout = 1
+// A log record's image on the stream: layout byte, Tx, Sys, Kind, the
+// image count, then each image's fields in declaration order, all as
+// wire fields. Layout 1 carried one change per record with its before
+// image.
+const logLayout = 2
+
+// size bounds the encoded length of a record with no images.
+func (r *LogRecord) size() int {
+	return 2 + fieldLen(len(r.Tx)) + fieldLen(len(r.Sys)) + binary.MaxVarintLen16
+}
+
+// size is the encoded length of the image.
+func (im *Image) size() int {
+	return fieldLen(len(im.Table)) + fieldLen(len(im.Key)) + fieldLen(len(im.After)) + 1
+}
+
+// fieldLen is the encoded length of an n-byte wire string or block.
+func fieldLen(n int) int { return n + (bits.Len64(uint64(n)|1)+6)/7 }
 
 func (r *LogRecord) encode() []byte {
-	e := wire.Record(logLayout, 16+len(r.Tx)+len(r.Sys)+len(r.Table)+len(r.Key)+len(r.Before)+len(r.After))
+	size := r.size()
+	for i := range r.Images {
+		size += r.Images[i].size()
+	}
+	e := wire.Record(logLayout, size)
 	e.Str(r.Tx)
 	e.Str(r.Sys)
 	e.U8(r.Kind)
-	e.Str(r.Table)
-	e.Str(r.Key)
-	e.Bytes(r.Before)
-	e.Bytes(r.After)
-	e.Bool(r.Delete)
+	e.Uvarint(uint64(len(r.Images)))
+	for _, im := range r.Images {
+		e.Str(im.Table)
+		e.Str(im.Key)
+		e.Bytes(im.After)
+		e.Bool(im.Delete)
+	}
 	return e.Buf
 }
 
 func decodeLogRecord(raw []byte) (LogRecord, error) {
 	d := wire.OpenRecord(raw, logLayout)
-	r := LogRecord{Tx: d.Str(), Sys: d.Str(), Kind: d.U8(), Table: d.Str(), Key: d.Str(), Before: d.Bytes(), After: d.Bytes(), Delete: d.Bool()}
+	r := LogRecord{Tx: d.Str(), Sys: d.Str(), Kind: d.U8()}
+	if n := d.Count(uint64(len(raw))); n > 0 {
+		r.Images = make([]Image, n)
+		for i := range r.Images {
+			r.Images[i] = Image{Table: d.Str(), Key: d.Str(), After: d.Bytes(), Delete: d.Bool()}
+		}
+	}
 	return r, d.Finish()
 }
 
@@ -103,9 +139,9 @@ type Config struct {
 	// Clock defaults to the real clock.
 	Clock vclock.Clock
 	// Logger is this system's System Logger instance: the write-ahead
-	// log is a set of log streams (one update stream per table plus a
-	// sync stream carrying COMMIT/END), and recovery browses the merged
-	// streams.
+	// log is one log stream, DB.<Name>.SYNC, carrying every system's
+	// COMMIT records (with their after images) and END records, and
+	// recovery browses it.
 	Logger *logr.Manager
 	// PoolFrames sizes the local buffer pool (default 256).
 	PoolFrames int
@@ -136,7 +172,7 @@ type Engine struct {
 	clock   vclock.Clock
 	pool    *buffman.Pool
 	logger  *logr.Manager
-	sync    *logr.Stream // COMMIT/END stream
+	sync    *logr.Stream // the write-ahead log
 	timeout time.Duration
 
 	mu     sync.Mutex
@@ -146,10 +182,9 @@ type Engine struct {
 }
 
 type tableMeta struct {
-	name   string
-	pages  int
-	ds     *dasd.Dataset
-	stream *logr.Stream // per-table update stream
+	name  string
+	pages int
+	ds    *dasd.Dataset
 }
 
 // Open creates (or attaches to) the database group for one system.
@@ -199,8 +234,7 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.pool = pool
-	// The sync stream carries COMMIT/END for every transaction in the
-	// group; table update streams are connected as tables are opened.
+	// One stream carries the log of every transaction in the group.
 	s, err := cfg.Logger.Connect(ctx, logr.StreamSpec{Name: syncStreamName(cfg.Name)})
 	if err != nil {
 		return nil, err
@@ -209,9 +243,8 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Log stream names.
-func syncStreamName(db string) string         { return "DB." + db + ".SYNC" }
-func tableStreamName(db, table string) string { return "DB." + db + ".T." + table }
+// syncStreamName names the write-ahead log stream.
+func syncStreamName(db string) string { return "DB." + db + ".SYNC" }
 
 // System returns the owning system name.
 func (e *Engine) System() string { return e.sys }
@@ -256,11 +289,7 @@ func (e *Engine) OpenTable(ctx context.Context, name string, pages int) error {
 	if ds.Blocks() != pages {
 		return fmt.Errorf("db: table %q opened with %d pages but exists with %d", name, pages, ds.Blocks())
 	}
-	s, err := e.logger.Connect(ctx, logr.StreamSpec{Name: tableStreamName(e.name, name)})
-	if err != nil {
-		return err
-	}
-	e.tables[name] = &tableMeta{name: name, pages: pages, ds: ds, stream: s}
+	e.tables[name] = &tableMeta{name: name, pages: pages, ds: ds}
 	return nil
 }
 
@@ -339,19 +368,9 @@ type Tx struct {
 	e      *Engine
 	ctx    context.Context
 	id     string
-	staged []change
+	staged []Image
 	locks  map[string]bool
 	done   bool
-}
-
-type change struct {
-	table  string
-	page   int
-	key    string
-	before []byte
-	after  []byte
-	del    bool
-	hadOld bool
 }
 
 // Begin starts a transaction. The context governs every CF command the
@@ -391,11 +410,11 @@ func (t *Tx) lock(resource string, mode lockmgr.Mode) error {
 func (t *Tx) stagedValue(table, key string) ([]byte, bool, bool) {
 	for i := len(t.staged) - 1; i >= 0; i-- {
 		c := t.staged[i]
-		if c.table == table && c.key == key {
-			if c.del {
+		if c.Table == table && c.Key == key {
+			if c.Delete {
 				return nil, false, true
 			}
-			return append([]byte(nil), c.after...), true, true
+			return append([]byte(nil), c.After...), true, true
 		}
 	}
 	return nil, false, false
@@ -448,19 +467,10 @@ func (t *Tx) Put(table, key string, value []byte) error {
 	if err := t.lock(t.e.recordResource(table, key), lockmgr.Exclusive); err != nil {
 		return err
 	}
-	page := pageOf(key, meta.pages)
-	before, hadOld, err := t.currentValue(table, key, page)
-	if err != nil {
+	if err := t.checkOccupancy(table, meta.pages, key, value); err != nil {
 		return err
 	}
-	if err := t.checkOccupancy(table, page, key, value); err != nil {
-		return err
-	}
-	t.staged = append(t.staged, change{
-		table: table, page: page, key: key,
-		before: before, hadOld: hadOld,
-		after: append([]byte(nil), value...),
-	})
+	t.staged = append(t.staged, Image{Table: table, Key: key, After: append([]byte(nil), value...)})
 	return nil
 }
 
@@ -468,31 +478,28 @@ func (t *Tx) Put(table, key string, value []byte) error {
 // concurrent growth between staging and apply.
 const pageSlack = 512
 
-// checkOccupancy verifies the page can hold the staged change set plus
-// this new record with the safety margin to spare.
-func (t *Tx) checkOccupancy(table string, page int, key string, value []byte) error {
+// checkOccupancy verifies the key's page can hold the staged change set
+// plus this new record with the safety margin to spare. It sums each
+// key's last change against the current image instead of building the
+// resulting page.
+func (t *Tx) checkOccupancy(table string, pages int, key string, value []byte) error {
+	page := pageOf(key, pages)
 	img, err := t.e.fetchPage(t.ctx, table, page)
 	if err != nil {
 		return err
 	}
-	// Overlay this transaction's earlier staged changes for the page.
-	for _, c := range t.staged {
-		if c.table != table || c.page != page {
+	size := len(img.raw) + img.grows(key, value, true)
+	seen := []string{key}
+	for i := len(t.staged) - 1; i >= 0; i-- {
+		c := t.staged[i]
+		if c.Table != table || slices.Contains(seen, c.Key) || pageOf(c.Key, pages) != page {
 			continue
 		}
-		if c.del {
-			img.delete(c.key)
-		} else {
-			img.set(c.key, c.after)
-		}
+		seen = append(seen, c.Key)
+		size += img.grows(c.Key, c.After, !c.Delete)
 	}
-	img.set(key, value)
-	raw, err := img.encode()
-	if err != nil {
-		return err
-	}
-	if len(raw) > dasd.BlockSize-pageSlack {
-		return fmt.Errorf("%w: page %d of %q at %d bytes", ErrPageFull, page, table, len(raw))
+	if size > dasd.BlockSize-pageSlack {
+		return fmt.Errorf("%w: page %d of %q at %d bytes", ErrPageFull, page, table, size)
 	}
 	return nil
 }
@@ -502,41 +509,19 @@ func (t *Tx) Delete(table, key string) error {
 	if t.done {
 		return ErrTxDone
 	}
-	meta, err := t.e.table(table)
-	if err != nil {
+	if _, err := t.e.table(table); err != nil {
 		return err
 	}
 	if err := t.lock(t.e.recordResource(table, key), lockmgr.Exclusive); err != nil {
 		return err
 	}
-	page := pageOf(key, meta.pages)
-	before, hadOld, err := t.currentValue(table, key, page)
-	if err != nil {
-		return err
-	}
-	t.staged = append(t.staged, change{
-		table: table, page: page, key: key,
-		before: before, hadOld: hadOld, del: true,
-	})
+	t.staged = append(t.staged, Image{Table: table, Key: key, Delete: true})
 	return nil
 }
 
-// currentValue reads the pre-change value (own staged writes first).
-func (t *Tx) currentValue(table, key string, page int) ([]byte, bool, error) {
-	if v, ok, hit := t.stagedValue(table, key); hit {
-		return v, ok, nil
-	}
-	img, err := t.e.fetchPage(t.ctx, table, page)
-	if err != nil {
-		return nil, false, err
-	}
-	v, ok := img.get(key)
-	return v, ok, nil
-}
-
 // Commit forces the log and applies the staged changes to the shared
-// pages (write-ahead: log first, then pages through the group buffer
-// pool, then the END record), then releases all locks.
+// pages (write-ahead: the COMMIT record first, then pages through the
+// group buffer pool, then the END record), then releases all locks.
 //
 // lintctx: the transaction's context is captured at Begin
 // (database/sql idiom); once the COMMIT record is forced, apply and
@@ -552,16 +537,8 @@ func (t *Tx) Commit() error {
 		t.e.bump(func(s *Stats) { s.Commits++ })
 		return nil
 	}
-	// 1. Log force: update records + COMMIT.
-	recs := make([]*LogRecord, 0, len(t.staged)+1)
-	for _, c := range t.staged {
-		recs = append(recs, &LogRecord{
-			Tx: t.id, Kind: recUpdate, Table: c.table, Key: c.key,
-			Before: c.before, After: c.after, Delete: c.del,
-		})
-	}
-	recs = append(recs, &LogRecord{Tx: t.id, Kind: recCommit})
-	if err := t.e.appendLog(t.ctx, recs...); err != nil {
+	// 1. Log force: the COMMIT record with the after images.
+	if err := t.e.appendLog(t.ctx, t.commitRecords()...); err != nil {
 		t.release()
 		t.e.bump(func(s *Stats) { s.Aborts++ })
 		return err
@@ -613,39 +590,52 @@ func (t *Tx) release() {
 	t.locks = map[string]bool{}
 }
 
-// appendLog forces records to the write-ahead log: update records go to
-// the owning table's log stream and COMMIT/END to the sync stream;
-// because a transaction's COMMIT lives on exactly one stream, it stays
-// a single atomic commit point even though the updates fan out.
+// commitRecords packs the staged after images into log records of at
+// most logr.MaxRecord bytes. The COMMIT record, the transaction's one
+// atomic commit point, carries the last images; any that do not fit it
+// go ahead of it in UPDATE records, which redo ignores without their
+// COMMIT.
+func (t *Tx) commitRecords() []*LogRecord {
+	var recs []*LogRecord
+	head := (&LogRecord{Tx: t.id, Sys: t.e.sys}).size()
+	from, size := 0, head
+	for i := range t.staged {
+		n := t.staged[i].size()
+		if i > from && size+n > logr.MaxRecord {
+			recs = append(recs, &LogRecord{Tx: t.id, Kind: recUpdate, Images: t.staged[from:i]})
+			from, size = i, head
+		}
+		size += n
+	}
+	return append(recs, &LogRecord{Tx: t.id, Kind: recCommit, Images: t.staged[from:]})
+}
+
+// appendLog forces records to the write-ahead log stream, in order.
 func (e *Engine) appendLog(ctx context.Context, recs ...*LogRecord) error {
 	for _, r := range recs {
 		r.Sys = e.sys
-		stream := e.sync
-		if r.Kind == recUpdate {
-			meta, err := e.table(r.Table)
-			if err != nil {
-				return err
-			}
-			stream = meta.stream
-		}
-		if _, err := stream.Write(ctx, r.encode()); err != nil {
+		if _, err := e.sync.Write(ctx, r.encode()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyChanges applies record changes grouped by page, each page under
+// applyChanges applies after images grouped by page, each page under
 // an exclusive page latch, writing through the group buffer pool.
-func (e *Engine) applyChanges(ctx context.Context, owner string, changes []change) error {
+func (e *Engine) applyChanges(ctx context.Context, owner string, images []Image) error {
 	type pageKey struct {
 		table string
 		page  int
 	}
-	grouped := map[pageKey][]change{}
-	for _, c := range changes {
-		k := pageKey{c.table, c.page}
-		grouped[k] = append(grouped[k], c)
+	grouped := map[pageKey][]Image{}
+	for _, im := range images {
+		meta, err := e.table(im.Table)
+		if err != nil {
+			return err
+		}
+		k := pageKey{im.Table, pageOf(im.Key, meta.pages)}
+		grouped[k] = append(grouped[k], im)
 	}
 	keys := make([]pageKey, 0, len(grouped))
 	for k := range grouped {
@@ -679,11 +669,11 @@ func (e *Engine) applyChanges(ctx context.Context, owner string, changes []chang
 			unlatch()
 			return err
 		}
-		for _, c := range grouped[k] {
-			if c.del {
-				img.delete(c.key)
+		for _, im := range grouped[k] {
+			if im.Delete {
+				img.delete(im.Key)
 			} else {
-				img.set(c.key, c.after)
+				img.set(im.Key, im.After)
 			}
 		}
 		raw, err := img.encode()
@@ -698,11 +688,12 @@ func (e *Engine) applyChanges(ctx context.Context, owner string, changes []chang
 	return err
 }
 
-// fetchPage reads a page through the buffer pool and decodes it.
-func (e *Engine) fetchPage(ctx context.Context, table string, page int) (*pageImage, error) {
+// fetchPage reads a page through the buffer pool (a private copy) and
+// validates it.
+func (e *Engine) fetchPage(ctx context.Context, table string, page int) (pageImage, error) {
 	raw, err := e.pool.GetPage(ctx, pageName(table, page))
 	if err != nil {
-		return nil, err
+		return pageImage{}, err
 	}
 	return decodePage(raw)
 }
@@ -748,11 +739,8 @@ func (e *Engine) ScanPages(ctx context.Context, owner, table string, lo, hi int,
 		if err != nil {
 			return err
 		}
-		for _, k := range img.keys() {
-			v, _ := img.get(k)
-			if !fn(k, v) {
-				return nil
-			}
+		if !img.each(fn) {
+			return nil
 		}
 	}
 	return nil
@@ -802,7 +790,7 @@ type RecoveryReport struct {
 }
 
 // RecoverPeer performs database recovery on behalf of a failed system:
-// it reads the failed system's records off the merged log streams,
+// it reads the failed system's records off the merged log stream,
 // re-applies (redoes) the changes of committed-but-not-fully-applied
 // transactions,
 // and then frees the failed system's retained locks. Retained locks
@@ -813,51 +801,19 @@ func (e *Engine) RecoverPeer(ctx context.Context, failedSys string) (RecoveryRep
 	if err != nil {
 		return rep, err
 	}
-	committed := map[string]bool{}
+	// END means the pages reached the group buffer pool, which
+	// survives a system failure: those transactions need no redo, and
+	// redoing one could overwrite a later committed change by another
+	// system.
 	ended := map[string]bool{}
 	for _, r := range recs {
-		switch r.Kind {
-		case recCommit:
-			committed[r.Tx] = true
-		case recEnd:
+		if r.Kind == recEnd {
 			ended[r.Tx] = true
 		}
 	}
-	owner := "RECOVERY." + e.sys + "." + failedSys
-	for _, r := range recs {
-		if r.Kind != recUpdate || !committed[r.Tx] || ended[r.Tx] {
-			continue
-		}
-		meta, err := e.table(r.Table)
-		if err != nil {
-			return rep, fmt.Errorf("db: recovery needs table %q opened: %v", r.Table, err)
-		}
-		page := pageOf(r.Key, meta.pages)
-		latch := e.pageResource(r.Table, page)
-		if err := e.locks.Lock(ctx, owner, latch, lockmgr.Exclusive, e.timeout); err != nil {
-			return rep, err
-		}
-		err = func() error {
-			img, err := e.fetchPage(ctx, r.Table, page)
-			if err != nil {
-				return err
-			}
-			if r.Delete {
-				img.delete(r.Key)
-			} else {
-				img.set(r.Key, r.After)
-			}
-			raw, err := img.encode()
-			if err != nil {
-				return err
-			}
-			return e.pool.WritePage(ctx, pageName(r.Table, page), raw)
-		}()
-		e.locks.Unlock(ctx, owner, latch)
-		if err != nil {
-			return rep, err
-		}
-		rep.RedoApplied++
+	_, rep.RedoApplied, err = e.redo(ctx, "RECOVERY."+e.sys+"."+failedSys, recs, ended)
+	if err != nil {
+		return rep, err
 	}
 	// Free the failed system's retained locks now that redo is complete.
 	retained, err := e.locks.RetainedResources(ctx, failedSys)
@@ -877,133 +833,78 @@ func (e *Engine) RecoverPeer(ctx context.Context, failedSys string) (RecoveryRep
 // ColdReport summarizes a cold-start redo pass.
 type ColdReport struct {
 	Transactions int // committed transactions redone
-	RedoApplied  int // update records applied
+	RedoApplied  int // after images applied
 }
 
-// RecoverCold redoes every committed transaction found on the merged
-// log streams after a whole-sysplex cold start. Unlike RecoverPeer it
+// RecoverCold redoes every committed transaction found on the log
+// stream after a whole-sysplex cold start. Unlike RecoverPeer it
 // ignores END records: END means "applied through the group buffer
 // pool", and the GBP did not survive the crash — only casted-out pages
-// and the log streams did. Redo is pure after-image replay in global
-// log order, so it is idempotent over pages that did get cast out.
-// Every table named in the log must already be opened.
+// and the log stream did. Redo is pure after-image replay in log order,
+// so it is idempotent over pages that did get cast out. Every table
+// named in the log must already be opened.
 func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 	var rep ColdReport
-	e.mu.Lock()
-	streams := []*logr.Stream{e.sync}
-	for _, t := range e.tables {
-		streams = append(streams, t.stream)
+	recs, err := e.streamLogRecords(ctx, "")
+	if err != nil {
+		return rep, err
 	}
-	e.mu.Unlock()
-	committed := map[string]bool{}
-	type keyedRec struct {
-		key string
-		rec LogRecord
+	rep.Transactions, rep.RedoApplied, err = e.redo(ctx, "COLDSTART."+e.sys, recs, nil)
+	if err != nil {
+		return rep, err
 	}
-	var updates []keyedRec
-	for _, s := range streams {
-		cur, err := s.Browse(ctx)
-		if err != nil {
-			return rep, err
-		}
-		for {
-			srec, ok := cur.Next()
-			if !ok {
-				break
-			}
-			r, err := decodeLogRecord(srec.Data)
-			if err != nil {
-				return rep, fmt.Errorf("db: corrupt log record on stream %s: %w", s.Name(), err)
-			}
-			switch r.Kind {
-			case recCommit:
-				committed[r.Tx] = true
-			case recUpdate:
-				updates = append(updates, keyedRec{key: srec.Key, rec: r})
-			}
-		}
-	}
-	// Global log order: stream keys are sysplex timestamps, so sorting
-	// merges the per-table streams back into one history and the last
-	// committed write to a record wins.
-	sort.Slice(updates, func(i, j int) bool { return updates[i].key < updates[j].key })
-	owner := "COLDSTART." + e.sys
-	txs := map[string]bool{}
-	for _, u := range updates {
-		r := u.rec
-		if !committed[r.Tx] {
-			continue
-		}
-		meta, err := e.table(r.Table)
-		if err != nil {
-			return rep, fmt.Errorf("db: cold recovery needs table %q opened: %v", r.Table, err)
-		}
-		page := pageOf(r.Key, meta.pages)
-		latch := e.pageResource(r.Table, page)
-		if err := e.locks.Lock(ctx, owner, latch, lockmgr.Exclusive, e.timeout); err != nil {
-			return rep, err
-		}
-		err = func() error {
-			img, err := e.fetchPage(ctx, r.Table, page)
-			if err != nil {
-				return err
-			}
-			if r.Delete {
-				img.delete(r.Key)
-			} else {
-				img.set(r.Key, r.After)
-			}
-			raw, err := img.encode()
-			if err != nil {
-				return err
-			}
-			return e.pool.WritePage(ctx, pageName(r.Table, page), raw)
-		}()
-		e.locks.Unlock(ctx, owner, latch)
-		if err != nil {
-			return rep, err
-		}
-		rep.RedoApplied++
-		txs[r.Tx] = true
-	}
-	rep.Transactions = len(txs)
 	e.bump(func(s *Stats) { s.Recovered += int64(rep.RedoApplied) })
 	return rep, nil
 }
 
-// streamLogRecords reconstructs a failed system's log from the merged
-// log streams: COMMIT/END markers from the sync stream, update records
-// from every opened table's stream — each browsed in timestamp order
-// across offloaded and interim storage, filtered to the failed system's
-// records. The streams are shared, so recovery needs no dataset
-// handoff and has no system affinity.
-func (e *Engine) streamLogRecords(ctx context.Context, failedSys string) ([]LogRecord, error) {
-	streams := []*logr.Stream{e.sync}
-	e.mu.Lock()
-	for _, t := range e.tables {
-		streams = append(streams, t.stream)
-	}
-	e.mu.Unlock()
-	var out []LogRecord
-	for _, s := range streams {
-		cur, err := s.Browse(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			rec, ok := cur.Next()
-			if !ok {
-				break
-			}
-			r, err := decodeLogRecord(rec.Data)
-			if err != nil {
-				return nil, fmt.Errorf("db: corrupt log record on stream %s: %w", s.Name(), err)
-			}
-			if r.Sys != failedSys {
+// redo applies the after images of every committed transaction in recs
+// that is not ended, at its COMMIT record, in log order: a transaction
+// that overwrote another's record committed after it. It returns the
+// transactions redone and the images applied.
+func (e *Engine) redo(ctx context.Context, owner string, recs []LogRecord, ended map[string]bool) (txs, applied int, err error) {
+	spilled := map[string][]Image{} // UPDATE records awaiting their COMMIT
+	for _, r := range recs {
+		switch {
+		case ended[r.Tx]: // its pages reached the group buffer pool
+		case r.Kind == recUpdate:
+			spilled[r.Tx] = append(spilled[r.Tx], r.Images...)
+		case r.Kind == recCommit:
+			images := append(spilled[r.Tx], r.Images...)
+			delete(spilled, r.Tx)
+			if len(images) == 0 {
 				continue
 			}
+			if err := e.applyChanges(ctx, owner, images); err != nil {
+				return txs, applied, fmt.Errorf("db: redo of %s: %w", r.Tx, err)
+			}
+			txs++
+			applied += len(images)
+		}
+	}
+	return txs, applied, nil
+}
+
+// streamLogRecords reads the log stream in timestamp order across
+// offloaded and interim storage, keeping only sys's records unless sys
+// is empty. The stream is shared, so recovery needs no dataset handoff
+// and has no system affinity.
+func (e *Engine) streamLogRecords(ctx context.Context, sys string) ([]LogRecord, error) {
+	cur, err := e.sync.Browse(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []LogRecord
+	for {
+		rec, ok := cur.Next()
+		if !ok {
+			return out, nil
+		}
+		r, err := decodeLogRecord(rec.Data)
+		if err != nil {
+			return nil, fmt.Errorf("db: corrupt log record on stream %s: %w", e.sync.Name(), err)
+		}
+		if sys == "" || r.Sys == sys {
 			out = append(out, r)
 		}
 	}
-	return out, nil
 }

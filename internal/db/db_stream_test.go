@@ -3,15 +3,17 @@ package db
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"sysplex/internal/cf"
 	"sysplex/internal/lockmgr"
+	"sysplex/internal/logr"
 )
 
-// TestStreamWALCarriesCommits proves commits flow through the log
-// streams: the table update stream and sync stream both accumulate
-// records.
+// TestStreamWALCarriesCommits proves commits flow through the one log
+// stream: each transaction writes a COMMIT record carrying its after
+// images, then an END, and no per-table stream exists.
 func TestStreamWALCarriesCommits(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1 := fx.engines["SYS1"]
@@ -24,24 +26,22 @@ func TestStreamWALCarriesCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tblStream, err := e1.logger.Stream(tableStreamName("DBP1", "ACCT"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := e1.logger.Stream("DB.DBP1.T.ACCT"); !errors.Is(err, logr.ErrNoStream) {
+		t.Fatalf("per-table stream lookup: %v, want ErrNoStream", err)
 	}
-	// 5 update records on the table stream, 5 COMMIT + 5 END on sync.
-	cur, err := tblStream.Browse(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	recs := syncRecords(t, e1)
+	if len(recs) != 10 {
+		t.Fatalf("log stream has %d records, want 5 COMMIT + 5 END", len(recs))
 	}
-	if cur.Len() != 5 {
-		t.Fatalf("table stream has %d records, want 5", cur.Len())
-	}
-	scur, err := e1.sync.Browse(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scur.Len() != 10 {
-		t.Fatalf("sync stream has %d records, want 10", scur.Len())
+	for i := 0; i < 5; i++ {
+		c, end := recs[2*i], recs[2*i+1]
+		want := Image{Table: "ACCT", Key: "alice", After: []byte{byte('0' + i)}}
+		if c.Kind != recCommit || len(c.Images) != 1 || !reflect.DeepEqual(c.Images[0], want) {
+			t.Fatalf("record %d = %+v, want a COMMIT carrying %+v", 2*i, c, want)
+		}
+		if end.Kind != recEnd || end.Tx != c.Tx || end.Images != nil {
+			t.Fatalf("record %d = %+v, want the END of %s", 2*i+1, end, c.Tx)
+		}
 	}
 	// Cross-system visibility of the committed value.
 	tx := fx.engines["SYS2"].Begin(context.Background())
@@ -53,8 +53,8 @@ func TestStreamWALCarriesCommits(t *testing.T) {
 }
 
 // TestStreamPeerRecovery is the stream-mode twin of TestPeerRecovery:
-// SYS1 dies with a COMMIT on the sync stream but pages unapplied; SYS2
-// browses the merged streams and redoes the changes under the retained
+// SYS1 dies with a COMMIT on the log stream but pages unapplied; SYS2
+// browses the merged stream and redoes the changes under the retained
 // locks.
 func TestStreamPeerRecovery(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
@@ -65,11 +65,10 @@ func TestStreamPeerRecovery(t *testing.T) {
 
 	// Simulate SYS1 dying mid-commit: log force done (stream writes),
 	// pages never applied.
-	err := e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "gina", Before: []byte("old"), After: []byte("new")},
-		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "hank", After: []byte("born")},
-		&LogRecord{Tx: "SYS1-999999", Kind: recCommit},
-	)
+	err := e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-999999", Kind: recCommit, Images: []Image{
+		{Table: "ACCT", Key: "gina", After: []byte("new")},
+		{Table: "ACCT", Key: "hank", After: []byte("born")},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestStreamPeerRecovery(t *testing.T) {
 
 // TestStreamRecoveryFilters checks recovery ignores (a) in-flight and
 // fully-ENDed transactions of the failed system and (b) every record
-// written by surviving systems, which share the same merged streams.
+// written by surviving systems, which share the same merged stream.
 func TestStreamRecoveryFilters(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
@@ -117,10 +116,9 @@ func TestStreamRecoveryFilters(t *testing.T) {
 	tx.Put("ACCT", "keep", []byte("mine"))
 	tx.Commit()
 	// SYS1: uncommitted (no COMMIT) and fully applied (COMMIT + END).
-	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
+	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "ivy", After: []byte("ghost")}}})
 	e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-888888", Kind: recUpdate, Table: "ACCT", Key: "judy", After: []byte("stale")},
-		&LogRecord{Tx: "SYS1-888888", Kind: recCommit},
+		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}},
 		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
 	)
 	fx.plex.PartitionNow("SYS1")

@@ -334,11 +334,11 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 	tx.Commit()
 
 	// Simulate SYS1 dying mid-commit: COMMIT record logged but pages
-	// never applied. We write the log records directly, then kill SYS1.
+	// never applied. We write the log records directly (one image
+	// spilled into an UPDATE record ahead of the COMMIT), then kill SYS1.
 	err := e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "gina", Before: []byte("old"), After: []byte("new")},
-		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Table: "ACCT", Key: "hank", After: []byte("born")},
-		&LogRecord{Tx: "SYS1-999999", Kind: recCommit},
+		&LogRecord{Tx: "SYS1-999999", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "gina", After: []byte("new")}}},
+		&LogRecord{Tx: "SYS1-999999", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "hank", After: []byte("born")}}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -380,15 +380,16 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 	tx2.Commit()
 }
 
+// TestRecoverySkipsUncommittedAndEnded: peer redo applies a
+// transaction's images only at its COMMIT and never after its END.
 func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
-	// Uncommitted (in-flight) transaction: update logged, no COMMIT.
-	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Table: "ACCT", Key: "ivy", After: []byte("ghost")})
-	// Fully applied transaction: COMMIT + END.
+	// In flight: an image spilled into an UPDATE record, no COMMIT.
+	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "ivy", After: []byte("ghost")}}})
+	// Fully applied: COMMIT carrying its image, then END.
 	e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-888888", Kind: recUpdate, Table: "ACCT", Key: "judy", After: []byte("stale")},
-		&LogRecord{Tx: "SYS1-888888", Kind: recCommit},
+		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}},
 		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
 	)
 	fx.plex.PartitionNow("SYS1")
@@ -519,7 +520,7 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	}
 }
 
-// syncRecords reads the engine's COMMIT/END stream in log order.
+// syncRecords reads the engine's log stream in log order.
 func syncRecords(t *testing.T, e *Engine) []LogRecord {
 	t.Helper()
 	cur, err := e.sync.Browse(context.Background())
@@ -626,6 +627,43 @@ func TestPageFullRejectedAtPut(t *testing.T) {
 		t.Fatalf("put after delete: %v", err)
 	}
 	tx2.Commit()
+}
+
+// TestPageFullCountsStagedChanges: Put checks a page against the
+// transaction's own staged changes to it, counting a rewritten key once
+// and a deleted one not at all.
+func TestPageFullCountsStagedChanges(t *testing.T) {
+	fx := newDBFixture(t, "SYS1")
+	e := fx.engines["SYS1"]
+	if err := e.OpenTable(context.Background(), "TINY", 1); err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 700) // five such records fit a page, six do not
+	tx := e.Begin(context.Background())
+	for i := 0; i < 5; i++ {
+		if err := tx.Put("TINY", fmt.Sprintf("r%d", i), val); err != nil {
+			t.Fatalf("put r%d: %v", i, err)
+		}
+	}
+	if err := tx.Put("TINY", "r5", val); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("sixth record: %v, want page full", err)
+	}
+	if err := tx.Put("TINY", "r0", val); err != nil {
+		t.Fatalf("rewrite of a staged key: %v", err)
+	}
+	if err := tx.Delete("TINY", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put("TINY", "r5", val); err != nil {
+		t.Fatalf("put after a staged delete: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := e.ScanPages(context.Background(), "Q", "TINY", 0, 1, func(k string, v []byte) bool { n++; return true }); err != nil || n != 5 {
+		t.Fatalf("page holds %d records (err %v), want 5", n, err)
+	}
 }
 
 func TestMultiTableTransaction(t *testing.T) {

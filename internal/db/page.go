@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"sysplex/internal/dasd"
 )
@@ -13,93 +12,159 @@ import (
 // ErrPageFull is returned when a record no longer fits its page.
 var ErrPageFull = errors.New("db: page full")
 
-// pageImage is the decoded form of a data page: a sorted set of
-// key/value records. The on-disk (and in-CF) encoding is:
+// pageImage is a data page, read in place. The on-disk (and in-CF)
+// encoding is
 //
 //	count uint16, then per record: klen uint16, key, vlen uint16, value
+//
+// with the records in strictly ascending key order. raw is a validated
+// image trimmed to its records; get and each return slices of it, so
+// set and delete build a new image and never write into the old one.
 type pageImage struct {
-	records map[string][]byte
+	raw []byte
 }
 
-func newPageImage() *pageImage { return &pageImage{records: map[string][]byte{}} }
+// emptyPage is the image of a page with no records. It is shared and
+// never written into.
+var emptyPage = []byte{0, 0}
 
-func decodePage(raw []byte) (*pageImage, error) {
-	p := newPageImage()
+func newPageImage() pageImage { return pageImage{raw: emptyPage} }
+
+// decodePage validates raw as a page image. A block shorter than the
+// count is an empty page (a never-written DASD block).
+func decodePage(raw []byte) (pageImage, error) {
 	if len(raw) < 2 {
-		return p, nil
+		return newPageImage(), nil
 	}
-	n := int(binary.BigEndian.Uint16(raw[0:2]))
+	n := int(binary.BigEndian.Uint16(raw))
 	off := 2
+	var prev []byte
 	for i := 0; i < n; i++ {
 		if off+2 > len(raw) {
-			return nil, fmt.Errorf("db: truncated page at record %d", i)
+			return pageImage{}, fmt.Errorf("db: truncated page at record %d", i)
 		}
-		klen := int(binary.BigEndian.Uint16(raw[off : off+2]))
+		klen := int(binary.BigEndian.Uint16(raw[off:]))
 		off += 2
 		if off+klen+2 > len(raw) {
-			return nil, fmt.Errorf("db: truncated key at record %d", i)
+			return pageImage{}, fmt.Errorf("db: truncated key at record %d", i)
 		}
-		key := string(raw[off : off+klen])
+		key := raw[off : off+klen]
+		if i > 0 && string(key) <= string(prev) {
+			return pageImage{}, fmt.Errorf("db: page records out of key order at record %d", i)
+		}
+		prev = key
 		off += klen
-		vlen := int(binary.BigEndian.Uint16(raw[off : off+2]))
+		vlen := int(binary.BigEndian.Uint16(raw[off:]))
 		off += 2
 		if off+vlen > len(raw) {
-			return nil, fmt.Errorf("db: truncated value at record %d", i)
+			return pageImage{}, fmt.Errorf("db: truncated value at record %d", i)
 		}
-		val := append([]byte(nil), raw[off:off+vlen]...)
 		off += vlen
-		p.records[key] = val
 	}
-	return p, nil
+	return pageImage{raw: raw[:off:off]}, nil
 }
 
-func (p *pageImage) encode() ([]byte, error) {
-	keys := make([]string, 0, len(p.records))
-	for k := range p.records {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := make([]byte, 2, 256)
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(keys)))
-	for _, k := range keys {
-		v := p.records[k]
-		var l [2]byte
-		binary.BigEndian.PutUint16(l[:], uint16(len(k)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, k...)
-		binary.BigEndian.PutUint16(l[:], uint16(len(v)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, v...)
-	}
-	if len(buf) > dasd.BlockSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPageFull, len(buf))
-	}
-	return buf, nil
+// record decodes the record at off of the validated image: its key, its
+// value (capped, so an append to it copies) and the offset after it.
+func (p pageImage) record(off int) (key, val []byte, next int) {
+	klen := int(binary.BigEndian.Uint16(p.raw[off:]))
+	key = p.raw[off+2 : off+2+klen]
+	off += 2 + klen
+	vlen := int(binary.BigEndian.Uint16(p.raw[off:]))
+	next = off + 2 + vlen
+	return key, p.raw[off+2 : next : next], next
 }
 
-// get returns a copy of the record value.
-func (p *pageImage) get(key string) ([]byte, bool) {
-	v, ok := p.records[key]
-	if !ok {
+// find returns the span [at, end) of key's record, or the empty span at
+// the offset where it would be inserted.
+func (p pageImage) find(key string) (at, end int, found bool) {
+	for at = 2; at < len(p.raw); at = end {
+		var k []byte
+		k, _, end = p.record(at)
+		if string(k) == key {
+			return at, end, true
+		}
+		if string(k) > key {
+			break
+		}
+	}
+	return at, at, false
+}
+
+// get returns the record value, a slice of the image.
+func (p pageImage) get(key string) ([]byte, bool) {
+	at, _, found := p.find(key)
+	if !found {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	_, v, _ := p.record(at)
+	return v, true
 }
 
-func (p *pageImage) set(key string, val []byte) {
-	p.records[key] = append([]byte(nil), val...)
-}
-
-func (p *pageImage) delete(key string) { delete(p.records, key) }
-
-// keys returns the page's keys, sorted.
-func (p *pageImage) keys() []string {
-	out := make([]string, 0, len(p.records))
-	for k := range p.records {
-		out = append(out, k)
+// each calls fn on every record in key order until fn returns false,
+// and reports whether the walk finished.
+func (p pageImage) each(fn func(key string, val []byte) bool) bool {
+	for off := 2; off < len(p.raw); {
+		k, v, next := p.record(off)
+		if !fn(string(k), v) {
+			return false
+		}
+		off = next
 	}
-	sort.Strings(out)
-	return out
+	return true
+}
+
+func (p *pageImage) set(key string, val []byte) { p.splice(key, val, true) }
+
+func (p *pageImage) delete(key string) { p.splice(key, nil, false) }
+
+// splice replaces key's record with val (keep) or with nothing, in a
+// new image.
+func (p *pageImage) splice(key string, val []byte, keep bool) {
+	at, end, found := p.find(key)
+	if !found && !keep {
+		return
+	}
+	n := int(binary.BigEndian.Uint16(p.raw))
+	if found {
+		n--
+	}
+	size := len(p.raw) - (end - at)
+	if keep {
+		n++
+		size += recordLen(key, val)
+	}
+	out := make([]byte, 2, size)
+	binary.BigEndian.PutUint16(out, uint16(n))
+	out = append(out, p.raw[2:at]...)
+	if keep {
+		out = binary.BigEndian.AppendUint16(out, uint16(len(key)))
+		out = append(out, key...)
+		out = binary.BigEndian.AppendUint16(out, uint16(len(val)))
+		out = append(out, val...)
+	}
+	p.raw = append(out, p.raw[end:]...)
+}
+
+// grows returns by how many bytes setting (keep) or deleting key would
+// change the image's length.
+func (p pageImage) grows(key string, val []byte, keep bool) int {
+	at, end, _ := p.find(key)
+	d := at - end
+	if keep {
+		d += recordLen(key, val)
+	}
+	return d
+}
+
+func recordLen(key string, val []byte) int { return 2 + len(key) + 2 + len(val) }
+
+// encode returns the page's image, or ErrPageFull if it outgrew a block.
+func (p pageImage) encode() ([]byte, error) {
+	if len(p.raw) > dasd.BlockSize {
+		return nil, fmt.Errorf("%w: %d bytes", ErrPageFull, len(p.raw))
+	}
+	return p.raw, nil
 }
 
 // pageOf maps a key to a page number within a table of n pages.
