@@ -24,6 +24,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -175,6 +176,12 @@ type Engine struct {
 	sync    *logr.Stream // the write-ahead log
 	timeout time.Duration
 
+	// txPrefix opens every transaction ID: the system name and a
+	// sysplex timestamp taken at Open. The timestamp follows every
+	// record already on the log, so no ID repeats one an earlier
+	// incarnation logged, and recovery can match END to COMMIT by ID.
+	txPrefix string
+
 	mu     sync.Mutex
 	tables map[string]*tableMeta
 	txSeq  int64
@@ -205,16 +212,17 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 		cfg.LockTimeout = 5 * time.Second
 	}
 	e := &Engine{
-		name:    cfg.Name,
-		sys:     cfg.System,
-		farm:    cfg.Farm,
-		volume:  cfg.Volume,
-		fac:     cfg.Facility,
-		locks:   cfg.Locks,
-		clock:   cfg.Clock,
-		logger:  cfg.Logger,
-		timeout: cfg.LockTimeout,
-		tables:  make(map[string]*tableMeta),
+		name:     cfg.Name,
+		sys:      cfg.System,
+		farm:     cfg.Farm,
+		volume:   cfg.Volume,
+		fac:      cfg.Facility,
+		locks:    cfg.Locks,
+		clock:    cfg.Clock,
+		logger:   cfg.Logger,
+		timeout:  cfg.LockTimeout,
+		txPrefix: cfg.System + "-" + strconv.FormatInt(cfg.Logger.Stamp().UnixNano(), 36) + "-",
+		tables:   make(map[string]*tableMeta),
 	}
 	// Group buffer pool: first instance allocates, others attach.
 	gbpName := "GBP." + cfg.Name
@@ -384,7 +392,7 @@ func (e *Engine) Begin(ctx context.Context) *Tx {
 	}
 	e.mu.Lock()
 	e.txSeq++
-	id := fmt.Sprintf("%s-%06d", e.sys, e.txSeq)
+	id := fmt.Sprintf("%s%06d", e.txPrefix, e.txSeq)
 	e.stats.Begins++
 	e.mu.Unlock()
 	return &Tx{e: e, ctx: ctx, id: id, locks: map[string]bool{}}

@@ -411,6 +411,55 @@ func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	tx.Commit()
 }
 
+// TestRecoverPeerRedoesLaterIncarnation: a system that restarted and
+// then failed between COMMIT and END is redone, although its first
+// incarnation logged an END for a transaction of the same number.
+func TestRecoverPeerRedoesLaterIncarnation(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	first := fx.engines["SYS1"].Begin(ctx)
+	if err := first.Put("ACCT", "lena", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// SYS1 re-IPLs: a fresh engine numbers its transactions from 1 again.
+	again, err := Open(ctx, Config{
+		Name: "DBP1", System: "SYS1", Farm: fx.farm, Volume: "DBVOL",
+		Facility: fx.fac, Locks: fx.locks["SYS1"], PoolFrames: 64, Logger: fx.loggers("SYS1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.OpenTable(ctx, "ACCT", 16); err != nil {
+		t.Fatal(err)
+	}
+	second := again.Begin(ctx)
+	if second.ID() == first.ID() {
+		t.Errorf("both incarnations named a transaction %s", first.ID())
+	}
+	// It commits and fails before applying: COMMIT logged, no END.
+	if err := again.appendLog(ctx, &LogRecord{Tx: second.ID(), Kind: recCommit,
+		Images: []Image{{Table: "ACCT", Key: "mona", After: []byte("2")}}}); err != nil {
+		t.Fatal(err)
+	}
+	fx.plex.PartitionNow("SYS1")
+	fx.fac.FailConnector("SYS1")
+	rep, err := fx.engines["SYS2"].RecoverPeer(ctx, "SYS1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RedoApplied != 1 {
+		t.Fatalf("report = %+v, want the second incarnation's commit redone", rep)
+	}
+	tx := fx.engines["SYS2"].Begin(ctx)
+	if v, ok, err := tx.Get("ACCT", "mona"); err != nil || !ok || string(v) != "2" {
+		t.Fatalf("mona = %q ok=%v err=%v, want the redone value", v, ok, err)
+	}
+	tx.Commit()
+}
+
 func TestTxDoneErrors(t *testing.T) {
 	fx := newDBFixture(t, "SYS1")
 	e := fx.engines["SYS1"]

@@ -286,6 +286,10 @@ func New(cfg Config) (*Manager, error) {
 // System returns the owning system name.
 func (m *Manager) System() string { return m.sys }
 
+// Stamp returns the next timestamp of the sysplex timer that stamps
+// this manager's records: it follows every record already written.
+func (m *Manager) Stamp() time.Time { return m.timer.Stamp() }
+
 // Metrics exposes the logr.* instrumentation: write latency histogram,
 // interim occupancy gauge, offload bytes/duration, takeover count.
 func (m *Manager) Metrics() *metrics.Registry { return m.reg }

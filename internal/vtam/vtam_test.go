@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sysplex/internal/cf"
@@ -210,22 +213,153 @@ func TestRebuildKeepsNetworkImage(t *testing.T) {
 	}
 }
 
-// TestLogoffRejectsOldImage: a registration in the JSON layout earlier
-// builds wrote fails Logoff by name instead of decoding to garbage.
-func TestLogoffRejectsOldImage(t *testing.T) {
+// TestNewRejectsOldImage: a registration in the JSON layout earlier
+// builds wrote fails New by name instead of loading garbage into the
+// table.
+func TestNewRejectsOldImage(t *testing.T) {
 	ctx := context.Background()
-	n := newNetwork(t, nil)
-	n.Register(ctx, "CICS", "CICSA", "SYS1")
-	s, err := n.Logon(ctx, "CICS")
+	ls, err := cf.New("CF01", vclock.Real()).AllocateListStructure("ISTGENERIC", 8, 1, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(ctx, ls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := []byte(`{"generic":"CICS","member":"CICSA","system":"SYS1","sessions":1}`)
-	if err := n.ls.Write(ctx, n.conn, n.listOf("CICS"), entryID("CICS", "CICSA"), "CICS", old, cf.Keyed, cf.Cond{}); err != nil {
+	if err := ls.Write(ctx, n.conn, n.listOf("CICS"), entryID("CICS", "CICSA"), "CICS", old, cf.Keyed, cf.Cond{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Logoff(ctx, s.ID); !errors.Is(err, wire.ErrLayout) {
-		t.Fatalf("logoff over a JSON registration: %v, want wire.ErrLayout", err)
+	if _, err := New(ctx, ls, nil); !errors.Is(err, wire.ErrLayout) {
+		t.Fatalf("New over a JSON registration: %v, want wire.ErrLayout", err)
+	}
+}
+
+// TestNewLoadsRegistrations: a network opened over a populated
+// structure logs on to the instances and counts already there.
+func TestNewLoadsRegistrations(t *testing.T) {
+	ctx := context.Background()
+	ls, err := cf.New("CF01", vclock.Real()).AllocateListStructure("ISTGENERIC", 8, 1, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(ctx, ls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Register(ctx, "CICS", "CICSA", "SYS1")
+	n.Register(ctx, "CICS", "CICSB", "SYS2")
+	for i := 0; i < 3; i++ {
+		if _, err := n.Logon(ctx, "CICS"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := n.Sessions("CICS")
+	if before["SYS1"]+before["SYS2"] != 3 {
+		t.Fatalf("sessions = %v", before)
+	}
+	idle := "SYS1"
+	if before["SYS2"] < before["SYS1"] {
+		idle = "SYS2"
+	}
+	n2, err := New(ctx, ls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two sessions on one system and one on the other: the next logon
+	// evens them only if n2 loaded the counts.
+	if s, err := n2.Logon(ctx, "CICS"); err != nil || s.System != idle {
+		t.Fatalf("logon = %+v, %v; want %s", s, err, idle)
+	}
+	if got, _ := n2.Sessions("CICS"); got["SYS1"] != 2 || got["SYS2"] != 2 {
+		t.Fatalf("sessions = %v", got)
+	}
+}
+
+// TestConcurrentLogonLogoffReturnsToZero: every logon is matched by a
+// logoff, so however the writes interleave the shared counts end at
+// zero.
+func TestConcurrentLogonLogoffReturnsToZero(t *testing.T) {
+	ctx := context.Background()
+	n := newNetwork(t, nil)
+	n.Register(ctx, "CICS", "CICSA", "SYS1")
+	n.Register(ctx, "CICS", "CICSB", "SYS2")
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				s, err := n.Logon(ctx, "CICS")
+				if err == nil {
+					err = n.Logoff(ctx, s.ID)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, _ := n.Sessions("CICS"); got["SYS1"] != 0 || got["SYS2"] != 0 {
+		t.Fatalf("sessions after balanced logons and logoffs = %v, want all zero", got)
+	}
+}
+
+// TestLogoffRacingCleanupDoesNotResurrect: a logon or logoff in flight
+// while a failed system is cleaned up must not write the dead system's
+// registration back, or later logons would bind to it.
+func TestLogoffRacingCleanupDoesNotResurrect(t *testing.T) {
+	ctx := context.Background()
+	for round := 0; round < 20; round++ {
+		n := newNetwork(t, nil)
+		n.Register(ctx, "CICS", "CICSA", "SYS1")
+		n.Register(ctx, "CICS", "CICSB", "SYS2")
+		var wg sync.WaitGroup
+		var pairs atomic.Int64
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if s, err := n.Logon(ctx, "CICS"); err == nil {
+						n.Logoff(ctx, s.ID)
+					}
+					pairs.Add(1)
+				}
+			}()
+		}
+		awaitPairs := func(k int64) {
+			for pairs.Load() < k {
+				runtime.Gosched()
+			}
+		}
+		awaitPairs(50)
+		n.CleanupSystem(ctx, "SYS1")
+		awaitPairs(pairs.Load() + 50)
+		close(stop)
+		wg.Wait()
+		insts, _ := n.Instances("CICS")
+		if len(insts) != 1 || insts[0].System != "SYS2" {
+			t.Fatalf("round %d: instances after cleanup = %+v, want SYS2 only", round, insts)
+		}
+		for i := 0; i < 4; i++ {
+			if s, err := n.Logon(ctx, "CICS"); err != nil || s.System != "SYS2" {
+				t.Fatalf("round %d: logon after cleanup = %+v, %v", round, s, err)
+			}
+		}
 	}
 }
 

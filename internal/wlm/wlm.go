@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sysplex/internal/vclock"
@@ -91,6 +92,17 @@ type Manager struct {
 	peers     map[string]PeerState
 	seq       int64
 	rrCounter int
+
+	// advice is the routing advice for the state above, republished
+	// under mu by every change to it and read without a lock.
+	advice atomic.Pointer[advice]
+}
+
+// advice is one published routing snapshot. Its maps are shared with
+// every caller and never modified.
+type advice struct {
+	avail   map[string]float64 // spare MIPS by system
+	weights map[string]float64 // avail normalized to sum 1
 }
 
 type classAccum struct {
@@ -117,6 +129,7 @@ func New(system *xcf.System, capacityMIPS float64, policy Policy, clock vclock.C
 		lastPerf: make(map[string]ClassPerf),
 	}
 	m.resetIntervalLocked()
+	m.publishLocked()
 	member, err := system.JoinGroup(GroupName, system.Name(), xcf.GroupCallbacks{
 		OnMessage: m.onPeerState,
 		OnEvent:   m.onEvent,
@@ -213,6 +226,7 @@ func (m *Manager) EndInterval() {
 	}
 	m.lastPerf = perf
 	m.resetIntervalLocked()
+	m.publishLocked()
 }
 
 func (m *Manager) resetIntervalLocked() {
@@ -233,6 +247,7 @@ func (m *Manager) Utilization() float64 {
 func (m *Manager) SetUtilization(u float64) {
 	m.mu.Lock()
 	m.lastUtil = u
+	m.publishLocked()
 	m.mu.Unlock()
 }
 
@@ -252,6 +267,7 @@ func (m *Manager) ExchangeOnce() {
 	m.seq++
 	st := PeerState{System: m.sys, CapacityMIPS: m.capacity, Utilization: m.lastUtil, Sequence: m.seq}
 	m.peers[m.sys] = st
+	m.publishLocked()
 	m.mu.Unlock()
 	raw, err := json.Marshal(st)
 	if err != nil {
@@ -266,6 +282,7 @@ func (m *Manager) ExchangeOnce() {
 func (m *Manager) IngestPeer(st PeerState) {
 	m.mu.Lock()
 	m.peers[st.System] = st
+	m.publishLocked()
 	m.mu.Unlock()
 }
 
@@ -278,6 +295,7 @@ func (m *Manager) onPeerState(from xcf.MemberID, payload []byte) {
 	m.mu.Lock()
 	if cur, ok := m.peers[st.System]; !ok || st.Sequence >= cur.Sequence {
 		m.peers[st.System] = st
+		m.publishLocked()
 	}
 	m.mu.Unlock()
 }
@@ -287,6 +305,7 @@ func (m *Manager) onEvent(ev xcf.Event) {
 	if ev.Kind == xcf.MemberFailed || ev.Kind == xcf.MemberLeft {
 		m.mu.Lock()
 		delete(m.peers, ev.Member.System)
+		m.publishLocked()
 		m.mu.Unlock()
 	}
 }
@@ -295,6 +314,12 @@ func (m *Manager) onEvent(ev xcf.Event) {
 func (m *Manager) Peers() []PeerState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	out := m.peersLocked()
+	sort.Slice(out, func(i, j int) bool { return out[i].System < out[j].System })
+	return out
+}
+
+func (m *Manager) peersLocked() []PeerState {
 	out := make([]PeerState, 0, len(m.peers)+1)
 	for _, p := range m.peers {
 		out = append(out, p)
@@ -302,22 +327,36 @@ func (m *Manager) Peers() []PeerState {
 	if _, ok := m.peers[m.sys]; !ok {
 		out = append(out, PeerState{System: m.sys, CapacityMIPS: m.capacity, Utilization: m.lastUtil})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].System < out[j].System })
 	return out
 }
 
-// AvailableCapacity returns each system's spare MIPS.
-func (m *Manager) AvailableCapacity() map[string]float64 {
-	out := map[string]float64{}
-	for _, p := range m.Peers() {
-		avail := p.CapacityMIPS * (1 - p.Utilization)
-		if avail < 0 {
-			avail = 0
-		}
-		out[p.System] = avail
+// publishLocked recomputes the routing advice from the current state.
+// Every change to the peers or to this system's utilization calls it
+// before releasing mu, so a reader never sees advice older than the
+// last change that returned.
+func (m *Manager) publishLocked() {
+	peers := m.peersLocked()
+	avail := make(map[string]float64, len(peers))
+	total := 0.0
+	for _, p := range peers {
+		a := max(p.CapacityMIPS*(1-p.Utilization), 0)
+		avail[p.System] = a
+		total += a
 	}
-	return out
+	weights := make(map[string]float64, len(avail))
+	for n, a := range avail {
+		if total <= 0 {
+			weights[n] = 1 / float64(len(avail))
+		} else {
+			weights[n] = a / total
+		}
+	}
+	m.advice.Store(&advice{avail: avail, weights: weights})
 }
+
+// AvailableCapacity returns each system's spare MIPS. The map is shared
+// advice: callers must not modify it.
+func (m *Manager) AvailableCapacity() map[string]float64 { return m.advice.Load().avail }
 
 // SelectSystem returns the routing recommendation: the system with the
 // most available capacity. Near-ties (within 5%) rotate round-robin so
@@ -358,22 +397,6 @@ func (m *Manager) SelectSystem() (string, error) {
 }
 
 // RouteWeights returns normalized routing weights proportional to
-// available capacity (uniform if the sysplex is saturated).
-func (m *Manager) RouteWeights() map[string]float64 {
-	avail := m.AvailableCapacity()
-	total := 0.0
-	for _, a := range avail {
-		total += a
-	}
-	out := make(map[string]float64, len(avail))
-	if total <= 0 {
-		for n := range avail {
-			out[n] = 1 / float64(len(avail))
-		}
-		return out
-	}
-	for n, a := range avail {
-		out[n] = a / total
-	}
-	return out
-}
+// available capacity (uniform if the sysplex is saturated). The map is
+// shared advice: callers must not modify it.
+func (m *Manager) RouteWeights() map[string]float64 { return m.advice.Load().weights }

@@ -206,12 +206,10 @@ func TestRouteWeights(t *testing.T) {
 	m2.ExchangeOnce()
 	// ExchangeOnce recomputes utilization from the (empty) interval, so
 	// force the saturated view directly.
-	m1.mu.Lock()
-	for n, p := range m1.peers {
+	for _, p := range m1.Peers() {
 		p.Utilization = 1
-		m1.peers[n] = p
+		m1.IngestPeer(p)
 	}
-	m1.mu.Unlock()
 	w = m1.RouteWeights()
 	if math.Abs(w["SYS1"]-0.5) > 1e-9 || math.Abs(w["SYS2"]-0.5) > 1e-9 {
 		t.Fatalf("saturated weights = %v", w)
@@ -280,5 +278,38 @@ func TestVelocityClampedToOne(t *testing.T) {
 	cp, _ := m.ClassPerformance("BATCH")
 	if cp.Velocity != 1 {
 		t.Fatalf("velocity = %g, want clamped 1", cp.Velocity)
+	}
+}
+
+// TestAdviceFollowsEveryChange: the routing advice reflects a state
+// change as soon as the call making it returns, and advice handed out
+// earlier stays as it was.
+func TestAdviceFollowsEveryChange(t *testing.T) {
+	fx := newFixture(t, map[string]float64{"SYS1": 100})
+	m := fx.mgrs["SYS1"]
+	if w := m.RouteWeights(); len(w) != 1 || w["SYS1"] != 1 {
+		t.Fatalf("lone system weights = %v", w)
+	}
+	m.IngestPeer(PeerState{System: "SYS2", CapacityMIPS: 300})
+	two := m.RouteWeights()
+	if math.Abs(two["SYS1"]-0.25) > 1e-9 || math.Abs(two["SYS2"]-0.75) > 1e-9 {
+		t.Fatalf("after IngestPeer weights = %v", two)
+	}
+	m.SetUtilization(0.5)
+	if a := m.AvailableCapacity(); a["SYS1"] != 50 || a["SYS2"] != 300 {
+		t.Fatalf("after SetUtilization avail = %v", a)
+	}
+	if w := m.RouteWeights(); math.Abs(w["SYS1"]-50.0/350) > 1e-9 {
+		t.Fatalf("after SetUtilization weights = %v", w)
+	}
+	m.onEvent(xcf.Event{Kind: xcf.MemberFailed, Member: xcf.MemberID{Group: GroupName, Member: "SYS2", System: "SYS2"}})
+	if w := m.RouteWeights(); len(w) != 1 || w["SYS1"] != 1 {
+		t.Fatalf("after SYS2 failed weights = %v", w)
+	}
+	if _, ok := m.AvailableCapacity()["SYS2"]; ok {
+		t.Fatal("failed system still has spare capacity")
+	}
+	if math.Abs(two["SYS2"]-0.75) > 1e-9 {
+		t.Fatalf("earlier advice changed under its reader: %v", two)
 	}
 }
