@@ -585,7 +585,7 @@ func BenchmarkAblation_CFLinkLatency(b *testing.B) {
 			}
 			defer p.Stop()
 			registerBankBenchPrograms(p)
-			p.Facility().SetSyncLatency(lat)
+			p.Facility().(*cf.Facility).SetSyncLatency(lat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Submit(context.Background(), "SYS1", "DEPOSIT", []byte(fmt.Sprintf("k%d", i%16))); err != nil {

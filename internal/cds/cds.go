@@ -55,8 +55,6 @@ type Options struct {
 	// ReserveTimeout bounds how long Update waits for the reserve
 	// before consulting StaleHolder/giving up. Zero means 2s.
 	ReserveTimeout time.Duration
-	// RetryInterval between reserve attempts. Zero means 1ms.
-	RetryInterval time.Duration
 	// StaleHolder, if non-nil, reports whether the named system should
 	// be treated as failed, allowing its reserve to be broken
 	// immediately (the "special time-out logic to handle faulty
@@ -90,9 +88,6 @@ func New(name string, clock vclock.Clock, primary, alt *dasd.Dataset, opts Optio
 	}
 	if opts.ReserveTimeout == 0 {
 		opts.ReserveTimeout = 2 * time.Second
-	}
-	if opts.RetryInterval == 0 {
-		opts.RetryInterval = time.Millisecond
 	}
 	if clock == nil {
 		clock = vclock.Real()
@@ -347,7 +342,7 @@ func (s *Store) acquire(sys string) (*dasd.Volume, error) {
 		if !s.clock.Now().Before(deadline) {
 			return nil, fmt.Errorf("%w: holder %s", ErrTimeout, vol.ReserveHolder())
 		}
-		s.clock.Sleep(s.opts.RetryInterval)
+		s.clock.Sleep(time.Millisecond) // between reserve attempts
 	}
 }
 

@@ -72,7 +72,7 @@ type Lock interface {
 	SetRecord(ctx context.Context, conn, resource string, mode LockMode) error
 	DeleteRecord(ctx context.Context, conn, resource string) error
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
-	RetainedConnectors() []string
+	RetainedConnectors() ([]string, error)
 	// Batch executes an envelope of lock-model commands in one pipeline
 	// traversal (one link crossing on a transport handle). The reply's
 	// Errs holds one outcome per subcommand and its Sub their replies;
@@ -119,7 +119,6 @@ type List interface {
 	Entries(list int) []ListEntry
 	TotalEntries() int
 	Monitor(ctx context.Context, conn string, list int, vecIdx int) error
-	Unmonitor(conn string, list int)
 	// Batch executes an envelope of list-model commands; semantics as
 	// Lock.Batch.
 	Batch(ctx context.Context, cmds []Cmd) (Reply, error)
@@ -133,7 +132,6 @@ type Front interface {
 	Name() string
 	Metrics() *metrics.Registry
 	StructureNames() []string
-	SetSyncLatency(d time.Duration)
 	FailConnector(conn string)
 	DisconnectAll(conn string)
 	AllocateLockStructure(name string, entries int) (Lock, error)

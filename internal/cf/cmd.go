@@ -59,7 +59,6 @@ const (
 	CmdListMove
 	CmdListSetAdjunct
 	CmdListMonitor
-	CmdListUnmonitor
 	CmdListLockHolder
 	CmdListLen
 	CmdListEntries
@@ -230,7 +229,8 @@ var cmdTable = [kindCount]cmdSpec{
 		}},
 	CmdLockRetainedConns: {name: "lock.retainedconns", model: LockModel, diag: true, out: RNames,
 		apply: func(_ context.Context, s structure, _ Cmd) (Reply, error) {
-			return Reply{Names: s.(*LockStructure).RetainedConnectors()}, nil
+			names, err := s.(*LockStructure).RetainedConnectors()
+			return Reply{Names: names}, err
 		}},
 
 	CmdCacheConnect: {name: "cache.connect", model: CacheModel, order: OpGlobal, in: FConn | FVector,
@@ -326,11 +326,6 @@ var cmdTable = [kindCount]cmdSpec{
 	CmdListMonitor: {name: "list.monitor", model: ListModel, order: OpKeyed, key: FIdx, in: FConn | FIdx | FVecIdx,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
 			return noReply(s.(*ListStructure).Monitor(ctx, c.Conn, c.Idx, c.VecIdx))
-		}},
-	CmdListUnmonitor: {name: "list.unmonitor", model: ListModel, order: OpKeyed, key: FIdx, in: FConn | FIdx,
-		apply: func(_ context.Context, s structure, c Cmd) (Reply, error) {
-			s.(*ListStructure).Unmonitor(c.Conn, c.Idx)
-			return Reply{}, nil
 		}},
 	CmdListLockHolder: {name: "list.lockholder", model: ListModel, diag: true, in: FIdx, out: RText,
 		apply: func(_ context.Context, s structure, c Cmd) (Reply, error) {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sysplex/internal/metrics"
 	"sysplex/internal/vclock"
@@ -247,19 +246,6 @@ func (d *Duplexed) StructureNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetSyncLatency injects per-command service time on both current
-// nodes (the duplex fan-out then costs two charged commands per
-// mutating request, as real duplexing does).
-func (d *Duplexed) SetSyncLatency(lat time.Duration) {
-	d.mu.Lock()
-	pri, sec := d.primary, d.secondary
-	d.mu.Unlock()
-	pri.SetSyncLatency(lat)
-	if sec != nil {
-		sec.SetSyncLatency(lat)
-	}
 }
 
 // FailConnector marks conn abnormally terminated in every structure of

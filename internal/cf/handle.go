@@ -64,9 +64,7 @@ func (h *handle) do(ctx context.Context, c Cmd) error {
 }
 
 // detached issues a command for a context-free interface method: the
-// diagnostics, which read in-memory state and issue no CF command, and
-// the one bookkeeping command with no error path (Unmonitor), which
-// must complete regardless of any caller's deadline.
+// diagnostics, which read in-memory state and issue no CF command.
 // This is the one place a command enters Exec without a caller context.
 func (h *handle) detached(c Cmd) (Reply, error) {
 	return h.x.Exec(context.Background(), c)
@@ -132,9 +130,9 @@ func (l *lockHandle) Records(ctx context.Context, conn string) ([]LockRecord, er
 	return r.Records, err
 }
 
-func (l *lockHandle) RetainedConnectors() []string {
-	r, _ := l.detached(Cmd{Kind: CmdLockRetainedConns})
-	return r.Names
+func (l *lockHandle) RetainedConnectors() ([]string, error) {
+	r, err := l.detached(Cmd{Kind: CmdLockRetainedConns})
+	return r.Names, err
 }
 
 // cacheHandle is the Cache front.
@@ -256,10 +254,6 @@ func (l *listHandle) TotalEntries() int {
 
 func (l *listHandle) Monitor(ctx context.Context, conn string, list int, vecIdx int) error {
 	return l.do(ctx, Cmd{Kind: CmdListMonitor, Conn: conn, Idx: list, VecIdx: vecIdx})
-}
-
-func (l *listHandle) Unmonitor(conn string, list int) {
-	_, _ = l.detached(Cmd{Kind: CmdListUnmonitor, Conn: conn, Idx: list})
 }
 
 // Interface conformance.

@@ -700,20 +700,6 @@ func (s *ListStructure) Monitor(ctx context.Context, conn string, list int, vecI
 	return nil
 }
 
-// Unmonitor removes conn's transition monitoring of a list.
-func (s *ListStructure) Unmonitor(conn string, list int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.monMu.Lock()
-	defer s.monMu.Unlock()
-	if m := s.monitors[list]; m != nil {
-		delete(m, conn)
-		if len(m) == 0 {
-			delete(s.monitors, list)
-		}
-	}
-}
-
 // signalTransition fires the empty→non-empty signal. Called with the
 // transitioning list's mutex held (mu.RLock above it), so the signal is
 // ordered with the insert that caused it.

@@ -206,16 +206,6 @@ func TestMoveTransitionSignal(t *testing.T) {
 	}
 }
 
-func TestUnmonitor(t *testing.T) {
-	fx := newListStruct(t, 1, 0, 100)
-	fx.ls.Monitor(context.Background(), "SYS2", 0, 1)
-	fx.ls.Unmonitor("SYS2", 0)
-	fx.ls.Write(context.Background(), "SYS1", 0, "w", "", nil, FIFO, nocond)
-	if fx.vecs["SYS2"].Test(1) {
-		t.Fatal("unmonitored system signalled")
-	}
-}
-
 func TestSerializedListProtocol(t *testing.T) {
 	fx := newListStruct(t, 1, 2, 100)
 	// Recovery on SYS3 quiesces mainline operations by setting the lock.

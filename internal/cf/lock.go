@@ -493,7 +493,7 @@ func (s *LockStructure) Records(ctx context.Context, conn string) ([]LockRecord,
 }
 
 // RetainedConnectors lists failed connectors with retained records.
-func (s *LockStructure) RetainedConnectors() []string {
+func (s *LockStructure) RetainedConnectors() ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.recMu.Lock()
@@ -503,7 +503,7 @@ func (s *LockStructure) RetainedConnectors() []string {
 		out = append(out, c)
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // checkRLocked validates entry index and connector under mu.RLock.

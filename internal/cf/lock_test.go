@@ -149,7 +149,7 @@ func TestPersistentRecordsAndRetention(t *testing.T) {
 		t.Fatal("failed connector's entry interest not cleared")
 	}
 	// ...but the records are retained for peer recovery.
-	ret := ls.RetainedConnectors()
+	ret := retainedConns(t, ls)
 	if len(ret) != 1 || ret[0] != "SYS1" {
 		t.Fatalf("retained = %v", ret)
 	}
@@ -163,16 +163,25 @@ func TestPersistentRecordsAndRetention(t *testing.T) {
 	// Peer completes recovery and deletes the records.
 	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW5")
 	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW9")
-	if len(ls.RetainedConnectors()) != 0 {
+	if len(retainedConns(t, ls)) != 0 {
 		t.Fatal("retention not cleared after recovery")
 	}
+}
+
+func retainedConns(t *testing.T, ls Lock) []string {
+	t.Helper()
+	names, err := ls.RetainedConnectors()
+	if err != nil {
+		t.Fatalf("RetainedConnectors: %v", err)
+	}
+	return names
 }
 
 func TestNormalDisconnectDropsRecords(t *testing.T) {
 	_, ls := newLockStruct(t, 16)
 	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive)
 	ls.(*LockStructure).disconnect("SYS1")
-	if len(ls.RetainedConnectors()) != 0 {
+	if len(retainedConns(t, ls)) != 0 {
 		t.Fatal("normal shutdown should not retain records")
 	}
 	recs, _ := ls.Records(context.Background(), "SYS1")
@@ -221,12 +230,12 @@ func TestReconnectClearsRetention(t *testing.T) {
 	f, ls := newLockStruct(t, 8)
 	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive)
 	f.FailConnector("SYS1")
-	if len(ls.RetainedConnectors()) != 1 {
+	if len(retainedConns(t, ls)) != 1 {
 		t.Fatal("not retained")
 	}
 	// SYS1 restarts and reconnects (it will recover its own records).
 	ls.Connect(context.Background(), "SYS1")
-	if len(ls.RetainedConnectors()) != 0 {
+	if len(retainedConns(t, ls)) != 0 {
 		t.Fatal("retention survived reconnect")
 	}
 	recs, _ := ls.Records(context.Background(), "SYS1")

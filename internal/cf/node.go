@@ -12,7 +12,6 @@ package cf
 import (
 	"context"
 	"errors"
-	"time"
 
 	"sysplex/internal/metrics"
 )
@@ -41,7 +40,6 @@ type Node interface {
 	Fail()
 	FailAfter(n int)
 
-	SetSyncLatency(d time.Duration)
 	Deallocate(name string) error
 
 	AllocateLockStructure(name string, entries int) (Lock, error)

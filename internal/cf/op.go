@@ -149,15 +149,7 @@ func (p *pair) Exec(ctx context.Context, c Cmd) (r Reply, err error) {
 		return Reply{}, err
 	}
 	if c.Kind != CmdBatch && cmdTable[c.Kind].diag {
-		// Diagnostics read the primary replica's in-memory state; they
-		// are not CF commands and skip every later stage.
-		p.rw.RLock()
-		defer p.rw.RUnlock()
-		h, err := p.handles()
-		if err != nil {
-			return Reply{}, err
-		}
-		return h.pri.Exec(ctx, c)
+		return p.diag(ctx, c)
 	}
 	// gate: fail cancelled or deadline-expired commands with the
 	// context's error before any replica is touched.
@@ -259,6 +251,25 @@ func (p *pair) Exec(ctx context.Context, c Cmd) (r Reply, err error) {
 			d.hFanout.Observe(d.clock.Since(start))
 		}
 		return r, err
+	}
+}
+
+// diag runs a diagnostic, which reads the primary replica's in-memory
+// state: not a CF command, so it skips every pipeline stage but
+// failover. A read of a dead primary answers from the promoted
+// secondary rather than failing while the pair could serve it.
+func (p *pair) diag(ctx context.Context, c Cmd) (Reply, error) {
+	p.rw.RLock()
+	defer p.rw.RUnlock()
+	for {
+		h, err := p.handles()
+		if err != nil {
+			return Reply{}, err
+		}
+		r, err := h.pri.Exec(ctx, c)
+		if !errors.Is(err, ErrCFDown) || !p.d.failover(h.priNode) {
+			return r, err
+		}
 	}
 }
 

@@ -401,12 +401,6 @@ func (c *Client) FailAfter(n int) {
 	_ = c.nodeCall(opFailAfter, func(e *wire.Encoder) { e.Int(n) })
 }
 
-// SetSyncLatency injects per-command service time on the remote
-// facility (on top of the real link round trip this client pays).
-func (c *Client) SetSyncLatency(d time.Duration) {
-	_ = c.nodeCall(opSetSyncLatency, func(e *wire.Encoder) { e.Varint(int64(d)) })
-}
-
 // Deallocate frees a remote structure.
 func (c *Client) Deallocate(name string) error {
 	return c.nodeCall(opDeallocate, func(e *wire.Encoder) { e.Str(name) })

@@ -61,7 +61,7 @@ var (
 
 // magic opens every session's first frame on both connection kinds; its
 // last byte is the wire revision, bumped whenever a Kind or Fields bit moves.
-var magic = [4]byte{'C', 'F', 'L', '3'}
+var magic = [4]byte{'C', 'F', 'L', '4'}
 
 // Connection kinds declared in the session handshake.
 //
@@ -80,16 +80,15 @@ const (
 	opFailed           uint8 = 2
 	opFail             uint8 = 3
 	opFailAfter        uint8 = 4
-	opSetSyncLatency   uint8 = 5
-	opDeallocate       uint8 = 6
-	opAllocLock        uint8 = 7
-	opAllocCache       uint8 = 8
-	opAllocList        uint8 = 9
-	opStructInfo       uint8 = 10
-	opFence            uint8 = 11
-	opStructDisconnect uint8 = 12
-	opStructFailConn   uint8 = 13
-	opExec             uint8 = 14
+	opDeallocate       uint8 = 5
+	opAllocLock        uint8 = 6
+	opAllocCache       uint8 = 7
+	opAllocList        uint8 = 8
+	opStructInfo       uint8 = 9
+	opFence            uint8 = 10
+	opStructDisconnect uint8 = 11
+	opStructFailConn   uint8 = 12
+	opExec             uint8 = 13
 )
 
 // Response status codes. 0 is success; the rest map to the cf command

@@ -393,7 +393,6 @@ var confScripts = map[cf.Model][]cf.Cmd{
 		{Kind: cf.CmdListDelete, Conn: "SYS1", Name: "MISSING"},
 		{Kind: cf.CmdListDelete, Conn: "NOBODY", Name: "A"},
 		{Kind: cf.CmdListMonitor, Conn: "SYS1", Idx: 3, VecIdx: 3},
-		{Kind: cf.CmdListUnmonitor, Conn: "SYS1", Idx: 3},
 		{Kind: cf.Kind(0)}, // unknown kind
 	},
 }

@@ -71,8 +71,8 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeRefusesOtherRevision sends a hello with the previous
-// wire revision's magic: kind bytes after lock.records moved when
-// lock.adoptretained left the table, so the server must close the
+// wire revision's magic: kind bytes after list.monitor moved when
+// list.unmonitor left the table, so the server must close the
 // connection without replying rather than misread that peer's commands.
 func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	_, network, addr := startServer(t, "CF01")
@@ -82,7 +82,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	defer conn.Close()
 	var e wire.Encoder
-	e.Buf = append(e.Buf, 'C', 'F', 'L', '2')
+	e.Buf = append(e.Buf, 'C', 'F', 'L', '3')
 	e.U8(connCommand)
 	e.Str("SYSA")
 	if err := writeFrame(conn, e.Buf); err != nil {
@@ -90,7 +90,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if reply, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
-		t.Fatalf("CFL2 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
+		t.Fatalf("CFL3 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
 	}
 }
 
@@ -366,6 +366,53 @@ func TestDuplexedOverWire(t *testing.T) {
 	surviving := cf.ListOn(c2.Structure("MSGQ"))
 	if n := surviving.TotalEntries(); n != 20 {
 		t.Fatalf("surviving replica has %d entries, want 20", n)
+	}
+}
+
+// TestRetainedReadAfterPrimaryKill holds the retained-lock screen
+// closed across a remote primary's death: lockmgr reads the failed
+// connectors before every cross-system grant, so an empty answer from a
+// dead CF would let a request past a failed system's exclusive record.
+// A duplexed pair answers from the promoted secondary; a simplex front
+// has nothing to answer from and must return the error.
+func TestRetainedReadAfterPrimaryKill(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		duplexed bool
+	}{{"duplexed", true}, {"simplex", false}} {
+		duplexed := tc.duplexed
+		t.Run(tc.name, func(t *testing.T) {
+			srv1, net1, addr1 := startServer(t, "CF01")
+			var sec cf.Node
+			if duplexed {
+				_, net2, addr2 := startServer(t, "CF02")
+				sec = dialT(t, net2, addr2, WithSystem("SYSA"))
+			}
+			d := cf.NewDuplexed(vclock.Real(), nil, dialT(t, net1, addr1, WithSystem("SYSA")), sec)
+			ctx := context.Background()
+			lk, err := d.AllocateLockStructure("IRLM", 64)
+			if err != nil {
+				t.Fatalf("AllocateLockStructure: %v", err)
+			}
+			for _, sys := range []string{"SYS1", "SYS2"} {
+				if err := lk.Connect(ctx, sys); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lk.SetRecord(ctx, "SYS1", "ACCT.7", cf.Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			d.FailConnector("SYS1")
+
+			srv1.Close()
+			got, err := lk.RetainedConnectors()
+			switch {
+			case duplexed && (err != nil || len(got) != 1 || got[0] != "SYS1"):
+				t.Fatalf("RetainedConnectors after the primary's death = %v, %v; want [SYS1] from the secondary", got, err)
+			case !duplexed && err == nil:
+				t.Fatalf("RetainedConnectors after the only CF's death = %v with no error; want the error", got)
+			}
+		})
 	}
 }
 

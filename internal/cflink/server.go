@@ -477,13 +477,6 @@ func (ses *session) execute(op uint8, d *wire.Decoder) (func(e *wire.Encoder), e
 		}
 		fac.FailAfter(n)
 		return nil, nil
-	case opSetSyncLatency:
-		ns := d.Varint()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		fac.SetSyncLatency(time.Duration(ns))
-		return nil, nil
 	case opDeallocate:
 		name := d.Str()
 		if err := d.Finish(); err != nil {

@@ -73,10 +73,6 @@ type Policy struct {
 	Candidates []string
 	// Mode selects duplexed (default) or simplex structures.
 	Mode Mode
-	// SyncLatency is injected as per-command service time on every
-	// facility the manager creates (experiments model the coupling
-	// link; zero for functional runs).
-	SyncLatency time.Duration
 	// Storage bounds each facility's structure storage in bytes
 	// (0 = unconstrained).
 	Storage int64
@@ -167,7 +163,7 @@ func New(policy Policy, clock vclock.Clock) (*Manager, error) {
 // explicit Policy.Nodes fleet it hands out those nodes until they run
 // out, then returns nil — the fleet is finite. Otherwise it creates the
 // next in-process facility from the preference list (generating names
-// past its end), applying policy latency and storage. Caller holds
+// past its end), applying the policy's storage bound. Caller holds
 // m.mu, or has exclusive access during New.
 func (m *Manager) freshNodeLocked() cf.Node {
 	if len(m.policy.Nodes) > 0 {
@@ -178,9 +174,6 @@ func (m *Manager) freshNodeLocked() cf.Node {
 				continue
 			}
 			m.used[n.Name()] = true
-			if m.policy.SyncLatency > 0 {
-				n.SetSyncLatency(m.policy.SyncLatency)
-			}
 			m.facs[n.Name()] = n
 			return n
 		}
@@ -199,9 +192,6 @@ func (m *Manager) freshNodeLocked() cf.Node {
 		}
 		m.used[name] = true
 		f := cf.NewWithStorage(name, m.clock, m.policy.Storage)
-		if m.policy.SyncLatency > 0 {
-			f.SetSyncLatency(m.policy.SyncLatency)
-		}
 		m.facs[name] = f
 		return f
 	}

@@ -364,9 +364,6 @@ type Volume struct {
 	volReads, volWrites *metrics.Counter // dasd.vol.<volser>.read, .write
 }
 
-// Volser returns the volume serial.
-func (v *Volume) Volser() string { return v.volser }
-
 // Blocks returns the volume capacity in blocks.
 func (v *Volume) Blocks() int { return v.store.Blocks() }
 

@@ -146,8 +146,6 @@ type Config struct {
 	Logger *logr.Manager
 	// PoolFrames sizes the local buffer pool (default 256).
 	PoolFrames int
-	// CacheEntries sizes the group buffer pool directory (default 4096).
-	CacheEntries int
 	// LockTimeout bounds lock waits (default 5s).
 	LockTimeout time.Duration
 }
@@ -205,9 +203,6 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 	if cfg.PoolFrames == 0 {
 		cfg.PoolFrames = 256
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 4096
-	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = 5 * time.Second
 	}
@@ -228,7 +223,7 @@ func Open(ctx context.Context, cfg Config) (*Engine, error) {
 	gbpName := "GBP." + cfg.Name
 	cs, err := cfg.Facility.CacheStructure(gbpName)
 	if err != nil {
-		cs, err = cfg.Facility.AllocateCacheStructure(gbpName, cfg.CacheEntries)
+		cs, err = cfg.Facility.AllocateCacheStructure(gbpName, 4096)
 		if err != nil {
 			// Lost an allocation race: attach.
 			cs, err = cfg.Facility.CacheStructure(gbpName)

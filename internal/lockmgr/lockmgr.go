@@ -521,10 +521,15 @@ func localConflicts(r *resource, owner string, mode cf.LockMode) []string {
 }
 
 // retainedConflict checks CF persistent records of failed connectors.
+// It fails closed: a read error fails the request rather than skip a
+// record it could not see.
 func (m *Manager) retainedConflict(ctx context.Context, resourceName string, mode cf.LockMode) (string, bool, error) {
-	ls := m.ls
-	for _, conn := range ls.RetainedConnectors() {
-		recs, err := ls.Records(ctx, conn)
+	conns, err := m.ls.RetainedConnectors()
+	if err != nil {
+		return "", false, err
+	}
+	for _, conn := range conns {
+		recs, err := m.ls.Records(ctx, conn)
 		if err != nil {
 			return "", false, err
 		}

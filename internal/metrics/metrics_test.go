@@ -154,22 +154,6 @@ func TestHistogramMeanBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewMeter(func() time.Time { return now })
-	m.Mark(10)
-	if m.Rate() != 0 {
-		t.Fatalf("rate with zero elapsed = %g, want 0", m.Rate())
-	}
-	now = now.Add(2 * time.Second)
-	if got := m.Rate(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Rate = %g, want 5", got)
-	}
-	if m.Count() != 10 {
-		t.Fatalf("Count = %d", m.Count())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("tx.commit")
@@ -189,11 +173,20 @@ func TestRegistry(t *testing.T) {
 	if r.Histogram("h").Count() != 1 {
 		t.Fatal("histogram mismatch")
 	}
-	if names := r.CounterNames(); len(names) != 1 || names[0] != "tx.commit" {
-		t.Fatalf("CounterNames = %v", names)
+	var counters, gauges, hists []string
+	r.Walk(Visitor{
+		Counter:   func(name string, c *Counter) { counters = append(counters, name) },
+		Gauge:     func(name string, g *Gauge) { gauges = append(gauges, name) },
+		Histogram: func(name string, h *Histogram) { hists = append(hists, name) },
+	})
+	if len(counters) != 1 || counters[0] != "tx.commit" {
+		t.Fatalf("counters = %v", counters)
 	}
-	if names := r.HistogramNames(); len(names) != 1 || names[0] != "h" {
-		t.Fatalf("HistogramNames = %v", names)
+	if len(gauges) != 1 || gauges[0] != "g" {
+		t.Fatalf("gauges = %v", gauges)
+	}
+	if len(hists) != 1 || hists[0] != "h" {
+		t.Fatalf("histograms = %v", hists)
 	}
 }
 
@@ -214,9 +207,6 @@ func TestRegistryWalk(t *testing.T) {
 	}
 	if len(gauges) != 1 || gauges[0] != "g" || len(hists) != 1 || hists[0] != "h" {
 		t.Fatalf("gauges = %v hists = %v", gauges, hists)
-	}
-	if names := r.GaugeNames(); len(names) != 1 || names[0] != "g" {
-		t.Fatalf("GaugeNames = %v", names)
 	}
 }
 

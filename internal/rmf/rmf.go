@@ -21,8 +21,8 @@ import (
 // much hotter.
 const DefaultInterval = 100 * time.Millisecond
 
-// defaultKeep is the in-memory record ring size.
-const defaultKeep = 256
+// keep is the in-memory record ring size.
+const keep = 256
 
 // SystemSource supplies one member system's per-interval inputs. All
 // fields are optional; nil funcs contribute zeros. Funcs must be safe
@@ -81,8 +81,6 @@ type Config struct {
 	// leaving — any connected member's stream handle works, records
 	// merge. Nil (or a nil return) keeps records in memory only.
 	Stream func() *logr.Stream
-	// Keep bounds the in-memory record ring (defaultKeep when zero).
-	Keep int
 }
 
 // Monitor is the RMF collector: SampleOnce cuts one interval record;
@@ -114,9 +112,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = defaultKeep
 	}
 	m := &Monitor{
 		cfg:     cfg,
@@ -351,7 +346,7 @@ func (m *Monitor) SampleOnce(ctx context.Context) (Record, error) {
 	}
 
 	m.ring = append(m.ring, r)
-	if over := len(m.ring) - m.cfg.Keep; over > 0 {
+	if over := len(m.ring) - keep; over > 0 {
 		m.ring = append(m.ring[:0], m.ring[over:]...)
 	}
 	stream := m.cfg.Stream

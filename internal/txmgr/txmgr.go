@@ -55,19 +55,18 @@ type Stats struct {
 	SubQueries int64 // decision-support fragments executed here
 }
 
-// Options tune routing behaviour.
-type Options struct {
-	// RouteThreshold is the local utilization above which the region
-	// considers routing away (default 0.85).
-	RouteThreshold float64
-	// RouteAdvantage is the relative spare-capacity advantage a peer
-	// must have to win the work (default 1.25).
-	RouteAdvantage float64
-	// RemoteTimeout bounds shipped-request waits (default 10s).
-	RemoteTimeout time.Duration
-	// MaxRetries for deadlock victims (default 3).
-	MaxRetries int
-}
+const (
+	// routeThreshold is the local utilization above which the region
+	// considers routing away.
+	routeThreshold = 0.85
+	// routeAdvantage is the relative spare-capacity advantage a peer
+	// must have to win the work.
+	routeAdvantage = 1.25
+	// remoteTimeout bounds shipped-request waits.
+	remoteTimeout = 10 * time.Second
+	// maxRetries bounds reruns of deadlock and timeout victims.
+	maxRetries = 3
+)
 
 // Region is one system's transaction manager.
 type Region struct {
@@ -75,7 +74,6 @@ type Region struct {
 	engine *db.Engine
 	wlm    *wlm.Manager
 	clock  vclock.Clock
-	opts   Options
 	reg    *metrics.Registry
 
 	mu       sync.Mutex
@@ -91,28 +89,15 @@ type programDef struct {
 }
 
 // New creates the region for a system.
-func New(system *xcf.System, engine *db.Engine, wlmMgr *wlm.Manager, clock vclock.Clock, opts Options) *Region {
+func New(system *xcf.System, engine *db.Engine, wlmMgr *wlm.Manager, clock vclock.Clock) *Region {
 	if clock == nil {
 		clock = vclock.Real()
-	}
-	if opts.RouteThreshold == 0 {
-		opts.RouteThreshold = 0.85
-	}
-	if opts.RouteAdvantage == 0 {
-		opts.RouteAdvantage = 1.25
-	}
-	if opts.RemoteTimeout == 0 {
-		opts.RemoteTimeout = 10 * time.Second
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 3
 	}
 	r := &Region{
 		sys:      system,
 		engine:   engine,
 		wlm:      wlmMgr,
 		clock:    clock,
-		opts:     opts,
 		reg:      metrics.NewRegistry(),
 		programs: make(map[string]programDef),
 		pending:  make(map[uint64]chan wireResp),
@@ -187,7 +172,7 @@ func (r *Region) routeTarget() string {
 		return self
 	}
 	localCap := r.wlm.Capacity()
-	if localCap <= 0 || (localCap-localAvail)/localCap < r.opts.RouteThreshold {
+	if localCap <= 0 || (localCap-localAvail)/localCap < routeThreshold {
 		return self
 	}
 	best, bestAvail := self, localAvail
@@ -199,7 +184,7 @@ func (r *Region) routeTarget() string {
 	if best == self {
 		return self
 	}
-	if localAvail <= 0 || bestAvail >= r.opts.RouteAdvantage*localAvail {
+	if localAvail <= 0 || bestAvail >= routeAdvantage*localAvail {
 		return best
 	}
 	return self
@@ -215,7 +200,7 @@ func (r *Region) runLocal(ctx context.Context, program string, input []byte) ([]
 		return nil, fmt.Errorf("%w: %q", ErrNoProgram, program)
 	}
 	var lastErr error
-	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		tx := r.engine.Begin(ctx)
 		out, err := def.fn(tx, input)
 		if err != nil {
@@ -348,7 +333,7 @@ func (r *Region) call(ctx context.Context, target string, msg wireMsg) (wireResp
 		return resp, nil
 	case <-ctx.Done():
 		return wireResp{}, ctx.Err()
-	case <-r.clock.After(r.opts.RemoteTimeout):
+	case <-r.clock.After(remoteTimeout):
 		return wireResp{}, fmt.Errorf("%w: %s", ErrTimeout, target)
 	}
 }

@@ -63,7 +63,7 @@ func newFixture(t *testing.T, systems ...string) *fixture {
 		}
 		fx.wlms[s] = wm
 		fx.engines[s] = eng
-		fx.regions[s] = New(sys, eng, wm, vclock.Real(), Options{})
+		fx.regions[s] = New(sys, eng, wm, vclock.Real())
 	}
 	// Register the same programs on every region ("applications
 	// unchanged" — any instance can run any transaction).

@@ -72,6 +72,17 @@ var (
 // GenericCICS is the generic resource name user logons resolve.
 const GenericCICS = "CICS"
 
+// databaseName scopes the database's structures and datasets.
+const databaseName = "DBP1"
+
+// XCF status monitoring, which the CF probe also follows: fast
+// detection for experiments while tolerating couple-data-set
+// serialization bursts (production z/OS intervals are seconds).
+const (
+	heartbeatInterval        = 10 * time.Millisecond
+	failureDetectionInterval = 15 * heartbeatInterval
+)
+
 // TableConfig describes one shared table.
 type TableConfig struct {
 	Name  string
@@ -101,8 +112,6 @@ type Config struct {
 	DataDir string
 	// Tables are opened on every system.
 	Tables []TableConfig
-	// DatabaseName scopes structures and datasets (default "DBP1").
-	DatabaseName string
 	// LogStreams are additional System Logger streams connected on
 	// every member system (the database's WAL streams are always
 	// created). Reach them via System.LogStream(name).
@@ -110,32 +119,20 @@ type Config struct {
 	// VolumeBlocks sizes the shared volume (default 131072; log-stream
 	// offload datasets chain indefinitely, so the volume is generous).
 	VolumeBlocks int
-	// LockTableEntries sizes the CF lock structure (default 4096).
-	LockTableEntries int
-	// PoolFrames per system local buffer pool (default 256).
-	PoolFrames int
-	// LockTimeout for database locks (default 5s).
+	// LockTimeout for database locks (db's default 5s when zero).
 	LockTimeout time.Duration
-	// HeartbeatInterval / FailureDetectionInterval drive XCF status
-	// monitoring (defaults 10ms / 150ms — fast detection for
-	// experiments while tolerating couple-data-set serialization
-	// bursts; production z/OS defaults are seconds).
-	HeartbeatInterval        time.Duration
-	FailureDetectionInterval time.Duration
 	// Background starts heartbeat/monitor/WLM-exchange/castout loops
-	// for each system (default true via DefaultConfig).
+	// for each system (default true via DefaultConfig), and with them
+	// the RMF measurement subsystem: an interval monitor that samples
+	// every layer and writes SMF-style records to the SYSPLEX.RMF.DATA
+	// log stream; reach it via RMF().
 	Background bool
-	// DisableRMF opts out of the RMF measurement subsystem. By default
-	// (when Background is true) an interval monitor samples every
-	// layer and writes SMF-style records to the SYSPLEX.RMF.DATA log
-	// stream; reach it via RMF().
-	DisableRMF bool
 	// RMFInterval is the measurement interval (default
 	// rmf.DefaultInterval).
 	RMFInterval time.Duration
 	// CF is the CFRM policy governing the coupling-facility fleet:
-	// candidate preference list, structure duplexing mode, injected
-	// command latency. The zero value runs structures duplexed across
+	// candidate preference list, structure duplexing mode, storage
+	// bound. The zero value runs structures duplexed across
 	// CF01/CF02 with CF03 as the re-duplex candidate.
 	CF cfrm.Policy
 	// Policy is the WLM service definition.
@@ -199,9 +196,6 @@ func (s *System) Engine() *db.Engine { return s.engine }
 // Locks exposes the lock manager.
 func (s *System) Locks() *lockmgr.Manager { return s.locks }
 
-// WLM exposes the workload manager.
-func (s *System) WLM() *wlm.Manager { return s.wlm }
-
 // TOD exposes the system's sysplex-steered clock.
 func (s *System) TOD() *timer.LocalTOD { return s.tod }
 
@@ -211,7 +205,6 @@ type Sysplex struct {
 	clock  vclock.Clock
 	farm   *dasd.Farm
 	timer  *timer.Timer
-	store  *cds.Store
 	plex   *xcf.Sysplex
 	cfres  *cfrm.Manager
 	front  cf.Front
@@ -288,32 +281,13 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("sysplex: name required")
 	}
-	if cfg.DatabaseName == "" {
-		cfg.DatabaseName = "DBP1"
-	}
 	if cfg.VolumeBlocks == 0 {
 		// Room for table spaces, couple data sets, and log-stream
 		// offload dataset chains (blocks are lazily materialized, so
 		// this is cheap).
 		cfg.VolumeBlocks = 131072
 	}
-	if cfg.LockTableEntries == 0 {
-		cfg.LockTableEntries = 4096
-	}
-	if cfg.PoolFrames == 0 {
-		cfg.PoolFrames = 256
-	}
-	if cfg.LockTimeout == 0 {
-		cfg.LockTimeout = 5 * time.Second
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 10 * time.Millisecond
-	}
-	if cfg.FailureDetectionInterval == 0 {
-		cfg.FailureDetectionInterval = 15 * cfg.HeartbeatInterval
-	}
-	rmfOn := cfg.Background && !cfg.DisableRMF
-	if rmfOn {
+	if cfg.Background {
 		// Every member connects to the RMF stream so the monitor can
 		// write through any surviving system.
 		have := false
@@ -375,15 +349,15 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 		return nil, err
 	}
 	// XCF context first, so the CDS can break reserves of failed systems.
-	p.store, err = cds.New(cfg.Name+".CDS", clock, pri, alt, cds.Options{
+	store, err := cds.New(cfg.Name+".CDS", clock, pri, alt, cds.Options{
 		StaleHolder: func(sys string) bool { return p.plex != nil && p.plex.IsFailed(sys) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	p.plex = xcf.NewSysplex(cfg.Name, clock, p.store, p.farm, xcf.Options{
-		HeartbeatInterval:        cfg.HeartbeatInterval,
-		FailureDetectionInterval: cfg.FailureDetectionInterval,
+	p.plex = xcf.NewSysplex(cfg.Name, clock, store, p.farm, xcf.Options{
+		HeartbeatInterval:        heartbeatInterval,
+		FailureDetectionInterval: failureDetectionInterval,
 	})
 
 	// Coupling facility fleet under CFRM policy (Figure 2): structures
@@ -393,7 +367,7 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 		return nil, err
 	}
 	p.front = p.cfres.Front()
-	p.lockS, err = p.front.AllocateLockStructure("IRLM."+cfg.DatabaseName, cfg.LockTableEntries)
+	p.lockS, err = p.front.AllocateLockStructure("IRLM."+databaseName, 4096)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +481,7 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 	// into CFRM so failover does not wait for a command to trip over
 	// the dead facility.
 	if cfg.Background {
-		probe := clock.NewTicker(cfg.FailureDetectionInterval)
+		probe := clock.NewTicker(failureDetectionInterval)
 		done := make(chan struct{})
 		go func() {
 			for {
@@ -529,7 +503,7 @@ func build(ctx context.Context, cfg Config, reopen bool) (*Sysplex, error) {
 	}
 
 	// RMF measurement subsystem: interval records onto SYSPLEX.RMF.DATA.
-	if rmfOn {
+	if cfg.Background {
 		mon, err := rmf.New(rmf.Config{
 			Farm: cfg.Name, Clock: clock, Interval: cfg.RMFInterval,
 			CFRM: p.cfres, Logger: p.logReg, DASD: p.farm.Metrics(),
@@ -781,9 +755,9 @@ func (p *Sysplex) AddSystem(ctx context.Context, sc SystemConfig) (*System, erro
 		}
 	}
 	engine, err := db.Open(ctx, db.Config{
-		Name: p.cfg.DatabaseName, System: sc.Name, Farm: p.farm, Volume: "SYSP01",
+		Name: databaseName, System: sc.Name, Farm: p.farm, Volume: "SYSP01",
 		Facility: front, Locks: locks, Clock: p.clock, Logger: logger,
-		PoolFrames: p.cfg.PoolFrames, LockTimeout: p.cfg.LockTimeout,
+		LockTimeout: p.cfg.LockTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -797,7 +771,7 @@ func (p *Sysplex) AddSystem(ctx context.Context, sc SystemConfig) (*System, erro
 	if err != nil {
 		return nil, err
 	}
-	region := txmgr.New(xsys, engine, wm, p.clock, txmgr.Options{})
+	region := txmgr.New(xsys, engine, wm, p.clock)
 	jesList, err := front.ListStructure("JES2CKPT")
 	if err != nil {
 		return nil, err
@@ -989,8 +963,7 @@ func (p *Sysplex) Timer() *timer.Timer { return p.timer }
 func (p *Sysplex) Clock() vclock.Clock { return p.clock }
 
 // RMF exposes the measurement subsystem's monitor: interval records,
-// rollups, and the HTTP handler. Nil when Background is false or
-// Config.DisableRMF is set.
+// rollups, and the HTTP handler. Nil when Background is false.
 func (p *Sysplex) RMF() *rmf.Monitor {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1000,9 +973,6 @@ func (p *Sysplex) RMF() *rmf.Monitor {
 // LoggerMetrics exposes the sysplex-wide logr.* instrumentation
 // (every member's System Logger charges the same registry).
 func (p *Sysplex) LoggerMetrics() *metrics.Registry { return p.logReg }
-
-// CoupleDataSet exposes the sysplex couple data set.
-func (p *Sysplex) CoupleDataSet() *cds.Store { return p.store }
 
 // DeadlockDetector exposes the sysplex-wide lock deadlock detector.
 func (p *Sysplex) DeadlockDetector() *lockmgr.Detector { return p.det }
