@@ -69,8 +69,8 @@ type Lock interface {
 	ForceObtain(ctx context.Context, idx int, conn string, mode LockMode) error
 	Release(ctx context.Context, idx int, conn string, mode LockMode) error
 	Interest(idx int, conn string) (share, excl int, err error)
-	SetRecord(ctx context.Context, conn, resource string, mode LockMode) error
-	DeleteRecord(ctx context.Context, conn, resource string) error
+	SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error
+	DeleteRecord(ctx context.Context, conn, resource, owner string) error
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
 	RetainedConnectors() ([]string, error)
 	// Batch executes an envelope of lock-model commands in one pipeline

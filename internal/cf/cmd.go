@@ -87,7 +87,7 @@ type Cmd struct {
 	Changed bool   // cache write: mark the block changed (castout pending)
 	Conn    string // issuing connector
 	Name    string // lock-record resource / cache block name / list entry ID
-	Key     string // list entry key (write) / adjunct area (setadjunct)
+	Key     string // list entry key (write) / adjunct area (setadjunct) / lock record owner
 	Idx     int    // lock table entry / list header / serialized-list lock entry
 
 	VecIdx  int      // connector's local vector index (cache read/write, list monitor)
@@ -209,13 +209,13 @@ var cmdTable = [kindCount]cmdSpec{
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
 			return noReply(s.(*LockStructure).Release(ctx, c.Idx, c.Conn, c.Mode))
 		}},
-	CmdLockSetRecord: {name: "lock.setrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName | FMode,
+	CmdLockSetRecord: {name: "lock.setrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName | FKey | FMode,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).SetRecord(ctx, c.Conn, c.Name, c.Mode))
+			return noReply(s.(*LockStructure).SetRecord(ctx, c.Conn, c.Name, c.Mode, c.Key))
 		}},
-	CmdLockDelRecord: {name: "lock.delrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName,
+	CmdLockDelRecord: {name: "lock.delrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName | FKey,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).DeleteRecord(ctx, c.Conn, c.Name))
+			return noReply(s.(*LockStructure).DeleteRecord(ctx, c.Conn, c.Name, c.Key))
 		}},
 	CmdLockRecords: {name: "lock.records", model: LockModel, order: OpRead, in: FConn, out: RRecords,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {

@@ -28,7 +28,7 @@ func TestDuplexedMirrorsLockCommands(t *testing.T) {
 	if err != nil || !res.Granted {
 		t.Fatalf("Obtain = %+v, %v", res, err)
 	}
-	if err := ls.SetRecord(context.Background(), "SYS1", "ACCT/k1", Exclusive); err != nil {
+	if err := ls.SetRecord(context.Background(), "SYS1", "ACCT/k1", Exclusive, "TX1"); err != nil {
 		t.Fatal(err)
 	}
 	// Both replicas must hold identical interest and records.
@@ -39,7 +39,7 @@ func TestDuplexedMirrorsLockCommands(t *testing.T) {
 			t.Fatalf("%s: excl interest = %d, %v", f.Name(), excl, err)
 		}
 		recs, err := raw.Records(context.Background(), "SYS1")
-		if err != nil || len(recs) != 1 || recs[0].Resource != "ACCT/k1" {
+		if err != nil || len(recs) != 1 || recs[0].Resource != "ACCT/k1" || recs[0].Owner != "TX1" {
 			t.Fatalf("%s: records = %+v, %v", f.Name(), recs, err)
 		}
 	}

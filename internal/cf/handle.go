@@ -117,12 +117,12 @@ func (l *lockHandle) Interest(idx int, conn string) (share, excl int, err error)
 	return r.N, r.M, err
 }
 
-func (l *lockHandle) SetRecord(ctx context.Context, conn, resource string, mode LockMode) error {
-	return l.do(ctx, Cmd{Kind: CmdLockSetRecord, Conn: conn, Name: resource, Mode: mode})
+func (l *lockHandle) SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error {
+	return l.do(ctx, Cmd{Kind: CmdLockSetRecord, Conn: conn, Name: resource, Mode: mode, Key: owner})
 }
 
-func (l *lockHandle) DeleteRecord(ctx context.Context, conn, resource string) error {
-	return l.do(ctx, Cmd{Kind: CmdLockDelRecord, Conn: conn, Name: resource})
+func (l *lockHandle) DeleteRecord(ctx context.Context, conn, resource, owner string) error {
+	return l.do(ctx, Cmd{Kind: CmdLockDelRecord, Conn: conn, Name: resource, Key: owner})
 }
 
 func (l *lockHandle) Records(ctx context.Context, conn string) ([]LockRecord, error) {

@@ -42,11 +42,14 @@ type ObtainResult struct {
 
 // LockRecord is persistent lock information recorded in the structure
 // so that peer systems can recover ("retain") locks held by a failed
-// system (§3.3.1).
+// system (§3.3.1). Owner is the record data: the unit of work holding
+// the lock, which tells a peer's recovery whose changes the lock still
+// protects.
 type LockRecord struct {
 	Connector string
 	Resource  string
 	Mode      LockMode
+	Owner     string
 }
 
 // LockStructure is a CF lock-model structure: a program-specified
@@ -426,8 +429,9 @@ func (s *LockStructure) Interest(idx int, conn string) (share, excl int, err err
 
 // SetRecord stores a persistent lock record for conn (recording of
 // persistent lock information "to enable fast lock recovery in the
-// event of an MVS system failure while holding lock resources").
-func (s *LockStructure) SetRecord(ctx context.Context, conn, resource string, mode LockMode) error {
+// event of an MVS system failure while holding lock resources"), with
+// the owning unit of work as its record data.
+func (s *LockStructure) SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error {
 	start, err := s.facility.begin(ctx)
 	if err != nil {
 		return err
@@ -445,13 +449,16 @@ func (s *LockStructure) SetRecord(ctx context.Context, conn, resource string, mo
 		m = make(map[string]LockRecord)
 		s.records[conn] = m
 	}
-	m[resource] = LockRecord{Connector: conn, Resource: resource, Mode: mode}
+	m[resource] = LockRecord{Connector: conn, Resource: resource, Mode: mode, Owner: owner}
 	return nil
 }
 
 // DeleteRecord removes a persistent lock record (lock released, or
-// recovery for that resource complete).
-func (s *LockStructure) DeleteRecord(ctx context.Context, conn, resource string) error {
+// recovery for that resource complete). A non-empty owner deletes the
+// record only while that unit of work still owns it, so a release that
+// lands after the next owner on the same connector set its record
+// leaves that record alone.
+func (s *LockStructure) DeleteRecord(ctx context.Context, conn, resource, owner string) error {
 	start, err := s.facility.begin(ctx)
 	if err != nil {
 		return err
@@ -462,6 +469,9 @@ func (s *LockStructure) DeleteRecord(ctx context.Context, conn, resource string)
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
 	m := s.records[conn]
+	if rec, ok := m[resource]; ok && owner != "" && rec.Owner != owner {
+		return nil
+	}
 	delete(m, resource)
 	if len(m) == 0 {
 		delete(s.records, conn)

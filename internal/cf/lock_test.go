@@ -135,10 +135,10 @@ func TestHashResourceStableAndInRange(t *testing.T) {
 
 func TestPersistentRecordsAndRetention(t *testing.T) {
 	f, ls := newLockStruct(t, 16)
-	if err := ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW5", Exclusive); err != nil {
+	if err := ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW5", Exclusive, "TX5"); err != nil {
 		t.Fatal(err)
 	}
-	ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW9", Share)
+	ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW9", Share, "TX9")
 	ls.Obtain(context.Background(), 1, "SYS1", Exclusive)
 
 	// Abnormal termination of SYS1.
@@ -157,12 +157,12 @@ func TestPersistentRecordsAndRetention(t *testing.T) {
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("records = %v err=%v", recs, err)
 	}
-	if recs[0].Resource != "DB.T1.ROW5" || recs[0].Mode != Exclusive {
+	if recs[0].Resource != "DB.T1.ROW5" || recs[0].Mode != Exclusive || recs[0].Owner != "TX5" {
 		t.Fatalf("rec0 = %+v", recs[0])
 	}
 	// Peer completes recovery and deletes the records.
-	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW5")
-	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW9")
+	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW5", "")
+	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW9", "")
 	if len(retainedConns(t, ls)) != 0 {
 		t.Fatal("retention not cleared after recovery")
 	}
@@ -177,9 +177,39 @@ func retainedConns(t *testing.T, ls Lock) []string {
 	return names
 }
 
+// TestDeleteRecordSparesNextOwner: a release's record delete that lands
+// after the connector's next owner of the resource set its record
+// leaves that record in place; an ownerless delete (recovery) does not.
+func TestDeleteRecordSparesNextOwner(t *testing.T) {
+	_, ls := newLockStruct(t, 16)
+	ctx := context.Background()
+	if err := ls.SetRecord(ctx, "SYS1", "R", Exclusive, "TX2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.DeleteRecord(ctx, "SYS1", "R", "TX1"); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 1 || recs[0].Owner != "TX2" {
+		t.Fatalf("records after TX1's late delete = %+v, %v; want TX2's kept", recs, err)
+	}
+	if err := ls.DeleteRecord(ctx, "SYS1", "R", "TX2"); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 0 {
+		t.Fatalf("records after TX2's delete = %+v, %v", recs, err)
+	}
+	ls.SetRecord(ctx, "SYS1", "R", Exclusive, "TX3")
+	if err := ls.DeleteRecord(ctx, "SYS1", "R", ""); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ := ls.Records(ctx, "SYS1"); len(recs) != 0 {
+		t.Fatalf("records after an ownerless delete = %+v", recs)
+	}
+}
+
 func TestNormalDisconnectDropsRecords(t *testing.T) {
 	_, ls := newLockStruct(t, 16)
-	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive)
+	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive, "TX1")
 	ls.(*LockStructure).disconnect("SYS1")
 	if len(retainedConns(t, ls)) != 0 {
 		t.Fatal("normal shutdown should not retain records")
@@ -195,7 +225,7 @@ func TestNotConnectedRejected(t *testing.T) {
 	if _, err := ls.Obtain(context.Background(), 0, "GHOST", Share); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ls.SetRecord(context.Background(), "GHOST", "R", Share); !errors.Is(err, ErrNotConnected) {
+	if err := ls.SetRecord(context.Background(), "GHOST", "R", Share, "TX1"); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -228,7 +258,7 @@ func TestBadMode(t *testing.T) {
 
 func TestReconnectClearsRetention(t *testing.T) {
 	f, ls := newLockStruct(t, 8)
-	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive)
+	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive, "TX1")
 	f.FailConnector("SYS1")
 	if len(retainedConns(t, ls)) != 1 {
 		t.Fatal("not retained")

@@ -37,13 +37,13 @@ func TestEveryCommandMetricReachable(t *testing.T) {
 	if err := ls.Release(ctx, 0, "SYS1", Share); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.SetRecord(ctx, "SYS1", "RES.A", Exclusive); err != nil {
+	if err := ls.SetRecord(ctx, "SYS1", "RES.A", Exclusive, "TX1"); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 1 {
 		t.Fatalf("Records = %v, %v", recs, err)
 	}
-	if err := ls.DeleteRecord(ctx, "SYS1", "RES.A"); err != nil {
+	if err := ls.DeleteRecord(ctx, "SYS1", "RES.A", "TX1"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -60,8 +60,9 @@ var (
 )
 
 // magic opens every session's first frame on both connection kinds; its
-// last byte is the wire revision, bumped whenever a Kind or Fields bit moves.
-var magic = [4]byte{'C', 'F', 'L', '4'}
+// last byte is the wire revision, bumped whenever a Kind or Fields bit
+// moves or a row's fields or a record's layout change.
+var magic = [4]byte{'C', 'F', 'L', '5'}
 
 // Connection kinds declared in the session handshake.
 //
@@ -217,6 +218,7 @@ func encodeLockRecord(e *wire.Encoder, r cf.LockRecord) {
 	e.Str(r.Connector)
 	e.Str(r.Resource)
 	e.Int(int(r.Mode))
+	e.Str(r.Owner)
 }
 
 func decodeLockRecord(d *wire.Decoder) cf.LockRecord {
@@ -224,6 +226,7 @@ func decodeLockRecord(d *wire.Decoder) cf.LockRecord {
 		Connector: d.Str(),
 		Resource:  d.Str(),
 		Mode:      cf.LockMode(d.Int()),
+		Owner:     d.Str(),
 	}
 }
 

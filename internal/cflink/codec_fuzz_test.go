@@ -154,7 +154,7 @@ func FuzzRoundTrip(f *testing.F) {
 		e.Bytes(b)
 		e.Bool(flag)
 		e.Uvarint(uint64(i2))
-		encodeLockRecord(&e, cf.LockRecord{Connector: s1, Resource: s2, Mode: cf.LockMode(i1)})
+		encodeLockRecord(&e, cf.LockRecord{Connector: s1, Resource: s2, Mode: cf.LockMode(i1), Owner: s1})
 		encodeListEntry(&e, cf.ListEntry{ID: s1, Key: s2, Data: b, Adjunct: s2, List: int(i1)})
 
 		d := wire.NewDecoder(e.Buf)
@@ -178,7 +178,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("uvarint = %d, want %d", got, uint64(i2))
 		}
 		rec := decodeLockRecord(d)
-		if rec.Connector != s1 || rec.Resource != s2 || rec.Mode != cf.LockMode(i1) {
+		if rec.Connector != s1 || rec.Resource != s2 || rec.Mode != cf.LockMode(i1) || rec.Owner != s1 {
 			t.Fatalf("lockRecord = %+v", rec)
 		}
 		le := decodeListEntry(d)

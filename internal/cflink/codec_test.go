@@ -113,7 +113,7 @@ func TestScalarRoundTrip(t *testing.T) {
 
 func TestCompositeRoundTrip(t *testing.T) {
 	recs := []cf.LockRecord{
-		{Connector: "SYSA", Resource: "DB.T1.R9", Mode: cf.Exclusive},
+		{Connector: "SYSA", Resource: "DB.T1.R9", Mode: cf.Exclusive, Owner: "SYSA-1"},
 		{Connector: "SYSB", Resource: "DB.T1.R10", Mode: cf.Share},
 	}
 	entries := []cf.ListEntry{

@@ -77,7 +77,7 @@ func fillReply(k cf.Kind) cf.Reply {
 	set(cf.RText, func() { r.Text = "SYS1" })
 	set(cf.RData, func() { r.Data = []byte("block") })
 	set(cf.RNames, func() { r.Names = []string{"SYS1", "SYS2"} })
-	set(cf.RRecords, func() { r.Records = []cf.LockRecord{{Connector: "SYS1", Resource: "R9", Mode: cf.Share}} })
+	set(cf.RRecords, func() { r.Records = []cf.LockRecord{{Connector: "SYS1", Resource: "R9", Mode: cf.Share, Owner: "TX9"}} })
 	set(cf.REntry, func() { r.Entry = entry })
 	set(cf.REntries, func() { r.Entries = []cf.ListEntry{entry, entry} })
 	set(cf.RSub, func() {
@@ -239,7 +239,7 @@ func (tg *target) prepare(t *testing.T, model cf.Model) {
 				ls.Connect(ctx, "SYS1"),
 				ls.Connect(ctx, "SYS2"),
 				second(ls.Obtain(ctx, 1, "SYS1", cf.Exclusive)),
-				ls.SetRecord(ctx, "SYS1", "N1", cf.Exclusive))
+				ls.SetRecord(ctx, "SYS1", "N1", cf.Exclusive, "TX1"))
 		}
 	case cf.CacheModel:
 		var cs cf.Cache
@@ -359,8 +359,10 @@ var confScripts = map[cf.Model][]cf.Cmd{
 		{Kind: cf.CmdLockObtain, Idx: 3, Conn: "NOBODY", Mode: cf.Share},
 		{Kind: cf.CmdLockRelease, Idx: 2, Conn: "SYS1", Mode: cf.LockMode(9)},
 		{Kind: cf.CmdLockRelease, Idx: 1, Conn: "SYS1", Mode: cf.Exclusive},
-		{Kind: cf.CmdLockSetRecord, Conn: "SYS2", Name: "N2", Mode: cf.Share},
-		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1"},
+		{Kind: cf.CmdLockSetRecord, Conn: "SYS2", Name: "N2", Mode: cf.Share, Key: "TX2"},
+		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1", Key: "TX0"}, // another owner's: kept
+		{Kind: cf.CmdLockRecords, Conn: "SYS1"},
+		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1", Key: "TX1"},
 		{Kind: cf.CmdLockRecords, Conn: "SYS2"},
 		{Kind: cf.CmdListPop, Conn: "SYS1"}, // wrong model
 	},

@@ -71,9 +71,10 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeRefusesOtherRevision sends a hello with the previous
-// wire revision's magic: kind bytes after list.monitor moved when
-// list.unmonitor left the table, so the server must close the
-// connection without replying rather than misread that peer's commands.
+// wire revision's magic: lock.setrecord and lock.delrecord gained the
+// owner field and a lock record carries it, so the server must close
+// the connection without replying rather than misread that peer's
+// commands.
 func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	_, network, addr := startServer(t, "CF01")
 	conn, err := net.Dial(network, addr)
@@ -82,7 +83,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	defer conn.Close()
 	var e wire.Encoder
-	e.Buf = append(e.Buf, 'C', 'F', 'L', '3')
+	e.Buf = append(e.Buf, 'C', 'F', 'L', '4')
 	e.U8(connCommand)
 	e.Str("SYSA")
 	if err := writeFrame(conn, e.Buf); err != nil {
@@ -90,7 +91,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if reply, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
-		t.Fatalf("CFL3 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
+		t.Fatalf("CFL4 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
 	}
 }
 
@@ -126,11 +127,11 @@ func TestLockOverWire(t *testing.T) {
 	if res.Granted || len(res.Holders) != 1 || res.Holders[0] != "SYSA" {
 		t.Fatalf("contended Obtain = %+v, want holders [SYSA]", res)
 	}
-	if err := lk.SetRecord(ctx, "SYSA", "DB.T1.ROW9", cf.Exclusive); err != nil {
+	if err := lk.SetRecord(ctx, "SYSA", "DB.T1.ROW9", cf.Exclusive, "TX9"); err != nil {
 		t.Fatalf("SetRecord: %v", err)
 	}
 	recs, err := lk.Records(ctx, "SYSA")
-	if err != nil || len(recs) != 1 || recs[0].Resource != "DB.T1.ROW9" {
+	if err != nil || len(recs) != 1 || recs[0].Resource != "DB.T1.ROW9" || recs[0].Owner != "TX9" {
 		t.Fatalf("Records = %+v, %v", recs, err)
 	}
 	if err := lk.Release(ctx, idx, "SYSA", cf.Exclusive); err != nil {
@@ -399,7 +400,7 @@ func TestRetainedReadAfterPrimaryKill(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := lk.SetRecord(ctx, "SYS1", "ACCT.7", cf.Exclusive); err != nil {
+			if err := lk.SetRecord(ctx, "SYS1", "ACCT.7", cf.Exclusive, "TX7"); err != nil {
 				t.Fatal(err)
 			}
 			d.FailConnector("SYS1")

@@ -10,8 +10,8 @@
 //     failed system while that system's retained locks protect the
 //     affected records: one sysplex-merged System Logger log stream,
 //     in CF interim storage with DASD offload, where each transaction's
-//     COMMIT record carries its after images and an END record follows
-//     once they are applied;
+//     COMMIT record carries its after images, and the retained locks,
+//     which name their transactions, say which images a peer redoes;
 //   - page-range scans supporting the decision-support "split a query
 //     into sub-queries" pattern of §2.3.
 package db
@@ -51,7 +51,7 @@ var (
 const (
 	recUpdate byte = 1 // after images that did not fit the COMMIT record
 	recCommit byte = 2 // the commit point, with the remaining after images
-	recEnd    byte = 3 // all of the transaction's page changes are applied
+	recEnd    byte = 3 // retired: logged after the apply by older trees; redo skips it
 )
 
 // LogRecord is one write-ahead-log entry. The log is redo-only: changes
@@ -141,8 +141,7 @@ type Config struct {
 	Clock vclock.Clock
 	// Logger is this system's System Logger instance: the write-ahead
 	// log is one log stream, DB.<Name>.SYNC, carrying every system's
-	// COMMIT records (with their after images) and END records, and
-	// recovery browses it.
+	// COMMIT records with their after images, and recovery browses it.
 	Logger *logr.Manager
 	// PoolFrames sizes the local buffer pool (default 256).
 	PoolFrames int
@@ -177,7 +176,7 @@ type Engine struct {
 	// txPrefix opens every transaction ID: the system name and a
 	// sysplex timestamp taken at Open. The timestamp follows every
 	// record already on the log, so no ID repeats one an earlier
-	// incarnation logged, and recovery can match END to COMMIT by ID.
+	// incarnation logged, and a retained lock's owner names one COMMIT.
 	txPrefix string
 
 	mu     sync.Mutex
@@ -362,7 +361,7 @@ func (e *Engine) recordResource(table, key string) string {
 }
 
 func (e *Engine) pageResource(table string, page int) string {
-	return fmt.Sprintf("P.%s.%s.%d", e.name, table, page)
+	return "P." + e.name + "." + table + "." + strconv.Itoa(page)
 }
 
 // Tx is a database transaction (strict two-phase locking; changes are
@@ -395,11 +394,6 @@ func (e *Engine) Begin(ctx context.Context) *Tx {
 
 // ID returns the transaction identifier.
 func (t *Tx) ID() string { return t.id }
-
-// Context returns the context the transaction was begun with; layered
-// access methods (e.g. ims) use it for engine calls made on the
-// transaction's behalf.
-func (t *Tx) Context() context.Context { return t.ctx }
 
 func (t *Tx) lock(resource string, mode lockmgr.Mode) error {
 	if err := t.e.locks.Lock(t.ctx, t.id, resource, mode, t.e.timeout); err != nil {
@@ -524,7 +518,8 @@ func (t *Tx) Delete(table, key string) error {
 
 // Commit forces the log and applies the staged changes to the shared
 // pages (write-ahead: the COMMIT record first, then pages through the
-// group buffer pool, then the END record), then releases all locks.
+// group buffer pool), then releases all locks: a record lock, whose
+// record names this transaction for peer redo, outlives its apply.
 //
 // lintctx: the transaction's context is captured at Begin
 // (database/sql idiom); once the COMMIT record is forced, apply and
@@ -546,24 +541,24 @@ func (t *Tx) Commit() error {
 		t.e.bump(func(s *Stats) { s.Aborts++ })
 		return err
 	}
-	// 2. Apply to pages in deterministic page order under page latches.
-	// The transaction is committed the instant step 1 returns; a caller
-	// cancellation must not leave it half-applied, so the apply and the
-	// END record run under a detached context (recovery would redo an
-	// interrupted apply, but in-line completion is the normal path).
+	// 2. Apply, committed since step 1: detached from the caller, and
+	// waiting out a latch retained for a failed system until its recovery.
 	dctx := vclock.Detach(t.ctx)
-	if err := t.e.applyChanges(dctx, t.id, t.staged); err != nil {
-		// Committed per the log; recovery would redo. Surface the error.
-		t.release()
+	err := t.e.applyChanges(dctx, t.id, t.staged)
+	for errors.Is(err, lockmgr.ErrRetained) {
+		<-t.e.clock.After(time.Millisecond)
+		err = t.e.applyChanges(dctx, t.id, t.staged)
+	}
+	if err != nil && !errors.Is(err, cf.ErrCFDown) {
+		// The locks stay held for a peer's redo should this system fail;
+		// a rerun would apply the transaction twice.
+		return fmt.Errorf("db: %s committed but not applied: %w", t.id, err)
+	}
+	// 3. Release the locks (a lost simplex CF took their state already).
+	t.release()
+	if err != nil {
 		return err
 	}
-	// 3. END record: recovery skips redo for fully applied transactions.
-	// The transaction is committed (step 1) and applied (step 2) by
-	// now; failing to write END only costs recovery one idempotent
-	// redo, so it must not be reported as a transaction failure — the
-	// caller would wrongly treat a durably committed update as lost.
-	_ = t.e.appendLog(dctx, &LogRecord{Tx: t.id, Kind: recEnd})
-	t.release()
 	t.e.bump(func(s *Stats) { s.Commits++; s.Writes += int64(len(t.staged)) })
 	return nil
 }
@@ -626,6 +621,8 @@ func (e *Engine) appendLog(ctx context.Context, recs ...*LogRecord) error {
 
 // applyChanges applies after images grouped by page, each page under
 // an exclusive page latch, writing through the group buffer pool.
+// Latches are taken in one global order and nothing else is waited for
+// while one is held, so a timed-out or victimised latch wait waits again.
 func (e *Engine) applyChanges(ctx context.Context, owner string, images []Image) error {
 	type pageKey struct {
 		table string
@@ -656,20 +653,20 @@ func (e *Engine) applyChanges(ctx context.Context, owner string, images []Image)
 	// the commit's page writes and their XI fan-out cross the link a
 	// chunk at a time instead of once per page.
 	latches := make([]string, 0, len(keys))
-	unlatch := func() {
-		e.locks.UnlockAll(ctx, owner, latches)
-	}
+	defer func() { e.locks.UnlockAll(ctx, owner, latches) }()
 	pages := make(map[string][]byte, len(keys))
 	for _, k := range keys {
 		latch := e.pageResource(k.table, k.page)
-		if err := e.locks.Lock(ctx, owner, latch, lockmgr.Exclusive, e.timeout); err != nil {
-			unlatch()
+		err := e.locks.Lock(ctx, owner, latch, lockmgr.Exclusive, e.timeout)
+		for errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, lockmgr.ErrDeadlock) {
+			err = e.locks.Lock(ctx, owner, latch, lockmgr.Exclusive, e.timeout)
+		}
+		if err != nil {
 			return err
 		}
 		latches = append(latches, latch)
 		img, err := e.fetchPage(ctx, k.table, k.page)
 		if err != nil {
-			unlatch()
 			return err
 		}
 		for _, im := range grouped[k] {
@@ -681,14 +678,11 @@ func (e *Engine) applyChanges(ctx context.Context, owner string, images []Image)
 		}
 		raw, err := img.encode()
 		if err != nil {
-			unlatch()
 			return err
 		}
 		pages[pageName(k.table, k.page)] = raw
 	}
-	err := e.pool.WritePages(ctx, pages)
-	unlatch()
-	return err
+	return e.pool.WritePages(ctx, pages)
 }
 
 // fetchPage reads a page through the buffer pool (a private copy) and
@@ -792,39 +786,38 @@ type RecoveryReport struct {
 	LocksFreed   int
 }
 
-// RecoverPeer performs database recovery on behalf of a failed system:
-// it reads the failed system's records off the merged log stream,
-// re-applies (redoes) the changes of committed-but-not-fully-applied
-// transactions,
-// and then frees the failed system's retained locks. Retained locks
-// protect the affected records for the whole procedure (§2.5, §3.3.1).
+// RecoverPeer performs database recovery on behalf of a failed system.
+// As in IRLM, its retained locks decide what is redone: a record lock
+// outlives its image's apply, so only a committed image still retained
+// under its own transaction can be missing from the group buffer pool.
+// The record locks protect the records throughout (§2.5, §3.3.1); the
+// page latches guard only an in-memory apply and are freed first.
 func (e *Engine) RecoverPeer(ctx context.Context, failedSys string) (RecoveryReport, error) {
 	rep := RecoveryReport{FailedSystem: failedSys}
-	recs, err := e.streamLogRecords(ctx, failedSys)
-	if err != nil {
-		return rep, err
-	}
-	// END means the pages reached the group buffer pool, which
-	// survives a system failure: those transactions need no redo, and
-	// redoing one could overwrite a later committed change by another
-	// system.
-	ended := map[string]bool{}
-	for _, r := range recs {
-		if r.Kind == recEnd {
-			ended[r.Tx] = true
-		}
-	}
-	_, rep.RedoApplied, err = e.redo(ctx, "RECOVERY."+e.sys+"."+failedSys, recs, ended)
-	if err != nil {
-		return rep, err
-	}
-	// Free the failed system's retained locks now that redo is complete.
 	retained, err := e.locks.RetainedResources(ctx, failedSys)
 	if err != nil {
 		return rep, err
 	}
+	owners := make(map[string]string, len(retained))
 	for _, rec := range retained {
-		if err := e.locks.ReleaseRetained(ctx, failedSys, rec.Resource); err != nil {
+		if !strings.HasPrefix(rec.Resource, "P."+e.name+".") { // not a page latch
+			owners[rec.Resource] = rec.Owner
+		} else if err := e.locks.ReleaseRetained(ctx, failedSys, rec.Resource); err != nil {
+			return rep, err
+		} else {
+			rep.LocksFreed++
+		}
+	}
+	recs, err := e.streamLogRecords(ctx, failedSys)
+	if err != nil {
+		return rep, err
+	}
+	_, rep.RedoApplied, err = e.redo(ctx, "RECOVERY."+e.sys+"."+failedSys, recs, owners)
+	if err != nil {
+		return rep, err
+	}
+	for res := range owners {
+		if err := e.locks.ReleaseRetained(ctx, failedSys, res); err != nil {
 			return rep, err
 		}
 		rep.LocksFreed++
@@ -841,11 +834,11 @@ type ColdReport struct {
 
 // RecoverCold redoes every committed transaction found on the log
 // stream after a whole-sysplex cold start. Unlike RecoverPeer it
-// ignores END records: END means "applied through the group buffer
-// pool", and the GBP did not survive the crash — only casted-out pages
-// and the log stream did. Redo is pure after-image replay in log order,
-// so it is idempotent over pages that did get cast out. Every table
-// named in the log must already be opened.
+// consults no retained locks: the group buffer pool did not survive the
+// crash, only cast-out pages and the log stream did. Redo is pure
+// after-image replay in log order, so it is idempotent over pages that
+// did get cast out. Every table named in the log must already be
+// opened.
 func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 	var rep ColdReport
 	recs, err := e.streamLogRecords(ctx, "")
@@ -861,19 +854,25 @@ func (e *Engine) RecoverCold(ctx context.Context) (ColdReport, error) {
 }
 
 // redo applies the after images of every committed transaction in recs
-// that is not ended, at its COMMIT record, in log order: a transaction
-// that overwrote another's record committed after it. It returns the
-// transactions redone and the images applied.
-func (e *Engine) redo(ctx context.Context, owner string, recs []LogRecord, ended map[string]bool) (txs, applied int, err error) {
+// at its COMMIT record, in log order: a transaction that overwrote
+// another's record committed after it. A non-nil owners map (record
+// resource to the transaction retaining it) keeps only the images
+// retained under their own transaction; other kinds (an older tree's
+// END) are skipped. It returns the transactions redone and images applied.
+func (e *Engine) redo(ctx context.Context, owner string, recs []LogRecord, owners map[string]string) (txs, applied int, err error) {
 	spilled := map[string][]Image{} // UPDATE records awaiting their COMMIT
 	for _, r := range recs {
-		switch {
-		case ended[r.Tx]: // its pages reached the group buffer pool
-		case r.Kind == recUpdate:
+		switch r.Kind {
+		case recUpdate:
 			spilled[r.Tx] = append(spilled[r.Tx], r.Images...)
-		case r.Kind == recCommit:
+		case recCommit:
 			images := append(spilled[r.Tx], r.Images...)
 			delete(spilled, r.Tx)
+			if owners != nil {
+				images = slices.DeleteFunc(images, func(im Image) bool {
+					return owners[e.recordResource(im.Table, im.Key)] != r.Tx
+				})
+			}
 			if len(images) == 0 {
 				continue
 			}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestStreamWALCarriesCommits proves commits flow through the one log
-// stream: each transaction writes a COMMIT record carrying its after
-// images, then an END, and no per-table stream exists.
+// stream: each transaction writes one COMMIT record carrying its after
+// images and nothing else, and no per-table stream exists.
 func TestStreamWALCarriesCommits(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1 := fx.engines["SYS1"]
@@ -30,17 +30,13 @@ func TestStreamWALCarriesCommits(t *testing.T) {
 		t.Fatalf("per-table stream lookup: %v, want ErrNoStream", err)
 	}
 	recs := syncRecords(t, e1)
-	if len(recs) != 10 {
-		t.Fatalf("log stream has %d records, want 5 COMMIT + 5 END", len(recs))
+	if len(recs) != 5 {
+		t.Fatalf("log stream has %d records, want 5 COMMIT", len(recs))
 	}
-	for i := 0; i < 5; i++ {
-		c, end := recs[2*i], recs[2*i+1]
+	for i, c := range recs {
 		want := Image{Table: "ACCT", Key: "alice", After: []byte{byte('0' + i)}}
 		if c.Kind != recCommit || len(c.Images) != 1 || !reflect.DeepEqual(c.Images[0], want) {
-			t.Fatalf("record %d = %+v, want a COMMIT carrying %+v", 2*i, c, want)
-		}
-		if end.Kind != recEnd || end.Tx != c.Tx || end.Images != nil {
-			t.Fatalf("record %d = %+v, want the END of %s", 2*i+1, end, c.Tx)
+			t.Fatalf("record %d = %+v, want a COMMIT carrying %+v", i, c, want)
 		}
 	}
 	// Cross-system visibility of the committed value.
@@ -73,8 +69,8 @@ func TestStreamPeerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive)
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive)
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive, "SYS1-999999")
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, "SYS1-999999")
 
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
@@ -106,8 +102,9 @@ func TestStreamPeerRecovery(t *testing.T) {
 }
 
 // TestStreamRecoveryFilters checks recovery ignores (a) in-flight and
-// fully-ENDed transactions of the failed system and (b) every record
-// written by surviving systems, which share the same merged stream.
+// fully applied (lock released) transactions of the failed system and
+// (b) every record written by surviving systems, which share the same
+// merged stream.
 func TestStreamRecoveryFilters(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
@@ -115,27 +112,28 @@ func TestStreamRecoveryFilters(t *testing.T) {
 	tx := e2.Begin(context.Background())
 	tx.Put("ACCT", "keep", []byte("mine"))
 	tx.Commit()
-	// SYS1: uncommitted (no COMMIT) and fully applied (COMMIT + END).
+	// SYS1: uncommitted (no COMMIT, its lock retained) and fully
+	// applied (COMMIT, its lock released).
 	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "ivy", After: []byte("ghost")}}})
 	e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}},
-		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
-	)
+		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}})
+	ls, _ := fx.fac.LockStructure("IRLM")
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, "SYS1-777777")
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	rep, err := e2.RecoverPeer(context.Background(), "SYS1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RedoApplied != 0 {
-		t.Fatalf("report = %+v, nothing should be redone", rep)
+	if rep.RedoApplied != 0 || rep.LocksFreed != 1 {
+		t.Fatalf("report = %+v, nothing should be redone and ivy's lock freed", rep)
 	}
 	tx2 := e2.Begin(context.Background())
 	if _, ok, _ := tx2.Get("ACCT", "ivy"); ok {
 		t.Fatal("uncommitted change redone")
 	}
 	if _, ok, _ := tx2.Get("ACCT", "judy"); ok {
-		t.Fatal("ended transaction redone")
+		t.Fatal("released transaction redone")
 	}
 	if v, ok, _ := tx2.Get("ACCT", "keep"); !ok || string(v) != "mine" {
 		t.Fatalf("survivor's record damaged: %q ok=%v", v, ok)

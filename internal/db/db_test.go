@@ -343,10 +343,11 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dying system also held exclusive locks, retained at the CF.
+	// The dying system also held exclusive locks, retained at the CF
+	// with the transaction as their owner.
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive)
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive)
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive, "SYS1-999999")
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, "SYS1-999999")
 
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
@@ -380,18 +381,232 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 	tx2.Commit()
 }
 
+// TestRecoverPeerAfterDeathMidApply: SYS1 dies with a COMMIT on the log
+// while it holds the record lock and the page latch of the apply. The
+// retained latch guards only the dead system's in-memory apply, so
+// recovery frees it before redo instead of tripping over it.
+func TestRecoverPeerAfterDeathMidApply(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
+	const id = "SYS1-999999"
+	if err := e1.appendLog(ctx, &LogRecord{Tx: id, Kind: recCommit,
+		Images: []Image{{Table: "ACCT", Key: "nina", After: []byte("applied")}}}); err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := fx.fac.LockStructure("IRLM")
+	for _, res := range []string{e1.recordResource("ACCT", "nina"), e1.pageResource("ACCT", pageOf("nina", 16))} {
+		if err := ls.SetRecord(ctx, "SYS1", res, cf.Exclusive, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.plex.PartitionNow("SYS1")
+	fx.fac.FailConnector("SYS1")
+	rep, err := e2.RecoverPeer(ctx, "SYS1")
+	if err != nil {
+		t.Fatalf("RecoverPeer: %v", err)
+	}
+	if rep.RedoApplied != 1 || rep.LocksFreed != 2 {
+		t.Fatalf("report = %+v, want 1 redone and 2 locks freed", rep)
+	}
+	tx := e2.Begin(ctx)
+	if v, ok, err := tx.Get("ACCT", "nina"); err != nil || !ok || string(v) != "applied" {
+		t.Fatalf("nina = %q ok=%v err=%v, want the redone value", v, ok, err)
+	}
+	tx.Commit()
+}
+
+// TestRecoverPeerRedoesOnlyRetainedImages: redo follows the retained
+// locks per image, not per transaction. SYS1's transaction released
+// one of its record locks before SYS1 died, and SYS2 has since updated
+// that record; another record is retained under a later transaction
+// of SYS1. Only the image whose record is still retained under its own
+// transaction is redone, so neither newer value is overwritten.
+func TestRecoverPeerRedoesOnlyRetainedImages(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
+	const id, later = "SYS1-999998", "SYS1-999999"
+	if err := e1.appendLog(ctx, &LogRecord{Tx: id, Kind: recCommit, Images: []Image{
+		{Table: "ACCT", Key: "gina", After: []byte("stale")},
+		{Table: "ACCT", Key: "hank", After: []byte("born")},
+		{Table: "ACCT", Key: "ivy", After: []byte("stale")},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	// gina's lock was released and SYS2 updated her since; ivy's record
+	// is held by a later, uncommitted transaction of SYS1.
+	tx := e2.Begin(ctx)
+	if err := tx.Put("ACCT", "gina", []byte("peer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := fx.fac.LockStructure("IRLM")
+	ls.SetRecord(ctx, "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, id)
+	ls.SetRecord(ctx, "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, later)
+	fx.plex.PartitionNow("SYS1")
+	fx.fac.FailConnector("SYS1")
+	rep, err := e2.RecoverPeer(ctx, "SYS1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RedoApplied != 1 || rep.LocksFreed != 2 {
+		t.Fatalf("report = %+v, want hank's image alone redone and 2 locks freed", rep)
+	}
+	tx = e2.Begin(ctx)
+	defer tx.Commit()
+	for key, want := range map[string]string{"gina": "peer", "hank": "born", "ivy": ""} {
+		v, ok, err := tx.Get("ACCT", key)
+		if err != nil || string(v) != want || ok != (want != "") {
+			t.Fatalf("%s = %q ok=%v err=%v, want %q", key, v, ok, err, want)
+		}
+	}
+}
+
+// TestCommitAppliesAfterLatchTimeout: once its COMMIT is forced, a
+// commit does not give up on a page latch held past the lock timeout.
+// It waits again, applies the value once and succeeds when the latch
+// is released; giving up would leave a durable COMMIT unapplied and
+// invite the caller to run the transaction a second time.
+func TestCommitAppliesAfterLatchTimeout(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1")
+	e, err := Open(ctx, Config{
+		Name: "DBP1", System: "SYS1", Farm: fx.farm, Volume: "DBVOL",
+		Facility: fx.fac, Locks: fx.locks["SYS1"], LockTimeout: 40 * time.Millisecond,
+		PoolFrames: 64, Logger: fx.loggers("SYS1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.OpenTable(ctx, "ACCT", 16); err != nil {
+		t.Fatal(err)
+	}
+	latch := e.pageResource("ACCT", pageOf("kim", 16))
+	if err := fx.locks["SYS1"].Lock(ctx, "HOG", latch, lockmgr.Exclusive, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin(ctx)
+	if err := tx.Put("ACCT", "kim", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+	select {
+	case err := <-done:
+		t.Fatalf("Commit returned %v while the latch was held", err)
+	case <-time.After(5 * e.timeout):
+	}
+	if err := fx.locks["SYS1"].Unlock(ctx, "HOG", latch); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Commit = %v, want nil once the latch is free", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Commit still waiting after the latch was released")
+	}
+	check := e.Begin(ctx)
+	if v, ok, err := check.Get("ACCT", "kim"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("kim = %q ok=%v err=%v, want 1", v, ok, err)
+	}
+	check.Commit()
+	commits := 0
+	for _, r := range syncRecords(t, e) {
+		if r.Tx == tx.ID() {
+			commits++
+		}
+	}
+	if commits != 1 || e.Stats().Commits != 2 {
+		t.Fatalf("%d log records for the transaction and %d commits, want 1 and 2", commits, e.Stats().Commits)
+	}
+}
+
+// TestCommitWaitsOutRetainedLatch: a page latch retained for a failed
+// system guards no data, and that system's recovery frees it before
+// redo. A commit that meets it after its log force waits for the
+// recovery and then applies, instead of failing with its COMMIT durable.
+func TestCommitWaitsOutRetainedLatch(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	e2 := fx.engines["SYS2"]
+	ls, _ := fx.fac.LockStructure("IRLM")
+	if err := ls.SetRecord(ctx, "SYS1", e2.pageResource("ACCT", pageOf("pete", 16)), cf.Exclusive, "SYS1-999999"); err != nil {
+		t.Fatal(err)
+	}
+	fx.plex.PartitionNow("SYS1")
+	fx.fac.FailConnector("SYS1")
+	tx := e2.Begin(ctx)
+	if err := tx.Put("ACCT", "pete", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+	select {
+	case err := <-done:
+		t.Fatalf("Commit returned %v while the latch was retained", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := e2.RecoverPeer(ctx, "SYS1"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Commit = %v, want nil once recovery freed the latch", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Commit still waiting after recovery freed the latch")
+	}
+	check := e2.Begin(ctx)
+	if v, ok, err := check.Get("ACCT", "pete"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("pete = %q ok=%v err=%v, want 1", v, ok, err)
+	}
+	check.Commit()
+}
+
+// TestRecoverColdOverCommitAndEnd: a log written before END records
+// were retired still replays. The END decodes, and the cold pass skips
+// it and redoes the COMMIT once.
+func TestRecoverColdOverCommitAndEnd(t *testing.T) {
+	ctx := context.Background()
+	fx := newDBFixture(t, "SYS1", "SYS2")
+	if err := fx.engines["SYS1"].appendLog(ctx,
+		&LogRecord{Tx: "SYS1-000001", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "olga", After: []byte("v")}}},
+		&LogRecord{Tx: "SYS1-000001", Kind: recEnd},
+	); err != nil {
+		t.Fatal(err)
+	}
+	e := fx.engines["SYS2"]
+	rep, err := e.RecoverCold(ctx)
+	if err != nil || rep.Transactions != 1 || rep.RedoApplied != 1 {
+		t.Fatalf("report = %+v err=%v, want 1 transaction / 1 redo", rep, err)
+	}
+	tx := e.Begin(ctx)
+	if v, ok, err := tx.Get("ACCT", "olga"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("olga = %q ok=%v err=%v", v, ok, err)
+	}
+	tx.Commit()
+}
+
 // TestRecoverySkipsUncommittedAndEnded: peer redo applies a
-// transaction's images only at its COMMIT and never after its END.
+// transaction's images only at its COMMIT, and never once the
+// transaction ended by releasing its locks.
 func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e1, e2 := fx.engines["SYS1"], fx.engines["SYS2"]
-	// In flight: an image spilled into an UPDATE record, no COMMIT.
+	// In flight: an image spilled into an UPDATE record, no COMMIT; its
+	// record lock is retained.
 	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "ivy", After: []byte("ghost")}}})
-	// Fully applied: COMMIT carrying its image, then END.
+	ls, _ := fx.fac.LockStructure("IRLM")
+	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, "SYS1-777777")
+	// Fully applied: a COMMIT carrying its image, its lock released.
 	e1.appendLog(context.Background(),
-		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}},
-		&LogRecord{Tx: "SYS1-888888", Kind: recEnd},
-	)
+		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}})
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	rep, err := e2.RecoverPeer(context.Background(), "SYS1")
@@ -412,8 +627,9 @@ func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 }
 
 // TestRecoverPeerRedoesLaterIncarnation: a system that restarted and
-// then failed between COMMIT and END is redone, although its first
-// incarnation logged an END for a transaction of the same number.
+// then failed between COMMIT and apply is redone: its retained lock
+// names the second incarnation's transaction, whose ID no transaction
+// of the first incarnation repeats.
 func TestRecoverPeerRedoesLaterIncarnation(t *testing.T) {
 	ctx := context.Background()
 	fx := newDBFixture(t, "SYS1", "SYS2")
@@ -439,9 +655,13 @@ func TestRecoverPeerRedoesLaterIncarnation(t *testing.T) {
 	if second.ID() == first.ID() {
 		t.Errorf("both incarnations named a transaction %s", first.ID())
 	}
-	// It commits and fails before applying: COMMIT logged, no END.
+	// It commits and fails before applying: COMMIT logged, lock held.
 	if err := again.appendLog(ctx, &LogRecord{Tx: second.ID(), Kind: recCommit,
 		Images: []Image{{Table: "ACCT", Key: "mona", After: []byte("2")}}}); err != nil {
+		t.Fatal(err)
+	}
+	ls, _ := fx.fac.LockStructure("IRLM")
+	if err := ls.SetRecord(ctx, "SYS1", again.recordResource("ACCT", "mona"), cf.Exclusive, second.ID()); err != nil {
 		t.Fatal(err)
 	}
 	fx.plex.PartitionNow("SYS1")
@@ -556,14 +776,14 @@ func TestLogSurvivesEngineRestart(t *testing.T) {
 	}
 	tx2.Commit()
 	// The new instance's records must follow the old ones on the
-	// streams, not replace them: COMMIT+END of each transaction, in
+	// streams, not replace them: the COMMIT of each transaction, in
 	// order.
 	var txs []string
-	kinds := map[byte]string{recCommit: "commit", recEnd: "end"}
+	kinds := map[byte]string{recCommit: "commit"}
 	for _, r := range syncRecords(t, e2) {
 		txs = append(txs, r.Tx+"/"+kinds[r.Kind])
 	}
-	want := []string{tx.ID() + "/commit", tx.ID() + "/end", tx2.ID() + "/commit", tx2.ID() + "/end"}
+	want := []string{tx.ID() + "/commit", tx2.ID() + "/commit"}
 	if fmt.Sprint(txs) != fmt.Sprint(want) {
 		t.Fatalf("sync stream after restart = %v, want %v", txs, want)
 	}

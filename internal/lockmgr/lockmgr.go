@@ -9,10 +9,10 @@
 //     those systems over XCF signalling — false contention (distinct
 //     resources hashing to one entry) is detected there and resolved
 //     with a software-managed grant;
-//   - exclusive locks are recorded as persistent lock records so a peer
-//     can recover ("retain") the locks of a failed system: until
-//     recovery completes, requests conflicting with a retained lock are
-//     refused;
+//   - exclusive locks are recorded as persistent lock records, each
+//     naming its owner, so a peer can recover ("retain") the locks of a
+//     failed system and tell whose changes they protect: until recovery
+//     completes, requests conflicting with a retained lock are refused;
 //   - cross-system deadlocks are found by a waits-for-graph detector.
 //
 // The manager holds its lock structure for life. A move to another
@@ -247,7 +247,9 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 		return tryResult{}, err
 	}
 	if res.Granted {
-		m.grantLocal(ctx, resourceName, owner, mode, entry)
+		if err := m.grantLocal(ctx, resourceName, owner, mode); err != nil {
+			return tryResult{}, err
+		}
 		if hadShare {
 			// Upgrade: drop the superseded share interest on the entry.
 			// The exclusive interest already covers us if this fails.
@@ -270,7 +272,9 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 		if err := ls.ForceObtain(ctx, entry, m.sysName, mode); err != nil {
 			return tryResult{}, err
 		}
-		m.grantLocal(ctx, resourceName, owner, mode, entry)
+		if err := m.grantLocal(ctx, resourceName, owner, mode); err != nil {
+			return tryResult{}, err
+		}
 		if hadShare {
 			// As above: superseded by the exclusive interest.
 			_ = ls.Release(ctx, entry, m.sysName, cf.Share)
@@ -289,6 +293,13 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 
 // Unlock releases owner's hold on the resource.
 func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error {
+	return m.unlock(ctx, owner, resourceName, 0)
+}
+
+// unlock drops owner's hold on the resource back to restore (0 releases
+// it), gives up the CF interest and record of the mode dropped, and
+// wakes the waiters to retry.
+func (m *Manager) unlock(ctx context.Context, owner, resourceName string, restore cf.LockMode) error {
 	m.mu.Lock()
 	r := m.resources[resourceName]
 	if r == nil {
@@ -300,7 +311,11 @@ func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error 
 		m.mu.Unlock()
 		return nil
 	}
-	delete(r.holders, owner)
+	if restore != 0 {
+		r.holders[owner] = restore
+	} else {
+		delete(r.holders, owner)
+	}
 	var toWake []*waiter
 	for _, w := range r.waiters {
 		toWake = append(toWake, w)
@@ -322,8 +337,10 @@ func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error 
 		return err
 	}
 	if mode == cf.Exclusive {
-		// A stale record is harmless: recovery re-grants and overwrites.
-		_ = ls.DeleteRecord(ctx, m.sysName, resourceName)
+		// A delete only a CF failure can fail (a duplexed front hides
+		// one): the record left names an owner whose changes are
+		// applied, and a peer recovering this system would redo them.
+		_ = ls.DeleteRecord(ctx, m.sysName, resourceName, owner)
 	}
 	// Wake local waiters to retry.
 	for _, w := range toWake {
@@ -394,10 +411,11 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 	for _, rl := range rels {
 		cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockRelease, Idx: ls.HashResource(rl.name), Conn: m.sysName, Mode: rl.mode})
 		if rl.mode == cf.Exclusive {
-			// A stale record is harmless: recovery re-grants and
-			// overwrites — its per-sub error is discarded below, same
-			// as Unlock discards DeleteRecord's.
-			cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockDelRecord, Conn: m.sysName, Name: rl.name})
+			// Its per-sub error is discarded below, as Unlock discards
+			// DeleteRecord's. The owner condition keeps a delete that
+			// lands after the next local owner's record from removing
+			// that record.
+			cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockDelRecord, Conn: m.sysName, Name: rl.name, Key: owner})
 		}
 	}
 	var firstErr error
@@ -446,17 +464,25 @@ func (m *Manager) HeldMode(owner, resourceName string) cf.LockMode {
 	return 0
 }
 
-// grantLocal records a granted lock and its persistent record.
-func (m *Manager) grantLocal(ctx context.Context, resourceName, owner string, mode cf.LockMode, entry int) {
+// grantLocal records a granted lock and, for an exclusive one, its
+// persistent record naming the owner, which peers recover if this
+// system fails (§3.3.1). The record decides a peer's redo, so a grant
+// without one fails closed: the write's error undoes the local hold and
+// the CF interest and is returned.
+func (m *Manager) grantLocal(ctx context.Context, resourceName, owner string, mode cf.LockMode) error {
 	m.mu.Lock()
 	r := m.resourceLocked(resourceName)
+	prev := r.holders[owner]
 	r.holders[owner] = mode
 	m.mu.Unlock()
-	if mode == cf.Exclusive {
-		// Persistent record: peers recover this if we fail (§3.3.1). If
-		// the CF is down the grant stands, just without crash coverage.
-		_ = m.ls.SetRecord(ctx, m.sysName, resourceName, mode)
+	if mode != cf.Exclusive {
+		return nil
 	}
+	err := m.ls.SetRecord(ctx, m.sysName, resourceName, mode, owner)
+	if err != nil {
+		_ = m.unlock(ctx, owner, resourceName, prev)
+	}
+	return err
 }
 
 func (m *Manager) resourceLocked(name string) *resource {
@@ -546,7 +572,7 @@ func (m *Manager) retainedConflict(ctx context.Context, resourceName string, mod
 }
 
 // RetainedResources lists resources protected on behalf of a failed
-// system (recovery reads this to drive redo/undo).
+// system, each with its owner (recovery reads this to drive redo).
 func (m *Manager) RetainedResources(ctx context.Context, failedSys string) ([]cf.LockRecord, error) {
 	return m.ls.Records(ctx, failedSys)
 }
@@ -554,7 +580,7 @@ func (m *Manager) RetainedResources(ctx context.Context, failedSys string) ([]cf
 // ReleaseRetained deletes the retained record for one resource of a
 // failed system once its recovery is complete.
 func (m *Manager) ReleaseRetained(ctx context.Context, failedSys, resourceName string) error {
-	return m.ls.DeleteRecord(ctx, failedSys, resourceName)
+	return m.ls.DeleteRecord(ctx, failedSys, resourceName, "")
 }
 
 func (m *Manager) bump(fn func(*Stats)) {

@@ -499,9 +499,9 @@ func TestRebuildPreservesInterestAndRecords(t *testing.T) {
 	if err := m2.Lock(context.Background(), "TX2", "B", Share, tmo); err != nil {
 		t.Fatal(err)
 	}
-	// The persistent record is on the new primary.
+	// The persistent record, with its owner, is on the new primary.
 	recs, err := cf.LockOn(cfres.Primary().Structure("IRLM")).Records(context.Background(), "SYS1")
-	if err != nil || len(recs) != 1 || recs[0].Resource != "A" {
+	if err != nil || len(recs) != 1 || recs[0].Resource != "A" || recs[0].Owner != "TX1" {
 		t.Fatalf("records = %v err=%v", recs, err)
 	}
 	// Unlock flows work against the new structure.
@@ -534,5 +534,93 @@ func TestRebuildKeepsRetainedRecords(t *testing.T) {
 	}
 	if err := m2.Lock(context.Background(), "TX2", "HELD", Exclusive, tmo); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildKeepsRetainedOwners: a retained record still names the
+// transaction that held the lock after rebuilds move the structure,
+// since that owner decides what the failed system's peer redoes. The
+// first rebuild lands on the mirrored secondary; the second on the copy
+// re-duplexing cloned from it.
+func TestRebuildKeepsRetainedOwners(t *testing.T) {
+	h, cfres := newRebuildHarness(t, "SYS1", "SYS2")
+	m1, m2 := h.mgrs["SYS1"], h.mgrs["SYS2"]
+	for _, lk := range []struct{ owner, res string }{{"TX1", "A"}, {"TX2", "B"}} {
+		if err := m1.Lock(context.Background(), lk.owner, lk.res, Exclusive, tmo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.plex.PartitionNow("SYS1")
+	cfres.Front().FailConnector("SYS1")
+	rebuild(t, cfres)
+	rebuild(t, cfres)
+	recs, err := m2.RetainedResources(context.Background(), "SYS1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, rec := range recs {
+		got[rec.Resource] = rec.Owner
+	}
+	if len(got) != 2 || got["A"] != "TX1" || got["B"] != "TX2" {
+		t.Fatalf("retained after rebuild = %+v, want A by TX1 and B by TX2", recs)
+	}
+}
+
+// failingRecords is a lock structure whose record writes fail.
+type failingRecords struct {
+	cf.Lock
+	err error
+}
+
+func (f failingRecords) SetRecord(context.Context, string, string, cf.LockMode, string) error {
+	return f.err
+}
+
+// TestFailedRecordWriteUndoesGrant: an exclusive grant whose persistent
+// record cannot be written fails closed. The record decides a peer's
+// redo, so the lock is not held without one: the request returns the
+// write's error with the local hold and the CF interest undone, and an
+// upgrade falls back to the share hold it had.
+func TestFailedRecordWriteUndoesGrant(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, "SYS2")
+	sys1, err := h.plex.Join("SYS1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("record write refused")
+	m1, err := New(ctx, sys1, failingRecords{h.ls, injected}, vclock.Real())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Lock(ctx, "TX1", "A", Exclusive, tmo); !errors.Is(err, injected) {
+		t.Fatalf("exclusive Lock = %v, want the record write's error", err)
+	}
+	if mode := m1.HeldMode("TX1", "A"); mode != 0 {
+		t.Fatalf("TX1 still holds A in %v after the failed record write", mode)
+	}
+	if share, excl, err := h.ls.Interest(h.ls.HashResource("A"), "SYS1"); err != nil || share+excl != 0 {
+		t.Fatalf("SYS1 interest on A = %d share, %d exclusive (%v), want none", share, excl, err)
+	}
+	if err := h.mgrs["SYS2"].Lock(ctx, "TX2", "A", Exclusive, 200*time.Millisecond); err != nil {
+		t.Fatalf("SYS2 exclusive Lock after the undone grant: %v", err)
+	}
+
+	// An upgrade: the share hold stays, the exclusive one is undone.
+	if err := m1.Lock(ctx, "TX3", "B", Share, tmo); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Lock(ctx, "TX3", "B", Exclusive, tmo); !errors.Is(err, injected) {
+		t.Fatalf("upgrade = %v, want the record write's error", err)
+	}
+	if mode := m1.HeldMode("TX3", "B"); mode != Share {
+		t.Fatalf("TX3 holds B in %v after the failed upgrade, want share", mode)
+	}
+	if share, excl, err := h.ls.Interest(h.ls.HashResource("B"), "SYS1"); err != nil || share != 1 || excl != 0 {
+		t.Fatalf("SYS1 interest on B = %d share, %d exclusive (%v), want 1 share", share, excl, err)
+	}
+	if err := h.mgrs["SYS2"].Lock(ctx, "TX4", "B", Share, 200*time.Millisecond); err != nil {
+		t.Fatalf("SYS2 share Lock beside the share hold: %v", err)
 	}
 }
