@@ -9,10 +9,10 @@ import (
 )
 
 func drops(l cf.Lock, ls cf.List) {
-	l.Connect(context.Background(), "SYS1")                                // want `statement drops the error from cf.Connect`
-	l.Release(context.Background(), 0, "SYS1", cf.Exclusive)               // want `statement drops the error from cf.Release`
-	go l.SetRecord(context.Background(), "SYS1", "RES.1", cf.Share, "TX1") // want `go statement drops the error from cf.SetRecord`
-	defer ls.ReleaseLock(context.Background(), 0, "SYS1")                  // want `defer statement drops the error from cf.ReleaseLock`
+	l.Connect(context.Background(), "SYS1")                         // want `statement drops the error from cf.Connect`
+	l.Release(context.Background(), 0, "SYS1", cf.Exclusive)        // want `statement drops the error from cf.Release`
+	go l.DeleteRecord(context.Background(), "SYS1", "RES.1", "TX1") // want `go statement drops the error from cf.DeleteRecord`
+	defer ls.ReleaseLock(context.Background(), 0, "SYS1")           // want `defer statement drops the error from cf.ReleaseLock`
 }
 
 func handled(l cf.Lock, ls cf.List) error {

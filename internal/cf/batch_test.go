@@ -23,7 +23,7 @@ func TestBatchMirrorsToBothReplicas(t *testing.T) {
 		}
 	}
 	errs, err := ls.Batch(context.Background(), []Cmd{
-		{Kind: CmdLockSetRecord, Conn: "SYS1", Name: "ACCT/k1", Mode: Exclusive},
+		{Kind: CmdLockObtain, Idx: ls.HashResource("ACCT/k1"), Conn: "SYS1", Name: "ACCT/k1", Key: "TX1", Mode: Exclusive},
 		{Kind: CmdLockRelease, Idx: 3, Conn: "SYS1", Mode: Exclusive},
 		{Kind: CmdLockRelease, Idx: 9, Conn: "SYS1", Mode: Exclusive},
 	})

@@ -65,14 +65,21 @@ type Lock interface {
 	Entries() int
 	Connect(ctx context.Context, conn string) error
 	HashResource(resource string) int
+	// Obtain, ForceObtain and Release act on entry idx and name no
+	// resource. Their *Resource forms are the same commands on the
+	// resource's entry, carrying the resource and its owner: obtain and
+	// force refuse a conflict with a failed connector's retained record
+	// and write the owner's record on an exclusive grant; an exclusive
+	// release deletes that record.
 	Obtain(ctx context.Context, idx int, conn string, mode LockMode) (ObtainResult, error)
+	ObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error)
 	ForceObtain(ctx context.Context, idx int, conn string, mode LockMode) error
+	ForceObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error)
 	Release(ctx context.Context, idx int, conn string, mode LockMode) error
+	ReleaseResource(ctx context.Context, conn, resource, owner string, mode LockMode) error
 	Interest(idx int, conn string) (share, excl int, err error)
-	SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error
 	DeleteRecord(ctx context.Context, conn, resource, owner string) error
 	Records(ctx context.Context, conn string) ([]LockRecord, error)
-	RetainedConnectors() ([]string, error)
 	// Batch executes an envelope of lock-model commands in one pipeline
 	// traversal (one link crossing on a transport handle). The reply's
 	// Errs holds one outcome per subcommand and its Sub their replies;

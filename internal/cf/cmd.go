@@ -32,11 +32,9 @@ const (
 	CmdLockObtain
 	CmdLockForce
 	CmdLockRelease
-	CmdLockSetRecord
 	CmdLockDelRecord
 	CmdLockRecords
 	CmdLockInterest
-	CmdLockRetainedConns
 
 	CmdCacheConnect
 	CmdCacheRead
@@ -86,8 +84,8 @@ type Cmd struct {
 	Cache   bool   // cache write: retain the data in the structure
 	Changed bool   // cache write: mark the block changed (castout pending)
 	Conn    string // issuing connector
-	Name    string // lock-record resource / cache block name / list entry ID
-	Key     string // list entry key (write) / adjunct area (setadjunct) / lock record owner
+	Name    string // lock resource / cache block name / list entry ID
+	Key     string // list entry key (write) / adjunct area (setadjunct) / lock owner
 	Idx     int    // lock table entry / list header / serialized-list lock entry
 
 	VecIdx  int      // connector's local vector index (cache read/write, list monitor)
@@ -108,7 +106,7 @@ type Reply struct {
 	Flag    bool         // obtain: granted / cache read: hit
 	N, M    int          // interest (share, exclusive) / list lengths
 	Version uint64       // cache block version
-	Text    string       // serialized-list lock holder
+	Text    string       // serialized-list lock holder / retained-lock holder
 	Data    []byte       // cache block data
 	Names   []string     // obtain holders / connector and block lists
 	Records []LockRecord // lock records
@@ -195,27 +193,30 @@ var cmdTable = [kindCount]cmdSpec{
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
 			return noReply(s.(*LockStructure).Connect(ctx, c.Conn))
 		}},
+	// The lock table commands name the entry (FIdx) and may name the
+	// resource on it (FName, with its owner in FKey): the retained
+	// screen, the owner's record and the record delete then ride in the
+	// same command. Every command on a resource's record is keyed on the
+	// resource's entry, so a pair applies them in one order.
 	CmdLockObtain: {name: "lock.obtain", model: LockModel, order: OpKeyed, key: FIdx,
-		in: FIdx | FConn | FMode, out: RFlag | RNames,
+		in: FIdx | FConn | FName | FKey | FMode, out: RFlag | RNames | RText,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			r, err := s.(*LockStructure).Obtain(ctx, c.Idx, c.Conn, c.Mode)
-			return Reply{Flag: r.Granted, Names: r.Holders}, err
+			r, err := s.(*LockStructure).obtain(ctx, &c, false)
+			return Reply{Flag: r.Granted, Names: r.Holders, Text: r.Retained}, err
 		}},
-	CmdLockForce: {name: "lock.force", model: LockModel, order: OpKeyed, key: FIdx, in: FIdx | FConn | FMode,
+	CmdLockForce: {name: "lock.force", model: LockModel, order: OpKeyed, key: FIdx,
+		in: FIdx | FConn | FName | FKey | FMode, out: RFlag | RText,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).ForceObtain(ctx, c.Idx, c.Conn, c.Mode))
+			r, err := s.(*LockStructure).obtain(ctx, &c, true)
+			return Reply{Flag: r.Granted, Text: r.Retained}, err
 		}},
-	CmdLockRelease: {name: "lock.release", model: LockModel, order: OpKeyed, key: FIdx, in: FIdx | FConn | FMode,
+	CmdLockRelease: {name: "lock.release", model: LockModel, order: OpKeyed, key: FIdx, in: FIdx | FConn | FName | FKey | FMode,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).Release(ctx, c.Idx, c.Conn, c.Mode))
+			return noReply(s.(*LockStructure).release(ctx, &c))
 		}},
-	CmdLockSetRecord: {name: "lock.setrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName | FKey | FMode,
+	CmdLockDelRecord: {name: "lock.delrecord", model: LockModel, order: OpKeyed, key: FIdx, in: FIdx | FConn | FName | FKey,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).SetRecord(ctx, c.Conn, c.Name, c.Mode, c.Key))
-		}},
-	CmdLockDelRecord: {name: "lock.delrecord", model: LockModel, order: OpKeyed, key: FConn, in: FConn | FName | FKey,
-		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
-			return noReply(s.(*LockStructure).DeleteRecord(ctx, c.Conn, c.Name, c.Key))
+			return noReply(s.(*LockStructure).deleteRecord(ctx, &c))
 		}},
 	CmdLockRecords: {name: "lock.records", model: LockModel, order: OpRead, in: FConn, out: RRecords,
 		apply: func(ctx context.Context, s structure, c Cmd) (Reply, error) {
@@ -226,11 +227,6 @@ var cmdTable = [kindCount]cmdSpec{
 		apply: func(_ context.Context, s structure, c Cmd) (Reply, error) {
 			share, excl, err := s.(*LockStructure).Interest(c.Idx, c.Conn)
 			return Reply{N: share, M: excl}, err
-		}},
-	CmdLockRetainedConns: {name: "lock.retainedconns", model: LockModel, diag: true, out: RNames,
-		apply: func(_ context.Context, s structure, _ Cmd) (Reply, error) {
-			names, err := s.(*LockStructure).RetainedConnectors()
-			return Reply{Names: names}, err
 		}},
 
 	CmdCacheConnect: {name: "cache.connect", model: CacheModel, order: OpGlobal, in: FConn | FVector,

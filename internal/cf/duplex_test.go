@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newPair(t *testing.T) (*Duplexed, *Facility, *Facility) {
@@ -28,8 +30,8 @@ func TestDuplexedMirrorsLockCommands(t *testing.T) {
 	if err != nil || !res.Granted {
 		t.Fatalf("Obtain = %+v, %v", res, err)
 	}
-	if err := ls.SetRecord(context.Background(), "SYS1", "ACCT/k1", Exclusive, "TX1"); err != nil {
-		t.Fatal(err)
+	if res, err := ls.ObtainResource(context.Background(), "SYS1", "ACCT/k1", "TX1", Exclusive); err != nil || !res.Granted {
+		t.Fatalf("ObtainResource = %+v, %v", res, err)
 	}
 	// Both replicas must hold identical interest and records.
 	for _, f := range []*Facility{pri, sec} {
@@ -38,9 +40,80 @@ func TestDuplexedMirrorsLockCommands(t *testing.T) {
 		if err != nil || excl != 1 {
 			t.Fatalf("%s: excl interest = %d, %v", f.Name(), excl, err)
 		}
+		_, excl, err = raw.Interest(ls.HashResource("ACCT/k1"), "SYS1")
+		if err != nil || excl == 0 {
+			t.Fatalf("%s: ACCT/k1 excl interest = %d, %v", f.Name(), excl, err)
+		}
 		recs, err := raw.Records(context.Background(), "SYS1")
 		if err != nil || len(recs) != 1 || recs[0].Resource != "ACCT/k1" || recs[0].Owner != "TX1" {
 			t.Fatalf("%s: records = %+v, %v", f.Name(), recs, err)
+		}
+	}
+}
+
+// TestRetainedRecordDeleteOrderedWithObtain: a recovering peer's delete
+// of a failed system's record and another system's obtain of the same
+// resource, racing through a duplexed pair, apply in one order on both
+// replicas, because both are keyed on the resource's entry. Ordered on
+// different stripes they could interleave — the primary granting after
+// the delete, the secondary refusing before it — and a refusal is a
+// reply, not an error, so the pair would not notice: the replicas would
+// disagree on interest and records. Each replica's service time widens
+// the window.
+func TestRetainedRecordDeleteOrderedWithObtain(t *testing.T) {
+	d, pri, sec := newPair(t)
+	for _, f := range []*Facility{pri, sec} {
+		f.SetSyncLatency(10 * time.Microsecond)
+	}
+	ctx := context.Background()
+	ls, err := d.AllocateLockStructure("IRLM", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"SYS1", "SYS2"} {
+		if err := ls.Connect(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 64
+	res := func(i int) string { return fmt.Sprintf("R.DB.ACCT.%d", i) }
+	for i := 0; i < n; i++ {
+		if r, err := ls.ObtainResource(ctx, "SYS1", res(i), "TX1", Exclusive); err != nil || !r.Granted {
+			t.Fatalf("ObtainResource(%s) = %+v, %v", res(i), r, err)
+		}
+	}
+	d.FailConnector("SYS1")
+	for i := 0; i < n; i++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := ls.DeleteRecord(ctx, "SYS1", res(i), ""); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := ls.ObtainResource(ctx, "SYS2", res(i), "TX2", Exclusive); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+	}
+	p := pri.structureByName("IRLM").(*LockStructure)
+	s := sec.structureByName("IRLM").(*LockStructure)
+	for idx := 0; idx < p.Entries(); idx++ {
+		ps, px, _ := p.Interest(idx, "SYS2")
+		ss, sx, _ := s.Interest(idx, "SYS2")
+		if ps != ss || px != sx {
+			t.Errorf("entry %d: SYS2 interest %d/%d on the primary, %d/%d on the secondary", idx, ps, px, ss, sx)
+		}
+	}
+	for _, c := range []string{"SYS1", "SYS2"} {
+		pr, _ := p.Records(ctx, c)
+		sr, _ := s.Records(ctx, c)
+		if !reflect.DeepEqual(pr, sr) {
+			t.Errorf("%s: %d records on the primary, %d on the secondary", c, len(pr), len(sr))
 		}
 	}
 }

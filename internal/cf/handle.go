@@ -6,10 +6,7 @@
 // the transport handle); an in-process structure is its own front.
 package cf
 
-import (
-	"context"
-	"hash/fnv"
-)
+import "context"
 
 // Executor is anything a command descriptor can be issued to: one
 // replica of a structure, or a duplexed pair of them.
@@ -84,9 +81,12 @@ func hashResource(resource string, entries int) int {
 	if entries <= 0 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(resource))
-	return int(h.Sum64() % uint64(entries))
+	h := uint64(14695981039346656037) // FNV-1a, 64-bit
+	for i := 0; i < len(resource); i++ {
+		h ^= uint64(resource[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(entries))
 }
 
 // lockHandle is the Lock front.
@@ -104,12 +104,26 @@ func (l *lockHandle) Obtain(ctx context.Context, idx int, conn string, mode Lock
 	return ObtainResult{Granted: r.Flag, Holders: r.Names}, err
 }
 
+func (l *lockHandle) ObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error) {
+	r, err := l.x.Exec(ctx, Cmd{Kind: CmdLockObtain, Idx: l.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode})
+	return ObtainResult{Granted: r.Flag, Holders: r.Names, Retained: r.Text}, err
+}
+
 func (l *lockHandle) ForceObtain(ctx context.Context, idx int, conn string, mode LockMode) error {
 	return l.do(ctx, Cmd{Kind: CmdLockForce, Idx: idx, Conn: conn, Mode: mode})
 }
 
+func (l *lockHandle) ForceObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error) {
+	r, err := l.x.Exec(ctx, Cmd{Kind: CmdLockForce, Idx: l.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode})
+	return ObtainResult{Granted: r.Flag, Retained: r.Text}, err
+}
+
 func (l *lockHandle) Release(ctx context.Context, idx int, conn string, mode LockMode) error {
 	return l.do(ctx, Cmd{Kind: CmdLockRelease, Idx: idx, Conn: conn, Mode: mode})
+}
+
+func (l *lockHandle) ReleaseResource(ctx context.Context, conn, resource, owner string, mode LockMode) error {
+	return l.do(ctx, Cmd{Kind: CmdLockRelease, Idx: l.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode})
 }
 
 func (l *lockHandle) Interest(idx int, conn string) (share, excl int, err error) {
@@ -117,22 +131,13 @@ func (l *lockHandle) Interest(idx int, conn string) (share, excl int, err error)
 	return r.N, r.M, err
 }
 
-func (l *lockHandle) SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error {
-	return l.do(ctx, Cmd{Kind: CmdLockSetRecord, Conn: conn, Name: resource, Mode: mode, Key: owner})
-}
-
 func (l *lockHandle) DeleteRecord(ctx context.Context, conn, resource, owner string) error {
-	return l.do(ctx, Cmd{Kind: CmdLockDelRecord, Conn: conn, Name: resource, Key: owner})
+	return l.do(ctx, Cmd{Kind: CmdLockDelRecord, Idx: l.HashResource(resource), Conn: conn, Name: resource, Key: owner})
 }
 
 func (l *lockHandle) Records(ctx context.Context, conn string) ([]LockRecord, error) {
 	r, err := l.x.Exec(ctx, Cmd{Kind: CmdLockRecords, Conn: conn})
 	return r.Records, err
-}
-
-func (l *lockHandle) RetainedConnectors() ([]string, error) {
-	r, err := l.detached(Cmd{Kind: CmdLockRetainedConns})
-	return r.Names, err
 }
 
 // cacheHandle is the Cache front.

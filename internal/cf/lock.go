@@ -2,7 +2,6 @@ package cf
 
 import (
 	"context"
-
 	"fmt"
 	"sort"
 	"sync"
@@ -38,6 +37,9 @@ type ObtainResult struct {
 	// when Granted is false, enabling *selective* cross-system lock
 	// negotiation rather than broadcast.
 	Holders []string
+	// Retained names the failed connector whose retained record refused
+	// a request naming a resource; nothing was granted.
+	Retained string
 }
 
 // LockRecord is persistent lock information recorded in the structure
@@ -61,7 +63,9 @@ type LockRecord struct {
 // the entry's own mutex; structure-wide operations (connect,
 // disconnect, connector failure, clone) take mu.Lock, which excludes
 // every entry mutator, and may then touch any entry or the record maps
-// directly. Record commands take mu.RLock plus recMu.
+// directly. A command naming a resource also takes recMu inside its
+// entry's mutex, so screen, grant and record are one effect; the record
+// commands take mu.RLock plus recMu.
 type LockStructure struct {
 	facility *Facility
 	name     string
@@ -70,7 +74,6 @@ type LockStructure struct {
 	mObtain  cmdMetrics
 	mForce   cmdMetrics
 	mRel     cmdMetrics
-	mSetRec  cmdMetrics
 	mDelRec  cmdMetrics
 	mRecords cmdMetrics
 
@@ -96,9 +99,10 @@ type lockEntry struct {
 	forcedExcl map[string]int // software-managed exclusive interest per connector
 }
 
-// exclInterestLocked reports whether any connector other than conn has
-// exclusive interest (fast-path owner or software-managed).
-func (e *lockEntry) otherExclLocked(conn string) []string {
+// conflictsLocked lists, sorted, the connectors other than conn whose
+// interest is incompatible with mode: exclusive interest (fast-path
+// owner or software-managed), and for an exclusive request share too.
+func (e *lockEntry) conflictsLocked(conn string, mode LockMode) []string {
 	var holders []string
 	if e.exclOwner != "" && e.exclOwner != conn {
 		holders = append(holders, e.exclOwner)
@@ -108,7 +112,15 @@ func (e *lockEntry) otherExclLocked(conn string) []string {
 			holders = append(holders, c)
 		}
 	}
-	return holders
+	if mode == Exclusive {
+		for c, n := range e.shared {
+			if c != conn && n > 0 {
+				holders = append(holders, c)
+			}
+		}
+	}
+	sort.Strings(holders)
+	return dedup(holders)
 }
 
 // AllocateLockStructure allocates a lock structure with n lock table
@@ -137,7 +149,6 @@ func (s *LockStructure) resolveMetrics(f *Facility) {
 	s.mObtain = f.cmdMetrics("lock.obtain")
 	s.mForce = f.cmdMetrics("lock.force")
 	s.mRel = f.cmdMetrics("lock.release")
-	s.mSetRec = f.cmdMetrics("lock.setrecord")
 	s.mDelRec = f.cmdMetrics("lock.delrecord")
 	s.mRecords = f.cmdMetrics("lock.records")
 }
@@ -269,59 +280,22 @@ func (s *LockStructure) HashResource(resource string) int {
 // Obtain records interest of the given mode on lock table entry idx for
 // conn. In the compatible case the request is granted synchronously;
 // otherwise the connectors holding incompatible interest are returned
-// for selective negotiation.
+// for selective negotiation. It names no resource: no retained screen,
+// no record (ObtainResource is the same command with both).
 func (s *LockStructure) Obtain(ctx context.Context, idx int, conn string, mode LockMode) (ObtainResult, error) {
-	start, err := s.facility.begin(ctx)
-	if err != nil {
-		return ObtainResult{}, err
-	}
-	defer s.facility.charge(s.mObtain, start)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.checkRLocked(idx, conn); err != nil {
-		return ObtainResult{}, err
-	}
-	e := &s.entries[idx]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch mode {
-	case Share:
-		holders := e.otherExclLocked(conn)
-		if len(holders) == 0 {
-			if e.shared == nil {
-				e.shared = make(map[string]int)
-			}
-			e.shared[conn]++
-			return ObtainResult{Granted: true}, nil
-		}
-		sort.Strings(holders)
-		return ObtainResult{Holders: dedup(holders)}, nil
-	case Exclusive:
-		holders := e.otherExclLocked(conn)
-		for c, n := range e.shared {
-			if c != conn && n > 0 {
-				holders = append(holders, c)
-			}
-		}
-		if len(holders) == 0 {
-			if e.exclOwner == "" {
-				e.exclOwner = conn
-			}
-			if e.exclOwner == conn {
-				e.exclCount++
-			} else {
-				if e.forcedExcl == nil {
-					e.forcedExcl = make(map[string]int)
-				}
-				e.forcedExcl[conn]++
-			}
-			return ObtainResult{Granted: true}, nil
-		}
-		sort.Strings(holders)
-		return ObtainResult{Holders: dedup(holders)}, nil
-	default:
-		return ObtainResult{}, fmt.Errorf("%w: mode %v", ErrBadArgument, mode)
-	}
+	return s.obtain(ctx, &Cmd{Idx: idx, Conn: conn, Mode: mode}, false)
+}
+
+// ObtainResource is lock.obtain on resource's entry, naming the
+// resource and its owner (a unit of work). In one critical section it
+// refuses a request that conflicts with a failed connector's retained
+// record of the resource (the result names that connector), else makes
+// Obtain's grant decision, and on an exclusive grant writes the
+// persistent record naming the owner (§3.3.1: persistent lock
+// information "to enable fast lock recovery in the event of an MVS
+// system failure while holding lock resources").
+func (s *LockStructure) ObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error) {
+	return s.obtain(ctx, &Cmd{Idx: s.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode}, false)
 }
 
 // ForceObtain records interest regardless of entry compatibility. It is
@@ -330,45 +304,108 @@ func (s *LockStructure) Obtain(ctx context.Context, idx int, conn string, mode L
 // granted compatibility at the resource level; from then on the entry
 // is software-managed, exactly the exception path §3.3.1 describes.
 func (s *LockStructure) ForceObtain(ctx context.Context, idx int, conn string, mode LockMode) error {
+	_, err := s.obtain(ctx, &Cmd{Idx: idx, Conn: conn, Mode: mode}, true)
+	return err
+}
+
+// ForceObtainResource is lock.force naming the resource and owner: the
+// retained screen and the record write of ObtainResource around
+// ForceObtain's unconditional grant.
+func (s *LockStructure) ForceObtainResource(ctx context.Context, conn, resource, owner string, mode LockMode) (ObtainResult, error) {
+	return s.obtain(ctx, &Cmd{Idx: s.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode}, true)
+}
+
+// obtain is lock.obtain (force false) and lock.force (force true). A
+// command naming a resource (c.Name, owner c.Key) is screened against
+// retained records and, granted exclusive, records its owner, all under
+// the entry's mutex, so screen, grant and record are one effect.
+func (s *LockStructure) obtain(ctx context.Context, c *Cmd, force bool) (ObtainResult, error) {
+	m := &s.mObtain
+	if force {
+		m = &s.mForce
+	}
 	start, err := s.facility.begin(ctx)
 	if err != nil {
-		return err
+		return ObtainResult{}, err
 	}
-	defer s.facility.charge(s.mForce, start)
+	defer s.facility.charge(*m, start)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.checkRLocked(idx, conn); err != nil {
-		return err
+	if err := s.checkRLocked(c.Idx, c.Conn, c.Name, c.Mode); err != nil {
+		return ObtainResult{}, err
 	}
-	e := &s.entries[idx]
+	e := &s.entries[c.Idx]
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch mode {
-	case Share:
+	if c.Name != "" {
+		s.recMu.Lock()
+		defer s.recMu.Unlock()
+		if failed := s.retainedHolderLocked(c.Name, c.Mode); failed != "" {
+			return ObtainResult{Retained: failed}, nil
+		}
+	}
+	conn := c.Conn
+	if !force {
+		if holders := e.conflictsLocked(conn, c.Mode); len(holders) > 0 {
+			return ObtainResult{Holders: holders}, nil
+		}
+	}
+	switch {
+	case c.Mode == Share:
 		if e.shared == nil {
 			e.shared = make(map[string]int)
 		}
 		e.shared[conn]++
-	case Exclusive:
-		// Record the connector's exclusive interest on the (now
-		// software-managed) entry without disturbing the fast-path
-		// owner slot.
-		if e.exclOwner == conn {
-			e.exclCount++
-			break
-		}
+	case e.exclOwner == conn || (e.exclOwner == "" && !force):
+		// The fast-path owner slot; a forced grant leaves it alone and
+		// records software-managed interest instead.
+		e.exclOwner = conn
+		e.exclCount++
+	default:
 		if e.forcedExcl == nil {
 			e.forcedExcl = make(map[string]int)
 		}
 		e.forcedExcl[conn]++
-	default:
-		return fmt.Errorf("%w: mode %v", ErrBadArgument, mode)
 	}
-	return nil
+	if c.Name != "" && c.Mode == Exclusive {
+		recs := s.records[conn]
+		if recs == nil {
+			recs = make(map[string]LockRecord)
+			s.records[conn] = recs
+		}
+		recs[c.Name] = LockRecord{Connector: conn, Resource: c.Name, Mode: c.Mode, Owner: c.Key}
+	}
+	return ObtainResult{Granted: true}, nil
+}
+
+// retainedHolderLocked returns the failed connector whose retained
+// record of resource conflicts with a request in mode ("" if none; the
+// least name if several, so replicas answer alike). Runs under recMu.
+func (s *LockStructure) retainedHolderLocked(resource string, mode LockMode) string {
+	failed := ""
+	for conn := range s.retained {
+		rec, ok := s.records[conn][resource]
+		if ok && (mode == Exclusive || rec.Mode == Exclusive) && (failed == "" || conn < failed) {
+			failed = conn
+		}
+	}
+	return failed
 }
 
 // Release drops one unit of interest of the given mode for conn.
 func (s *LockStructure) Release(ctx context.Context, idx int, conn string, mode LockMode) error {
+	return s.release(ctx, &Cmd{Idx: idx, Conn: conn, Mode: mode})
+}
+
+// ReleaseResource is lock.release on resource's entry: an exclusive
+// release also deletes conn's record of the resource while owner still
+// owns it, so a late release cannot remove the record of the next owner
+// on the same connector.
+func (s *LockStructure) ReleaseResource(ctx context.Context, conn, resource, owner string, mode LockMode) error {
+	return s.release(ctx, &Cmd{Idx: s.HashResource(resource), Conn: conn, Name: resource, Key: owner, Mode: mode})
+}
+
+func (s *LockStructure) release(ctx context.Context, c *Cmd) error {
 	start, err := s.facility.begin(ctx)
 	if err != nil {
 		return err
@@ -376,34 +413,36 @@ func (s *LockStructure) Release(ctx context.Context, idx int, conn string, mode 
 	defer s.facility.charge(s.mRel, start)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.checkRLocked(idx, conn); err != nil {
+	if err := s.checkRLocked(c.Idx, c.Conn, c.Name, c.Mode); err != nil {
 		return err
 	}
-	e := &s.entries[idx]
+	e := &s.entries[c.Idx]
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch mode {
-	case Share:
+	conn := c.Conn
+	switch {
+	case c.Mode == Share:
 		if e.shared[conn] > 0 {
 			e.shared[conn]--
 			if e.shared[conn] == 0 {
 				delete(e.shared, conn)
 			}
 		}
-	case Exclusive:
-		if e.exclOwner == conn && e.exclCount > 0 {
-			e.exclCount--
-			if e.exclCount == 0 {
-				e.exclOwner = ""
-			}
-		} else if e.forcedExcl[conn] > 0 {
-			e.forcedExcl[conn]--
-			if e.forcedExcl[conn] == 0 {
-				delete(e.forcedExcl, conn)
-			}
+	case e.exclOwner == conn && e.exclCount > 0:
+		e.exclCount--
+		if e.exclCount == 0 {
+			e.exclOwner = ""
 		}
-	default:
-		return fmt.Errorf("%w: mode %v", ErrBadArgument, mode)
+	case e.forcedExcl[conn] > 0:
+		e.forcedExcl[conn]--
+		if e.forcedExcl[conn] == 0 {
+			delete(e.forcedExcl, conn)
+		}
+	}
+	if c.Name != "" && c.Mode == Exclusive {
+		s.recMu.Lock()
+		s.deleteRecordLocked(conn, c.Name, c.Key)
+		s.recMu.Unlock()
 	}
 	return nil
 }
@@ -427,57 +466,45 @@ func (s *LockStructure) Interest(idx int, conn string) (share, excl int, err err
 	return share, excl, nil
 }
 
-// SetRecord stores a persistent lock record for conn (recording of
-// persistent lock information "to enable fast lock recovery in the
-// event of an MVS system failure while holding lock resources"), with
-// the owning unit of work as its record data.
-func (s *LockStructure) SetRecord(ctx context.Context, conn, resource string, mode LockMode, owner string) error {
-	start, err := s.facility.begin(ctx)
-	if err != nil {
-		return err
-	}
-	defer s.facility.charge(s.mSetRec, start)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.conns[conn] {
-		return fmt.Errorf("%w: %q", ErrNotConnected, conn)
-	}
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	m := s.records[conn]
-	if m == nil {
-		m = make(map[string]LockRecord)
-		s.records[conn] = m
-	}
-	m[resource] = LockRecord{Connector: conn, Resource: resource, Mode: mode, Owner: owner}
-	return nil
+// DeleteRecord removes conn's persistent lock record of resource
+// (recovery for that resource complete). A non-empty owner deletes the
+// record only while that unit of work still owns it. Like every command
+// on a resource's record it is keyed on the resource's entry, so on a
+// duplexed pair it is ordered against obtains of the resource.
+func (s *LockStructure) DeleteRecord(ctx context.Context, conn, resource, owner string) error {
+	return s.deleteRecord(ctx, &Cmd{Idx: s.HashResource(resource), Conn: conn, Name: resource, Key: owner})
 }
 
-// DeleteRecord removes a persistent lock record (lock released, or
-// recovery for that resource complete). A non-empty owner deletes the
-// record only while that unit of work still owns it, so a release that
-// lands after the next owner on the same connector set its record
-// leaves that record alone.
-func (s *LockStructure) DeleteRecord(ctx context.Context, conn, resource, owner string) error {
+func (s *LockStructure) deleteRecord(ctx context.Context, c *Cmd) error {
 	start, err := s.facility.begin(ctx)
 	if err != nil {
 		return err
 	}
 	defer s.facility.charge(s.mDelRec, start)
+	if c.Idx != s.HashResource(c.Name) {
+		return fmt.Errorf("%w: entry %d is not %q's", ErrBadArgument, c.Idx, c.Name)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
+	s.deleteRecordLocked(c.Conn, c.Name, c.Key)
+	return nil
+}
+
+// deleteRecordLocked runs under recMu; see DeleteRecord. A live
+// connector keeps its emptied record map for its next exclusive grant;
+// a failed one's retention ends with its last record.
+func (s *LockStructure) deleteRecordLocked(conn, resource, owner string) {
 	m := s.records[conn]
-	if rec, ok := m[resource]; ok && owner != "" && rec.Owner != owner {
-		return nil
+	if rec, ok := m[resource]; !ok || (owner != "" && rec.Owner != owner) {
+		return
 	}
 	delete(m, resource)
-	if len(m) == 0 {
+	if len(m) == 0 && s.retained[conn] {
 		delete(s.records, conn)
 		delete(s.retained, conn)
 	}
-	return nil
 }
 
 // Records returns the persistent lock records for conn (a peer reads a
@@ -502,27 +529,19 @@ func (s *LockStructure) Records(ctx context.Context, conn string) ([]LockRecord,
 	return out, nil
 }
 
-// RetainedConnectors lists failed connectors with retained records.
-func (s *LockStructure) RetainedConnectors() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	out := make([]string, 0, len(s.retained))
-	for c := range s.retained {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// checkRLocked validates entry index and connector under mu.RLock.
-func (s *LockStructure) checkRLocked(idx int, conn string) error {
-	if idx < 0 || idx >= len(s.entries) {
+// checkRLocked validates a lock-table command under mu.RLock: the entry
+// index (the named resource's own entry, if it names one), the
+// connector and the mode.
+func (s *LockStructure) checkRLocked(idx int, conn, resource string, mode LockMode) error {
+	switch {
+	case idx < 0 || idx >= len(s.entries):
 		return fmt.Errorf("%w: entry %d of %d", ErrBadArgument, idx, len(s.entries))
-	}
-	if !s.conns[conn] {
+	case resource != "" && idx != s.HashResource(resource):
+		return fmt.Errorf("%w: entry %d is not %q's", ErrBadArgument, idx, resource)
+	case !s.conns[conn]:
 		return fmt.Errorf("%w: %q", ErrNotConnected, conn)
+	case mode != Share && mode != Exclusive:
+		return fmt.Errorf("%w: mode %v", ErrBadArgument, mode)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package cf
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -135,25 +136,42 @@ func TestHashResourceStableAndInRange(t *testing.T) {
 
 func TestPersistentRecordsAndRetention(t *testing.T) {
 	f, ls := newLockStruct(t, 16)
-	if err := ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW5", Exclusive, "TX5"); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for _, lk := range []struct{ res, owner string }{{"DB.T1.ROW5", "TX5"}, {"DB.T1.ROW9", "TX9"}} {
+		if r, err := ls.ObtainResource(ctx, "SYS1", lk.res, lk.owner, Exclusive); err != nil || !r.Granted {
+			t.Fatalf("ObtainResource(%s) = %+v, %v", lk.res, r, err)
+		}
 	}
-	ls.SetRecord(context.Background(), "SYS1", "DB.T1.ROW9", Share, "TX9")
-	ls.Obtain(context.Background(), 1, "SYS1", Exclusive)
+	// A share grant writes no record.
+	if r, err := ls.ObtainResource(ctx, "SYS1", "DB.T1.ROW7", "TX7", Share); err != nil || !r.Granted {
+		t.Fatalf("share ObtainResource = %+v, %v", r, err)
+	}
 
 	// Abnormal termination of SYS1.
 	f.FailConnector("SYS1")
 
-	// Entry interest is gone: others can lock immediately...
-	if r, _ := ls.Obtain(context.Background(), 1, "SYS2", Exclusive); !r.Granted {
+	// Entry interest is gone: others can lock the entry immediately...
+	row5 := ls.HashResource("DB.T1.ROW5")
+	if r, _ := ls.Obtain(ctx, row5, "SYS2", Exclusive); !r.Granted {
 		t.Fatal("failed connector's entry interest not cleared")
 	}
-	// ...but the records are retained for peer recovery.
-	ret := retainedConns(t, ls)
+	// ...but the records are retained for peer recovery, and a request
+	// naming a retained resource is refused, naming the failed system,
+	// with nothing granted.
+	ret := retainedConns(ls)
 	if len(ret) != 1 || ret[0] != "SYS1" {
 		t.Fatalf("retained = %v", ret)
 	}
-	recs, err := ls.Records(context.Background(), "SYS1")
+	if r, err := ls.ObtainResource(ctx, "SYS2", "DB.T1.ROW5", "TX2", Share); err != nil || r.Granted || r.Retained != "SYS1" {
+		t.Fatalf("ObtainResource of a retained resource = %+v, %v; want refused by SYS1", r, err)
+	}
+	if r, err := ls.ForceObtainResource(ctx, "SYS2", "DB.T1.ROW9", "TX2", Exclusive); err != nil || r.Granted || r.Retained != "SYS1" {
+		t.Fatalf("ForceObtainResource of a retained resource = %+v, %v; want refused by SYS1", r, err)
+	}
+	if share, _, _ := ls.Interest(row5, "SYS2"); share != 0 {
+		t.Fatalf("refused request left %d share interest", share)
+	}
+	recs, err := ls.Records(ctx, "SYS1")
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("records = %v err=%v", recs, err)
 	}
@@ -161,57 +179,77 @@ func TestPersistentRecordsAndRetention(t *testing.T) {
 		t.Fatalf("rec0 = %+v", recs[0])
 	}
 	// Peer completes recovery and deletes the records.
-	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW5", "")
-	ls.DeleteRecord(context.Background(), "SYS1", "DB.T1.ROW9", "")
-	if len(retainedConns(t, ls)) != 0 {
+	ls.DeleteRecord(ctx, "SYS1", "DB.T1.ROW5", "")
+	ls.DeleteRecord(ctx, "SYS1", "DB.T1.ROW9", "")
+	if len(retainedConns(ls)) != 0 {
 		t.Fatal("retention not cleared after recovery")
 	}
-}
-
-func retainedConns(t *testing.T, ls Lock) []string {
-	t.Helper()
-	names, err := ls.RetainedConnectors()
-	if err != nil {
-		t.Fatalf("RetainedConnectors: %v", err)
+	if r, err := ls.ObtainResource(ctx, "SYS2", "DB.T1.ROW5", "TX2", Share); err != nil || !r.Granted {
+		t.Fatalf("ObtainResource after recovery = %+v, %v", r, err)
 	}
-	return names
 }
 
-// TestDeleteRecordSparesNextOwner: a release's record delete that lands
-// after the connector's next owner of the resource set its record
-// leaves that record in place; an ownerless delete (recovery) does not.
+// retainedConns lists the failed connectors whose records are retained.
+func retainedConns(ls Lock) []string {
+	s := ls.(*LockStructure)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	var out []string
+	for c := range s.retained {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDeleteRecordSparesNextOwner: an exclusive release that lands
+// after the connector's next owner of the resource was granted leaves
+// that owner's record in place; an ownerless delete (recovery) does not,
+// and a share release deletes nothing.
 func TestDeleteRecordSparesNextOwner(t *testing.T) {
 	_, ls := newLockStruct(t, 16)
 	ctx := context.Background()
-	if err := ls.SetRecord(ctx, "SYS1", "R", Exclusive, "TX2"); err != nil {
+	owns := func(want string) {
+		t.Helper()
+		recs, err := ls.Records(ctx, "SYS1")
+		if err != nil || (want == "") != (len(recs) == 0) || (want != "" && (len(recs) != 1 || recs[0].Owner != want)) {
+			t.Fatalf("records = %+v, %v; want owner %q", recs, err, want)
+		}
+	}
+	for _, owner := range []string{"TX1", "TX2"} {
+		if r, err := ls.ObtainResource(ctx, "SYS1", "R", owner, Exclusive); err != nil || !r.Granted {
+			t.Fatalf("ObtainResource(%s) = %+v, %v", owner, r, err)
+		}
+	}
+	if err := ls.ReleaseResource(ctx, "SYS1", "R", "TX1", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.DeleteRecord(ctx, "SYS1", "R", "TX1"); err != nil {
+	owns("TX2")
+	if err := ls.ReleaseResource(ctx, "SYS1", "R", "TX2", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 1 || recs[0].Owner != "TX2" {
-		t.Fatalf("records after TX1's late delete = %+v, %v; want TX2's kept", recs, err)
+	owns("")
+	if _, excl, _ := ls.Interest(ls.HashResource("R"), "SYS1"); excl != 0 {
+		t.Fatalf("exclusive interest %d after both releases", excl)
 	}
-	if err := ls.DeleteRecord(ctx, "SYS1", "R", "TX2"); err != nil {
+	ls.ObtainResource(ctx, "SYS1", "R", "TX3", Exclusive)
+	if err := ls.ReleaseResource(ctx, "SYS1", "R", "TX3", Share); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 0 {
-		t.Fatalf("records after TX2's delete = %+v, %v", recs, err)
-	}
-	ls.SetRecord(ctx, "SYS1", "R", Exclusive, "TX3")
+	owns("TX3")
 	if err := ls.DeleteRecord(ctx, "SYS1", "R", ""); err != nil {
 		t.Fatal(err)
 	}
-	if recs, _ := ls.Records(ctx, "SYS1"); len(recs) != 0 {
-		t.Fatalf("records after an ownerless delete = %+v", recs)
-	}
+	owns("")
 }
 
 func TestNormalDisconnectDropsRecords(t *testing.T) {
 	_, ls := newLockStruct(t, 16)
-	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive, "TX1")
+	ls.ObtainResource(context.Background(), "SYS1", "R", "TX1", Exclusive)
 	ls.(*LockStructure).disconnect("SYS1")
-	if len(retainedConns(t, ls)) != 0 {
+	if len(retainedConns(ls)) != 0 {
 		t.Fatal("normal shutdown should not retain records")
 	}
 	recs, _ := ls.Records(context.Background(), "SYS1")
@@ -225,8 +263,11 @@ func TestNotConnectedRejected(t *testing.T) {
 	if _, err := ls.Obtain(context.Background(), 0, "GHOST", Share); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := ls.SetRecord(context.Background(), "GHOST", "R", Share, "TX1"); !errors.Is(err, ErrNotConnected) {
+	if _, err := ls.ObtainResource(context.Background(), "GHOST", "R", "TX1", Exclusive); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err = %v", err)
+	}
+	if recs, _ := ls.Records(context.Background(), "GHOST"); len(recs) != 0 {
+		t.Fatalf("refused obtain wrote %+v", recs)
 	}
 }
 
@@ -240,6 +281,18 @@ func TestBadEntryIndex(t *testing.T) {
 	}
 	if _, _, err := ls.Interest(9, "SYS1"); !errors.Is(err, ErrBadArgument) {
 		t.Fatalf("err = %v", err)
+	}
+	// A command naming a resource must address the resource's own entry,
+	// which is what orders it against the other commands on that record.
+	other := (ls.HashResource("R") + 1) % 4
+	for _, k := range []Kind{CmdLockObtain, CmdLockForce, CmdLockRelease, CmdLockDelRecord} {
+		c := Cmd{Kind: k, Idx: other, Conn: "SYS1", Name: "R", Key: "TX1", Mode: Exclusive}
+		if _, err := ls.(*LockStructure).Exec(context.Background(), c); !errors.Is(err, ErrBadArgument) {
+			t.Fatalf("%v on another entry: err = %v", k, err)
+		}
+	}
+	if recs, _ := ls.Records(context.Background(), "SYS1"); len(recs) != 0 {
+		t.Fatalf("misaddressed obtain wrote %+v", recs)
 	}
 }
 
@@ -258,14 +311,14 @@ func TestBadMode(t *testing.T) {
 
 func TestReconnectClearsRetention(t *testing.T) {
 	f, ls := newLockStruct(t, 8)
-	ls.SetRecord(context.Background(), "SYS1", "R", Exclusive, "TX1")
+	ls.ObtainResource(context.Background(), "SYS1", "R", "TX1", Exclusive)
 	f.FailConnector("SYS1")
-	if len(retainedConns(t, ls)) != 1 {
+	if len(retainedConns(ls)) != 1 {
 		t.Fatal("not retained")
 	}
 	// SYS1 restarts and reconnects (it will recover its own records).
 	ls.Connect(context.Background(), "SYS1")
-	if len(retainedConns(t, ls)) != 0 {
+	if len(retainedConns(ls)) != 0 {
 		t.Fatal("retention survived reconnect")
 	}
 	recs, _ := ls.Records(context.Background(), "SYS1")

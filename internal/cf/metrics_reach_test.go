@@ -37,7 +37,7 @@ func TestEveryCommandMetricReachable(t *testing.T) {
 	if err := ls.Release(ctx, 0, "SYS1", Share); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.SetRecord(ctx, "SYS1", "RES.A", Exclusive, "TX1"); err != nil {
+	if _, err := ls.ObtainResource(ctx, "SYS1", "RES.A", "TX1", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	if recs, err := ls.Records(ctx, "SYS1"); err != nil || len(recs) != 1 {
@@ -133,7 +133,7 @@ func TestEveryCommandMetricReachable(t *testing.T) {
 	// this pins the full expected name set.
 	want := []string{
 		"lock.connect", "lock.obtain", "lock.force", "lock.release",
-		"lock.setrecord", "lock.delrecord", "lock.records",
+		"lock.delrecord", "lock.records",
 		"cache.connect", "cache.read", "cache.write", "cache.unregister",
 		"cache.castoutbegin", "cache.castoutend",
 		"list.connect", "list.setlock", "list.releaselock", "list.write",

@@ -62,7 +62,7 @@ var (
 // magic opens every session's first frame on both connection kinds; its
 // last byte is the wire revision, bumped whenever a Kind or Fields bit
 // moves or a row's fields or a record's layout change.
-var magic = [4]byte{'C', 'F', 'L', '5'}
+var magic = [4]byte{'C', 'F', 'L', '6'}
 
 // Connection kinds declared in the session handshake.
 //

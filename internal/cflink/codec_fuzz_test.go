@@ -3,6 +3,7 @@ package cflink
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"sysplex/internal/cf"
@@ -48,6 +49,20 @@ func FuzzDecoder(f *testing.F) {
 	var berrs wire.Encoder
 	encodeReply(&berrs, &batch, &cf.Reply{Errs: []error{nil, cf.ErrEntryNotFound}})
 	f.Add(berrs.Buf)
+	// Lock seeds naming a resource and its owner: an exclusive obtain
+	// and the retained refusal it can get, a forced obtain, and the
+	// release that deletes the owner's record.
+	named := cf.Cmd{Kind: cf.CmdLockObtain, Idx: 11, Conn: "SYSA", Name: "R.DBP1.ACCT.k7", Key: "SYSA-000042", Mode: cf.Exclusive}
+	for _, k := range []cf.Kind{cf.CmdLockObtain, cf.CmdLockForce, cf.CmdLockRelease} {
+		c := named
+		c.Kind = k
+		var e wire.Encoder
+		encodeCmd(&e, &c, vecs.id)
+		f.Add(e.Buf)
+	}
+	var refused wire.Encoder
+	encodeReply(&refused, &named, &cf.Reply{Text: "SYSB"})
+	f.Add(refused.Buf)
 	// One descriptor and one reply per row of the command table, so a
 	// new command is fuzzed from the day it is added.
 	for _, k := range allKinds() {
@@ -141,10 +156,13 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzRoundTrip checks the encode→decode identity on fuzzer-chosen
-// field values: whatever goes in must come out, bit-exact.
+// field values: whatever goes in must come out, bit-exact. A lock
+// command carries s1 as its connector and owner and s2 as its resource.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("conn", "res.key", int64(2), []byte("block"), true, int64(7))
 	f.Add("", "", int64(-1), []byte{}, false, int64(0))
+	f.Add("SYS1-000042", "R.DBP1.ACCT.k17", int64(4095), []byte{}, false, int64(2))
+	f.Add("SYS2", "P.DBP1.ACCT.3", int64(0), []byte{}, true, int64(1))
 
 	f.Fuzz(func(t *testing.T, s1, s2 string, i1 int64, b []byte, flag bool, i2 int64) {
 		var e wire.Encoder
@@ -156,6 +174,12 @@ func FuzzRoundTrip(f *testing.F) {
 		e.Uvarint(uint64(i2))
 		encodeLockRecord(&e, cf.LockRecord{Connector: s1, Resource: s2, Mode: cf.LockMode(i1), Owner: s1})
 		encodeListEntry(&e, cf.ListEntry{ID: s1, Key: s2, Data: b, Adjunct: s2, List: int(i1)})
+		lockCmds := []cf.Kind{cf.CmdLockObtain, cf.CmdLockForce, cf.CmdLockRelease, cf.CmdLockDelRecord}
+		lk := cf.Cmd{Kind: lockCmds[uint64(i2)%uint64(len(lockCmds))], Idx: int(i1), Conn: s1, Name: s2, Key: s1}
+		if in, _, _ := lk.Kind.Fields(); in&cf.FMode != 0 {
+			lk.Mode = cf.LockMode(i2)
+		}
+		encodeCmd(&e, &lk, nil)
 
 		d := wire.NewDecoder(e.Buf)
 		if got := d.Str(); got != s1 {
@@ -184,6 +208,9 @@ func FuzzRoundTrip(f *testing.F) {
 		le := decodeListEntry(d)
 		if le.ID != s1 || le.Key != s2 || le.Adjunct != s2 || le.List != int(i1) {
 			t.Fatalf("listEntry = %+v", le)
+		}
+		if got := decodeCmd(d, nil, false); !reflect.DeepEqual(got, lk) {
+			t.Fatalf("lock command = %+v, want %+v", got, lk)
 		}
 		if err := d.Finish(); err != nil {
 			t.Fatalf("finish: %v", err)

@@ -33,8 +33,9 @@ func allKinds() []cf.Kind {
 // fillCmd builds a descriptor of kind k with every field the table says
 // k reads set to a fixed non-zero value, issued by conn. The values
 // line up with prepare: conn "SYS1" is connected, entry/list/lock
-// index 1 exists, and "N1" names a lock record, a changed cache block,
-// and a list entry.
+// index 1 exists, and "N1" names a lock record owned by "K1", a changed
+// cache block, and a list entry. A lock command naming "N1" addresses
+// its entry.
 func fillCmd(k cf.Kind, conn string) cf.Cmd {
 	c := cf.Cmd{Kind: k}
 	in, _, _ := k.Fields()
@@ -58,7 +59,22 @@ func fillCmd(k cf.Kind, conn string) cf.Cmd {
 	set(cf.FSub, func() {
 		c.Sub = []cf.Cmd{fillCmd(cf.CmdListWrite, conn), fillCmd(cf.CmdListRead, conn), fillCmd(cf.CmdListDelete, conn)}
 	})
+	if k.Model() == cf.LockModel && in&cf.FName != 0 {
+		c.Idx = confEntry("N1")
+	}
 	return c
+}
+
+// confLockEntries is the size of prepare's lock structure.
+const confLockEntries = 16
+
+// confEntry is the entry resource hashes to in prepare's lock structure.
+func confEntry(resource string) int {
+	ls, err := cf.New("HASH", nil).AllocateLockStructure("HASH", confLockEntries)
+	if err != nil {
+		panic(err)
+	}
+	return ls.HashResource(resource)
 }
 
 // fillReply builds a reply with every field the table says k fills set.
@@ -234,12 +250,16 @@ func (tg *target) prepare(t *testing.T, model cf.Model) {
 	switch model {
 	case cf.LockModel:
 		var ls cf.Lock
-		if ls, err = tg.front.AllocateLockStructure(confStructure, 16); err == nil {
+		// SYS3 fails holding N3: its record is retained.
+		if ls, err = tg.front.AllocateLockStructure(confStructure, confLockEntries); err == nil {
 			err = errors.Join(
 				ls.Connect(ctx, "SYS1"),
 				ls.Connect(ctx, "SYS2"),
+				ls.Connect(ctx, "SYS3"),
 				second(ls.Obtain(ctx, 1, "SYS1", cf.Exclusive)),
-				ls.SetRecord(ctx, "SYS1", "N1", cf.Exclusive, "TX1"))
+				second(ls.ObtainResource(ctx, "SYS1", "N1", "K1", cf.Exclusive)),
+				second(ls.ObtainResource(ctx, "SYS3", "N3", "TX3", cf.Exclusive)))
+			tg.front.FailConnector("SYS3")
 		}
 	case cf.CacheModel:
 		var cs cf.Cache
@@ -359,10 +379,24 @@ var confScripts = map[cf.Model][]cf.Cmd{
 		{Kind: cf.CmdLockObtain, Idx: 3, Conn: "NOBODY", Mode: cf.Share},
 		{Kind: cf.CmdLockRelease, Idx: 2, Conn: "SYS1", Mode: cf.LockMode(9)},
 		{Kind: cf.CmdLockRelease, Idx: 1, Conn: "SYS1", Mode: cf.Exclusive},
-		{Kind: cf.CmdLockSetRecord, Conn: "SYS2", Name: "N2", Mode: cf.Share, Key: "TX2"},
-		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1", Key: "TX0"}, // another owner's: kept
+		// The obtain writes SYS2's record of N2.
+		{Kind: cf.CmdLockObtain, Idx: confEntry("N2"), Conn: "SYS2", Name: "N2", Key: "TX2", Mode: cf.Exclusive},
+		{Kind: cf.CmdLockObtain, Idx: 2, Conn: "SYS2", Name: "N2", Key: "TX2", Mode: cf.Exclusive}, // not N2's entry
+		{Kind: cf.CmdLockRecords, Conn: "SYS2"},
+		// Refused by SYS3's retained record, then granted once recovery
+		// deletes it.
+		{Kind: cf.CmdLockObtain, Idx: confEntry("N3"), Conn: "SYS2", Name: "N3", Key: "TX2", Mode: cf.Share},
+		{Kind: cf.CmdLockForce, Idx: confEntry("N3"), Conn: "SYS2", Name: "N3", Key: "TX2", Mode: cf.Exclusive},
+		{Kind: cf.CmdLockInterest, Idx: confEntry("N3"), Conn: "SYS2"},
+		{Kind: cf.CmdLockDelRecord, Idx: confEntry("N3"), Conn: "SYS3", Name: "N3"},
+		{Kind: cf.CmdLockObtain, Idx: confEntry("N3"), Conn: "SYS2", Name: "N3", Key: "TX2", Mode: cf.Share},
+		// A release deletes the record only while its owner owns it.
+		{Kind: cf.CmdLockRelease, Idx: confEntry("N1"), Conn: "SYS1", Name: "N1", Key: "TX0", Mode: cf.Exclusive}, // another owner's: kept
 		{Kind: cf.CmdLockRecords, Conn: "SYS1"},
-		{Kind: cf.CmdLockDelRecord, Conn: "SYS1", Name: "N1", Key: "TX1"},
+		{Kind: cf.CmdLockRelease, Idx: confEntry("N1"), Conn: "SYS1", Name: "N1", Key: "K1", Mode: cf.Exclusive},
+		{Kind: cf.CmdLockRecords, Conn: "SYS1"},
+		{Kind: cf.CmdLockDelRecord, Idx: confEntry("N2"), Conn: "SYS2", Name: "N2", Key: "TX0"}, // another owner's: kept
+		{Kind: cf.CmdLockDelRecord, Idx: confEntry("N2"), Conn: "SYS2", Name: "N2", Key: "TX2"},
 		{Kind: cf.CmdLockRecords, Conn: "SYS2"},
 		{Kind: cf.CmdListPop, Conn: "SYS1"}, // wrong model
 	},

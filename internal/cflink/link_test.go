@@ -71,10 +71,10 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeRefusesOtherRevision sends a hello with the previous
-// wire revision's magic: lock.setrecord and lock.delrecord gained the
-// owner field and a lock record carries it, so the server must close
-// the connection without replying rather than misread that peer's
-// commands.
+// wire revision's magic: lock.obtain, lock.force and lock.release gained
+// the resource and owner fields, and the lock.setrecord and
+// lock.retainedconns kinds are gone, so the server must close the
+// connection without replying rather than misread that peer's commands.
 func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	_, network, addr := startServer(t, "CF01")
 	conn, err := net.Dial(network, addr)
@@ -83,7 +83,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	defer conn.Close()
 	var e wire.Encoder
-	e.Buf = append(e.Buf, 'C', 'F', 'L', '4')
+	e.Buf = append(e.Buf, 'C', 'F', 'L', '5')
 	e.U8(connCommand)
 	e.Str("SYSA")
 	if err := writeFrame(conn, e.Buf); err != nil {
@@ -91,7 +91,7 @@ func TestHandshakeRefusesOtherRevision(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if reply, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
-		t.Fatalf("CFL4 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
+		t.Fatalf("CFL5 hello: reply %x, err %v; want the connection closed with no reply", reply, err)
 	}
 }
 
@@ -127,12 +127,20 @@ func TestLockOverWire(t *testing.T) {
 	if res.Granted || len(res.Holders) != 1 || res.Holders[0] != "SYSA" {
 		t.Fatalf("contended Obtain = %+v, want holders [SYSA]", res)
 	}
-	if err := lk.SetRecord(ctx, "SYSA", "DB.T1.ROW9", cf.Exclusive, "TX9"); err != nil {
-		t.Fatalf("SetRecord: %v", err)
+	// Naming the resource writes its owner's record with the grant, and
+	// the release naming it deletes the record.
+	if res, err := lk.ObtainResource(ctx, "SYSA", "DB.T1.ROW9", "TX9", cf.Exclusive); err != nil || !res.Granted {
+		t.Fatalf("ObtainResource = %+v, %v", res, err)
 	}
 	recs, err := lk.Records(ctx, "SYSA")
 	if err != nil || len(recs) != 1 || recs[0].Resource != "DB.T1.ROW9" || recs[0].Owner != "TX9" {
 		t.Fatalf("Records = %+v, %v", recs, err)
+	}
+	if err := lk.ReleaseResource(ctx, "SYSA", "DB.T1.ROW9", "TX9", cf.Exclusive); err != nil {
+		t.Fatalf("ReleaseResource: %v", err)
+	}
+	if recs, err := lk.Records(ctx, "SYSA"); err != nil || len(recs) != 0 {
+		t.Fatalf("Records after ReleaseResource = %+v, %v", recs, err)
 	}
 	if err := lk.Release(ctx, idx, "SYSA", cf.Exclusive); err != nil {
 		t.Fatalf("Release: %v", err)
@@ -371,11 +379,12 @@ func TestDuplexedOverWire(t *testing.T) {
 }
 
 // TestRetainedReadAfterPrimaryKill holds the retained-lock screen
-// closed across a remote primary's death: lockmgr reads the failed
-// connectors before every cross-system grant, so an empty answer from a
-// dead CF would let a request past a failed system's exclusive record.
-// A duplexed pair answers from the promoted secondary; a simplex front
-// has nothing to answer from and must return the error.
+// closed across a remote primary's death: every obtain naming a
+// resource reads the failed connectors' records, so a grant from a dead
+// CF's empty answer would let a request past a failed system's
+// exclusive record. A duplexed pair refuses from the promoted
+// secondary, naming the failed system; a simplex front has nothing to
+// answer from and must return the error, granting nothing.
 func TestRetainedReadAfterPrimaryKill(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -400,18 +409,20 @@ func TestRetainedReadAfterPrimaryKill(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := lk.SetRecord(ctx, "SYS1", "ACCT.7", cf.Exclusive, "TX7"); err != nil {
-				t.Fatal(err)
+			if res, err := lk.ObtainResource(ctx, "SYS1", "ACCT.7", "TX7", cf.Exclusive); err != nil || !res.Granted {
+				t.Fatalf("ObtainResource = %+v, %v", res, err)
 			}
 			d.FailConnector("SYS1")
 
 			srv1.Close()
-			got, err := lk.RetainedConnectors()
+			got, err := lk.ObtainResource(ctx, "SYS2", "ACCT.7", "TX8", cf.Share)
 			switch {
-			case duplexed && (err != nil || len(got) != 1 || got[0] != "SYS1"):
-				t.Fatalf("RetainedConnectors after the primary's death = %v, %v; want [SYS1] from the secondary", got, err)
+			case got.Granted:
+				t.Fatalf("ObtainResource of a retained resource after the primary's death granted: %+v, %v", got, err)
+			case duplexed && (err != nil || got.Retained != "SYS1"):
+				t.Fatalf("ObtainResource after the primary's death = %+v, %v; want refused by SYS1 from the secondary", got, err)
 			case !duplexed && err == nil:
-				t.Fatalf("RetainedConnectors after the only CF's death = %v with no error; want the error", got)
+				t.Fatalf("ObtainResource after the only CF's death = %+v with no error; want the error", got)
 			}
 		})
 	}

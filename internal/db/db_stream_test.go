@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"sysplex/internal/cf"
 	"sysplex/internal/lockmgr"
 	"sysplex/internal/logr"
 )
@@ -69,8 +68,8 @@ func TestStreamPeerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive, "SYS1-999999")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, "SYS1-999999")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "gina"), "SYS1-999999")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "hank"), "SYS1-999999")
 
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
@@ -118,7 +117,7 @@ func TestStreamRecoveryFilters(t *testing.T) {
 	e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}})
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, "SYS1-777777")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "ivy"), "SYS1-777777")
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	rep, err := e2.RecoverPeer(context.Background(), "SYS1")

@@ -28,6 +28,16 @@ type dbFixture struct {
 	engines map[string]*Engine
 }
 
+// holdRecord grants conn an exclusive lock on resource for owner, which
+// writes the lock's persistent record: the state a system that dies
+// holding the lock leaves for its peer's recovery.
+func holdRecord(t *testing.T, ls cf.Lock, conn, resource, owner string) {
+	t.Helper()
+	if r, err := ls.ObtainResource(context.Background(), conn, resource, owner, cf.Exclusive); err != nil || !r.Granted {
+		t.Fatalf("ObtainResource(%s, %s) = %+v, %v", conn, resource, r, err)
+	}
+}
+
 func newDBFixture(t *testing.T, systems ...string) *dbFixture {
 	t.Helper()
 	farm := dasd.NewFarm(vclock.Real())
@@ -346,8 +356,8 @@ func TestPeerRecoveryRedoesCommittedChanges(t *testing.T) {
 	// The dying system also held exclusive locks, retained at the CF
 	// with the transaction as their owner.
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "gina"), cf.Exclusive, "SYS1-999999")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, "SYS1-999999")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "gina"), "SYS1-999999")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "hank"), "SYS1-999999")
 
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
@@ -396,9 +406,7 @@ func TestRecoverPeerAfterDeathMidApply(t *testing.T) {
 	}
 	ls, _ := fx.fac.LockStructure("IRLM")
 	for _, res := range []string{e1.recordResource("ACCT", "nina"), e1.pageResource("ACCT", pageOf("nina", 16))} {
-		if err := ls.SetRecord(ctx, "SYS1", res, cf.Exclusive, id); err != nil {
-			t.Fatal(err)
-		}
+		holdRecord(t, ls, "SYS1", res, id)
 	}
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
@@ -444,8 +452,8 @@ func TestRecoverPeerRedoesOnlyRetainedImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(ctx, "SYS1", e1.recordResource("ACCT", "hank"), cf.Exclusive, id)
-	ls.SetRecord(ctx, "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, later)
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "hank"), id)
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "ivy"), later)
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	rep, err := e2.RecoverPeer(ctx, "SYS1")
@@ -535,9 +543,7 @@ func TestCommitWaitsOutRetainedLatch(t *testing.T) {
 	fx := newDBFixture(t, "SYS1", "SYS2")
 	e2 := fx.engines["SYS2"]
 	ls, _ := fx.fac.LockStructure("IRLM")
-	if err := ls.SetRecord(ctx, "SYS1", e2.pageResource("ACCT", pageOf("pete", 16)), cf.Exclusive, "SYS1-999999"); err != nil {
-		t.Fatal(err)
-	}
+	holdRecord(t, ls, "SYS1", e2.pageResource("ACCT", pageOf("pete", 16)), "SYS1-999999")
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	tx := e2.Begin(ctx)
@@ -603,7 +609,7 @@ func TestRecoverySkipsUncommittedAndEnded(t *testing.T) {
 	// record lock is retained.
 	e1.appendLog(context.Background(), &LogRecord{Tx: "SYS1-777777", Kind: recUpdate, Images: []Image{{Table: "ACCT", Key: "ivy", After: []byte("ghost")}}})
 	ls, _ := fx.fac.LockStructure("IRLM")
-	ls.SetRecord(context.Background(), "SYS1", e1.recordResource("ACCT", "ivy"), cf.Exclusive, "SYS1-777777")
+	holdRecord(t, ls, "SYS1", e1.recordResource("ACCT", "ivy"), "SYS1-777777")
 	// Fully applied: a COMMIT carrying its image, its lock released.
 	e1.appendLog(context.Background(),
 		&LogRecord{Tx: "SYS1-888888", Kind: recCommit, Images: []Image{{Table: "ACCT", Key: "judy", After: []byte("stale")}}})
@@ -661,9 +667,7 @@ func TestRecoverPeerRedoesLaterIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls, _ := fx.fac.LockStructure("IRLM")
-	if err := ls.SetRecord(ctx, "SYS1", again.recordResource("ACCT", "mona"), cf.Exclusive, second.ID()); err != nil {
-		t.Fatal(err)
-	}
+	holdRecord(t, ls, "SYS1", again.recordResource("ACCT", "mona"), second.ID())
 	fx.plex.PartitionNow("SYS1")
 	fx.fac.FailConnector("SYS1")
 	rep, err := fx.engines["SYS2"].RecoverPeer(ctx, "SYS1")

@@ -12,7 +12,9 @@
 //   - exclusive locks are recorded as persistent lock records, each
 //     naming its owner, so a peer can recover ("retain") the locks of a
 //     failed system and tell whose changes they protect: until recovery
-//     completes, requests conflicting with a retained lock are refused;
+//     completes, the CF refuses requests conflicting with a retained
+//     lock. Screen, grant and record are one CF command, and a release
+//     and its record delete another;
 //   - cross-system deadlocks are found by a waits-for-graph detector.
 //
 // The manager holds its lock structure for life. A move to another
@@ -82,6 +84,13 @@ type Manager struct {
 	stats     Stats
 	shutdown  bool
 }
+
+// upgraded marks a holder's exclusive mode as upgraded from share: the
+// superseded share unit stays on the CF entry until the release, which
+// drops both (own share never blocks own exclusive, and the exclusive
+// already excludes every other system). A held mode is therefore Share,
+// Exclusive or Exclusive|upgraded.
+const upgraded cf.LockMode = 1 << 4
 
 // resource is the local lock state for one resource name.
 type resource struct {
@@ -221,40 +230,24 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 		return tryResult{w: w}, nil
 	}
 	// Re-grant / upgrade by the same owner.
-	hadShare := false
-	if cur, ok := r.holders[owner]; ok {
-		if cur == mode || cur == cf.Exclusive {
-			m.mu.Unlock()
-			m.bump(func(s *Stats) { s.Locks++; s.FastGrants++ })
-			return tryResult{granted: true}, nil
-		}
-		hadShare = cur == cf.Share && mode == cf.Exclusive
+	cur := r.holders[owner]
+	if cur != 0 && (cur == mode || cur != cf.Share) {
+		m.mu.Unlock()
+		m.bump(func(s *Stats) { s.Locks++; s.FastGrants++ })
+		return tryResult{granted: true}, nil
 	}
 	m.mu.Unlock()
 
-	// Retained-lock screen: resources exclusively recorded by a failed
-	// system stay protected until peer recovery deletes the records.
-	if holder, retained, err := m.retainedConflict(ctx, resourceName, mode); err != nil {
-		return tryResult{}, err
-	} else if retained {
-		return tryResult{}, fmt.Errorf("%w: %s held by failed %s", ErrRetained, resourceName, holder)
-	}
-
+	// One CF command screens the retained locks of failed systems (the
+	// resources stay protected until peer recovery deletes the
+	// records), grants, and records an exclusive grant's owner.
 	ls := m.ls
-	entry := ls.HashResource(resourceName)
-	res, err := ls.Obtain(ctx, entry, m.sysName, mode)
-	if err != nil {
+	res, err := ls.ObtainResource(ctx, m.sysName, resourceName, owner, mode)
+	if err = retainedErr(res, resourceName, err); err != nil {
 		return tryResult{}, err
 	}
 	if res.Granted {
-		if err := m.grantLocal(ctx, resourceName, owner, mode); err != nil {
-			return tryResult{}, err
-		}
-		if hadShare {
-			// Upgrade: drop the superseded share interest on the entry.
-			// The exclusive interest already covers us if this fails.
-			_ = ls.Release(ctx, entry, m.sysName, cf.Share)
-		}
+		m.grantLocal(resourceName, owner, mode, cur)
 		m.bump(func(s *Stats) { s.Locks++; s.FastGrants++ })
 		return tryResult{granted: true}, nil
 	}
@@ -269,16 +262,11 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 	if len(conflictOwners) == 0 {
 		// False contention: distinct resources share the entry.
 		m.bump(func(s *Stats) { s.FalseContentions++ })
-		if err := ls.ForceObtain(ctx, entry, m.sysName, mode); err != nil {
+		res, err := ls.ForceObtainResource(ctx, m.sysName, resourceName, owner, mode)
+		if err = retainedErr(res, resourceName, err); err != nil {
 			return tryResult{}, err
 		}
-		if err := m.grantLocal(ctx, resourceName, owner, mode); err != nil {
-			return tryResult{}, err
-		}
-		if hadShare {
-			// As above: superseded by the exclusive interest.
-			_ = ls.Release(ctx, entry, m.sysName, cf.Share)
-		}
+		m.grantLocal(resourceName, owner, mode, cur)
 		m.bump(func(s *Stats) { s.Locks++ })
 		return tryResult{granted: true}, nil
 	}
@@ -293,93 +281,31 @@ func (m *Manager) tryLock(ctx context.Context, owner, resourceName string, mode 
 
 // Unlock releases owner's hold on the resource.
 func (m *Manager) Unlock(ctx context.Context, owner, resourceName string) error {
-	return m.unlock(ctx, owner, resourceName, 0)
-}
-
-// unlock drops owner's hold on the resource back to restore (0 releases
-// it), gives up the CF interest and record of the mode dropped, and
-// wakes the waiters to retry.
-func (m *Manager) unlock(ctx context.Context, owner, resourceName string, restore cf.LockMode) error {
-	m.mu.Lock()
-	r := m.resources[resourceName]
-	if r == nil {
-		m.mu.Unlock()
-		return nil
-	}
-	mode, ok := r.holders[owner]
-	if !ok {
-		m.mu.Unlock()
-		return nil
-	}
-	if restore != 0 {
-		r.holders[owner] = restore
-	} else {
-		delete(r.holders, owner)
-	}
-	var toWake []*waiter
-	for _, w := range r.waiters {
-		toWake = append(toWake, w)
-	}
-	remote := make([]string, 0, len(r.remoteWaiters))
-	for sysN := range r.remoteWaiters {
-		remote = append(remote, sysN)
-	}
-	r.remoteWaiters = make(map[string]bool)
-	empty := len(r.holders) == 0 && len(r.waiters) == 0
-	if empty {
-		delete(m.resources, resourceName)
-	}
-	m.mu.Unlock()
-
-	ls := m.ls
-	entry := ls.HashResource(resourceName)
-	if err := ls.Release(ctx, entry, m.sysName, mode); err != nil && !errors.Is(err, cf.ErrNotConnected) {
-		return err
-	}
-	if mode == cf.Exclusive {
-		// A delete only a CF failure can fail (a duplexed front hides
-		// one): the record left names an owner whose changes are
-		// applied, and a peer recovering this system would redo them.
-		_ = ls.DeleteRecord(ctx, m.sysName, resourceName, owner)
-	}
-	// Wake local waiters to retry.
-	for _, w := range toWake {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	// Signal remote waiters.
-	for _, sysN := range remote {
-		m.send(sysN, wireMsg{Type: msgWakeup, Resource: resourceName})
-	}
-	return nil
+	return m.UnlockAll(ctx, owner, []string{resourceName})
 }
 
 // UnlockAll releases owner's hold on every named resource using one CF
 // batch: the local grant tables are updated in a single pass, then all
-// the entry releases — plus a record delete per exclusive — travel to
-// the CF as one envelope (one link crossing on a transport CF) via
-// cf.Lock.Batch, and finally local and remote waiters are woken. This
-// is the commit-time bulk release: a transaction's release set touches
-// independent entries, so per-key ordering inside the batch is enough.
-// Resources owner does not hold are skipped, matching Unlock.
+// the entry releases — an exclusive one deleting its record, an
+// upgraded one also dropping its share unit — travel to the CF as one
+// envelope (one link crossing on a transport CF) via cf.Lock.Batch, and
+// finally local and remote waiters are woken. This is the commit-time
+// bulk release; every command on a resource is keyed on its entry, so
+// per-key ordering inside the batch is enough. Resources owner does not
+// hold are skipped.
 func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []string) error {
 	if len(resourceNames) == 0 {
 		return nil
-	}
-	type release struct {
-		name string
-		mode cf.LockMode
 	}
 	type remoteWake struct {
 		sys, name string
 	}
 	var (
-		rels    []release
+		cmds    = make([]cf.Cmd, 0, len(resourceNames)+1)
 		toWake  []*waiter
 		remotes []remoteWake
 	)
+	ls := m.ls
 	m.mu.Lock()
 	for _, resourceName := range resourceNames {
 		r := m.resources[resourceName]
@@ -399,45 +325,28 @@ func (m *Manager) UnlockAll(ctx context.Context, owner string, resourceNames []s
 		if len(r.holders) == 0 && len(r.waiters) == 0 {
 			delete(m.resources, resourceName)
 		}
-		rels = append(rels, release{resourceName, mode})
+		c := cf.Cmd{Kind: cf.CmdLockRelease, Idx: ls.HashResource(resourceName), Conn: m.sysName, Mode: mode &^ upgraded}
+		if mode != cf.Share {
+			// The owner condition keeps a release that lands after the
+			// next local owner's grant from deleting that owner's record.
+			c.Name, c.Key = resourceName, owner
+		}
+		cmds = append(cmds, c)
+		if mode&upgraded != 0 {
+			c.Mode, c.Name, c.Key = cf.Share, "", ""
+			cmds = append(cmds, c)
+		}
 	}
 	m.mu.Unlock()
-	if len(rels) == 0 {
+	if len(cmds) == 0 {
 		return nil
 	}
 
-	ls := m.ls
-	cmds := make([]cf.Cmd, 0, 2*len(rels))
-	for _, rl := range rels {
-		cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockRelease, Idx: ls.HashResource(rl.name), Conn: m.sysName, Mode: rl.mode})
-		if rl.mode == cf.Exclusive {
-			// Its per-sub error is discarded below, as Unlock discards
-			// DeleteRecord's. The owner condition keeps a delete that
-			// lands after the next local owner's record from removing
-			// that record.
-			cmds = append(cmds, cf.Cmd{Kind: cf.CmdLockDelRecord, Conn: m.sysName, Name: rl.name, Key: owner})
-		}
-	}
 	var firstErr error
 	for start := 0; start < len(cmds); start += cf.MaxBatchOps {
 		chunk := cmds[start:min(start+cf.MaxBatchOps, len(cmds))]
-		reply, err := ls.Batch(ctx, chunk)
-		if err != nil {
-			if firstErr == nil && !errors.Is(err, cf.ErrNotConnected) {
-				firstErr = err
-			}
-			continue
-		}
-		for i, serr := range reply.Errs {
-			if serr == nil || errors.Is(serr, cf.ErrNotConnected) {
-				continue
-			}
-			if chunk[i].Kind == cf.CmdLockDelRecord {
-				continue
-			}
-			if firstErr == nil {
-				firstErr = serr
-			}
+		if err := cf.FirstErr(ls.Batch(ctx, chunk)); err != nil && firstErr == nil && !errors.Is(err, cf.ErrNotConnected) {
+			firstErr = err
 		}
 	}
 	// Wake waiters even if the CF refused something: the local grants
@@ -459,28 +368,28 @@ func (m *Manager) HeldMode(owner, resourceName string) cf.LockMode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r := m.resources[resourceName]; r != nil {
-		return r.holders[owner]
+		return r.holders[owner] &^ upgraded
 	}
 	return 0
 }
 
-// grantLocal records a granted lock and, for an exclusive one, its
-// persistent record naming the owner, which peers recover if this
-// system fails (§3.3.1). The record decides a peer's redo, so a grant
-// without one fails closed: the write's error undoes the local hold and
-// the CF interest and is returned.
-func (m *Manager) grantLocal(ctx context.Context, resourceName, owner string, mode cf.LockMode) error {
-	m.mu.Lock()
-	r := m.resourceLocked(resourceName)
-	prev := r.holders[owner]
-	r.holders[owner] = mode
-	m.mu.Unlock()
-	if mode != cf.Exclusive {
-		return nil
+// grantLocal records a lock the CF granted (with its record, for an
+// exclusive one); prev is the owner's mode before, Share for an upgrade.
+func (m *Manager) grantLocal(resourceName, owner string, mode, prev cf.LockMode) {
+	if prev == cf.Share && mode == cf.Exclusive {
+		mode |= upgraded
 	}
-	err := m.ls.SetRecord(ctx, m.sysName, resourceName, mode, owner)
-	if err != nil {
-		_ = m.unlock(ctx, owner, resourceName, prev)
+	m.mu.Lock()
+	m.resourceLocked(resourceName).holders[owner] = mode
+	m.mu.Unlock()
+}
+
+// retainedErr folds a CF obtain's outcome to an error: the command's
+// own, or ErrRetained naming the failed system whose retained record
+// refused the request.
+func retainedErr(res cf.ObtainResult, resourceName string, err error) error {
+	if err == nil && res.Retained != "" {
+		err = fmt.Errorf("%w: %s held by failed %s", ErrRetained, resourceName, res.Retained)
 	}
 	return err
 }
@@ -538,37 +447,12 @@ func localConflicts(r *resource, owner string, mode cf.LockMode) []string {
 		if o == owner {
 			continue
 		}
-		if mode == cf.Exclusive || held == cf.Exclusive {
+		if mode == cf.Exclusive || held != cf.Share {
 			out = append(out, o)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// retainedConflict checks CF persistent records of failed connectors.
-// It fails closed: a read error fails the request rather than skip a
-// record it could not see.
-func (m *Manager) retainedConflict(ctx context.Context, resourceName string, mode cf.LockMode) (string, bool, error) {
-	conns, err := m.ls.RetainedConnectors()
-	if err != nil {
-		return "", false, err
-	}
-	for _, conn := range conns {
-		recs, err := m.ls.Records(ctx, conn)
-		if err != nil {
-			return "", false, err
-		}
-		for _, rec := range recs {
-			if rec.Resource != resourceName {
-				continue
-			}
-			if mode == cf.Exclusive || rec.Mode == cf.Exclusive {
-				return conn, true, nil
-			}
-		}
-	}
-	return "", false, nil
 }
 
 // RetainedResources lists resources protected on behalf of a failed
@@ -715,7 +599,7 @@ func (m *Manager) checkConflict(fromSys, resourceName string, mode cf.LockMode) 
 	}
 	var owners []string
 	for o, held := range r.holders {
-		if mode == cf.Exclusive || held == cf.Exclusive {
+		if mode == cf.Exclusive || held != cf.Share {
 			owners = append(owners, o)
 		}
 	}

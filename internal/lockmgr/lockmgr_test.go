@@ -207,10 +207,68 @@ func TestUpgradeShareToExclusive(t *testing.T) {
 	if m1.HeldMode("TX1", "R") != Exclusive {
 		t.Fatal("mode not upgraded")
 	}
+	// The superseded share unit stays on the entry until the release.
+	if share, excl, _ := h.ls.Interest(h.ls.HashResource("R"), "SYS1"); share != 1 || excl != 1 {
+		t.Fatalf("interest while upgraded = %d share, %d exclusive; want 1, 1", share, excl)
+	}
 	m1.Unlock(context.Background(), "TX1", "R")
+	if share, excl, _ := h.ls.Interest(h.ls.HashResource("R"), "SYS1"); share+excl != 0 {
+		t.Fatalf("interest after unlock = %d share, %d exclusive; want none", share, excl)
+	}
 	// The upgraded-away share interest must not linger at the CF.
 	if err := m2.Lock(context.Background(), "TX2", "R", Exclusive, tmo); err != nil {
 		t.Fatalf("entry not clean after upgrade+unlock: %v", err)
+	}
+}
+
+// TestDepositLockCommands counts the CF commands of a DEPOSIT's lock
+// shape: share on the record, its upgrade to exclusive, an exclusive
+// page latch, then commit's two release batches. A grant is one command
+// (retained screen, grant and the owner's record) and a release one
+// batched subcommand (interest and record delete), and the upgrade's
+// share unit goes with the record's release: six commands, three of
+// them synchronous obtains.
+func TestDepositLockCommands(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, "SYS1")
+	m := h.mgrs["SYS1"]
+	kinds := []string{"obtain", "force", "release", "delrecord", "records"}
+	count := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, k := range kinds {
+			out[k] = h.fac.Metrics().Counter("cf.cmd.lock." + k).Value()
+		}
+		return out
+	}
+	before := count()
+	for _, lk := range []struct {
+		res  string
+		mode Mode
+	}{{"R.DBP1.ACCT.k", Share}, {"R.DBP1.ACCT.k", Exclusive}, {"P.DBP1.ACCT.3", Exclusive}} {
+		if err := m.Lock(ctx, "TX1", lk.res, lk.mode, tmo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	granted := count()
+	for _, res := range []string{"R.DBP1.ACCT.k", "P.DBP1.ACCT.3"} {
+		if err := m.UnlockAll(ctx, "TX1", []string{res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := count()
+	want := map[string][2]int64{"obtain": {3, 0}, "release": {0, 3}}
+	for _, k := range kinds {
+		if got := [2]int64{granted[k] - before[k], released[k] - granted[k]}; got != want[k] {
+			t.Errorf("lock.%s: %d at grant, %d at release; want %d, %d", k, got[0], got[1], want[k][0], want[k][1])
+		}
+	}
+	if recs, err := h.ls.Records(ctx, "SYS1"); err != nil || len(recs) != 0 {
+		t.Fatalf("records after release = %+v, %v", recs, err)
+	}
+	for _, res := range []string{"R.DBP1.ACCT.k", "P.DBP1.ACCT.3"} {
+		if share, excl, _ := h.ls.Interest(h.ls.HashResource(res), "SYS1"); share+excl != 0 {
+			t.Errorf("%s: %d share, %d exclusive interest after release", res, share, excl)
+		}
 	}
 }
 
@@ -567,21 +625,24 @@ func TestRebuildKeepsRetainedOwners(t *testing.T) {
 	}
 }
 
-// failingRecords is a lock structure whose record writes fail.
-type failingRecords struct {
+// failingExclusive is a lock structure whose exclusive obtains fail.
+type failingExclusive struct {
 	cf.Lock
 	err error
 }
 
-func (f failingRecords) SetRecord(context.Context, string, string, cf.LockMode, string) error {
-	return f.err
+func (f failingExclusive) ObtainResource(ctx context.Context, conn, resource, owner string, mode cf.LockMode) (cf.ObtainResult, error) {
+	if mode == cf.Exclusive {
+		return cf.ObtainResult{}, f.err
+	}
+	return f.Lock.ObtainResource(ctx, conn, resource, owner, mode)
 }
 
-// TestFailedRecordWriteUndoesGrant: an exclusive grant whose persistent
-// record cannot be written fails closed. The record decides a peer's
-// redo, so the lock is not held without one: the request returns the
-// write's error with the local hold and the CF interest undone, and an
-// upgrade falls back to the share hold it had.
+// TestFailedRecordWriteUndoesGrant: an exclusive grant and its
+// persistent record are one CF command, so a failing obtain leaves no
+// local hold, no CF interest and no record. The record decides a peer's
+// redo, so the lock is never held without one: the request returns the
+// command's error, and an upgrade keeps just the share hold it had.
 func TestFailedRecordWriteUndoesGrant(t *testing.T) {
 	ctx := context.Background()
 	h := newHarness(t, "SYS2")
@@ -589,30 +650,33 @@ func TestFailedRecordWriteUndoesGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := errors.New("record write refused")
-	m1, err := New(ctx, sys1, failingRecords{h.ls, injected}, vclock.Real())
+	injected := errors.New("exclusive obtain refused")
+	m1, err := New(ctx, sys1, failingExclusive{h.ls, injected}, vclock.Real())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m1.Lock(ctx, "TX1", "A", Exclusive, tmo); !errors.Is(err, injected) {
-		t.Fatalf("exclusive Lock = %v, want the record write's error", err)
+		t.Fatalf("exclusive Lock = %v, want the obtain's error", err)
 	}
 	if mode := m1.HeldMode("TX1", "A"); mode != 0 {
-		t.Fatalf("TX1 still holds A in %v after the failed record write", mode)
+		t.Fatalf("TX1 holds A in %v after the failed obtain", mode)
 	}
 	if share, excl, err := h.ls.Interest(h.ls.HashResource("A"), "SYS1"); err != nil || share+excl != 0 {
 		t.Fatalf("SYS1 interest on A = %d share, %d exclusive (%v), want none", share, excl, err)
 	}
+	if recs, err := h.ls.Records(ctx, "SYS1"); err != nil || len(recs) != 0 {
+		t.Fatalf("SYS1 records = %+v, %v; want none", recs, err)
+	}
 	if err := h.mgrs["SYS2"].Lock(ctx, "TX2", "A", Exclusive, 200*time.Millisecond); err != nil {
-		t.Fatalf("SYS2 exclusive Lock after the undone grant: %v", err)
+		t.Fatalf("SYS2 exclusive Lock after the failed obtain: %v", err)
 	}
 
-	// An upgrade: the share hold stays, the exclusive one is undone.
+	// An upgrade: the share hold stays, and its release leaves nothing.
 	if err := m1.Lock(ctx, "TX3", "B", Share, tmo); err != nil {
 		t.Fatal(err)
 	}
 	if err := m1.Lock(ctx, "TX3", "B", Exclusive, tmo); !errors.Is(err, injected) {
-		t.Fatalf("upgrade = %v, want the record write's error", err)
+		t.Fatalf("upgrade = %v, want the obtain's error", err)
 	}
 	if mode := m1.HeldMode("TX3", "B"); mode != Share {
 		t.Fatalf("TX3 holds B in %v after the failed upgrade, want share", mode)
@@ -622,5 +686,11 @@ func TestFailedRecordWriteUndoesGrant(t *testing.T) {
 	}
 	if err := h.mgrs["SYS2"].Lock(ctx, "TX4", "B", Share, 200*time.Millisecond); err != nil {
 		t.Fatalf("SYS2 share Lock beside the share hold: %v", err)
+	}
+	if err := m1.UnlockAll(ctx, "TX3", []string{"B"}); err != nil {
+		t.Fatal(err)
+	}
+	if share, excl, err := h.ls.Interest(h.ls.HashResource("B"), "SYS1"); err != nil || share+excl != 0 {
+		t.Fatalf("SYS1 interest on B after release = %d share, %d exclusive (%v), want none", share, excl, err)
 	}
 }
